@@ -2,9 +2,9 @@
  * @file
  * google-benchmark microbenchmarks of the simulator's hot paths:
  * raw cache accesses, full-hierarchy accesses, access generation, the
- * batched quantum-replay loop (both cache engines), and an end-to-end
- * quantum. These guard the simulation throughput that makes the 45x45
- * co-run matrix tractable.
+ * batched quantum-replay loop, and an end-to-end quantum. These guard
+ * the simulation throughput that makes the 45x45 co-run matrix
+ * tractable.
  *
  * Beyond the console numbers, `--ledger=PATH` appends one `point`
  * record per benchmark to the shared run ledger: spec = the benchmark
@@ -101,19 +101,12 @@ BENCHMARK(BM_GeneratorQuantum);
  * System::stepHt does — demand access, prefetcher training, prefetch
  * fills — with no timing/energy bookkeeping around it. Items = memory
  * accesses replayed, so items/second is the simulator's headline
- * accesses/sec figure. Parameterized by cache engine: Fast is the
- * flat-array production path, Legacy the virtual-dispatch reference;
- * their ratio is the refactor's speedup, and the Fast number is what
- * the nightly regression gate pins.
+ * accesses/sec figure, and the one the nightly regression gate pins.
  */
 void
-quantumReplay(benchmark::State &state, CacheEngine engine)
+BM_QuantumReplayFast(benchmark::State &state)
 {
-    HierarchyConfig hcfg = HierarchyConfig::sandyBridge();
-    hcfg.l1.engine = engine;
-    hcfg.l2.engine = engine;
-    hcfg.llc.engine = engine;
-    CacheHierarchy h(hcfg, 4);
+    CacheHierarchy h(HierarchyConfig::sandyBridge(), 4);
     PrefetcherBank pf;
     const AppParams &app = Catalog::byName("459.GemsFDTD");
     ThreadWorkload wl(app, 0, 1, 1ull << 40, 3);
@@ -146,20 +139,8 @@ quantumReplay(benchmark::State &state, CacheEngine engine)
     benchmark::DoNotOptimize(sink);
     state.SetItemsProcessed(static_cast<std::int64_t>(accesses));
 }
-
-void
-BM_QuantumReplayFast(benchmark::State &state)
-{
-    quantumReplay(state, CacheEngine::Fast);
-}
+// Name kept: the throughput gate keys each series by fnv1a64(name).
 BENCHMARK(BM_QuantumReplayFast);
-
-void
-BM_QuantumReplayLegacy(benchmark::State &state)
-{
-    quantumReplay(state, CacheEngine::Legacy);
-}
-BENCHMARK(BM_QuantumReplayLegacy);
 
 /**
  * Many-core replay: state.range(0) streaming cores sharing the LLC,

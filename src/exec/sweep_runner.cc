@@ -191,15 +191,20 @@ pointRecord(const SweepRunnerOptions &opts, const ExperimentSpec &spec,
     rec.simS = r.time;
     rec.fromCache = r.fromCache;
     auto &m = rec.metrics;
-    m.emplace_back("time_s", r.time);
-    m.emplace_back("socket_energy_j", r.socketEnergy);
-    m.emplace_back("wall_energy_j", r.wallEnergy);
-    m.emplace_back("mpki", r.mpki);
-    m.emplace_back("apki", r.apki);
-    m.emplace_back("ipc", r.ipc);
+    // Only fields runSpec set for this kind: consolidation points leave
+    // the flat fields at their defaults, N-app points set only timedOut.
+    if (spec.kind == SpecKind::Solo || spec.kind == SpecKind::Pair) {
+        m.emplace_back("time_s", r.time);
+        m.emplace_back("socket_energy_j", r.socketEnergy);
+        m.emplace_back("wall_energy_j", r.wallEnergy);
+        m.emplace_back("mpki", r.mpki);
+        m.emplace_back("apki", r.apki);
+        m.emplace_back("ipc", r.ipc);
+    }
     if (r.bgThroughput > 0.0)
         m.emplace_back("bg_throughput_ips", r.bgThroughput);
-    m.emplace_back("timed_out", r.timedOut ? 1.0 : 0.0);
+    if (spec.kind != SpecKind::Consolidation)
+        m.emplace_back("timed_out", r.timedOut ? 1.0 : 0.0);
     for (const Policy p : {Policy::Shared, Policy::Fair, Policy::Biased,
                            Policy::Dynamic}) {
         const PolicyOutcome &po = r.policy[static_cast<int>(p)];

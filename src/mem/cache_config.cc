@@ -1,48 +1,7 @@
 #include "mem/cache_config.hh"
 
-#include <atomic>
-#include <cstdlib>
-#include <cstring>
-
 namespace capart
 {
-
-namespace
-{
-
-/** Engine named by CAPART_CACHE_ENGINE ("legacy"/"fast"), else Fast. */
-CacheEngine
-engineFromEnv()
-{
-    const char *env = std::getenv("CAPART_CACHE_ENGINE");
-    if (env && std::strcmp(env, "legacy") == 0)
-        return CacheEngine::Legacy;
-    return CacheEngine::Fast;
-}
-
-/** Atomic so sweep worker threads may construct caches concurrently. */
-std::atomic<CacheEngine> g_default_engine{CacheEngine::Auto};
-
-} // namespace
-
-CacheEngine
-defaultCacheEngine()
-{
-    CacheEngine e = g_default_engine.load(std::memory_order_relaxed);
-    if (e == CacheEngine::Auto) {
-        e = engineFromEnv();
-        g_default_engine.store(e, std::memory_order_relaxed);
-    }
-    return e;
-}
-
-void
-setDefaultCacheEngine(CacheEngine engine)
-{
-    g_default_engine.store(engine == CacheEngine::Auto ? engineFromEnv()
-                                                       : engine,
-                           std::memory_order_relaxed);
-}
 
 HierarchyConfig
 HierarchyConfig::sandyBridge()

@@ -26,34 +26,6 @@ enum class ReplPolicy
     TreePLRU  //!< binary-tree PLRU with mask-restricted descent
 };
 
-/**
- * Which SetAssocCache implementation services accesses.
- *
- * `Fast` is the flat-array engine (SoA tag/owner/metadata planes,
- * devirtualized replacement, per-mask tree-PLRU traversal tables);
- * `Legacy` is the original virtual-dispatch ReplacementState engine
- * kept as a bit-exact differential reference during the transition.
- * `Auto` resolves to the process-wide default, which is `Fast` unless
- * overridden by setDefaultCacheEngine() or `CAPART_CACHE_ENGINE=legacy`
- * in the environment.
- */
-enum class CacheEngine
-{
-    Auto,
-    Fast,
-    Legacy
-};
-
-/** Process-wide engine that CacheEngine::Auto resolves to. */
-CacheEngine defaultCacheEngine();
-
-/**
- * Override the Auto engine for every cache constructed afterwards
- * (tests and benchmarks flip this to compare engines in-process).
- * Passing Auto restores the environment-derived default.
- */
-void setDefaultCacheEngine(CacheEngine engine);
-
 /** Set-index mapping selector. */
 enum class IndexFn
 {
@@ -73,8 +45,6 @@ struct CacheConfig
     bool inclusive = false;
     /** Number of partition way-mask registers (0 disables partitioning). */
     unsigned partitionSlots = 0;
-    /** Implementation selector; Auto follows defaultCacheEngine(). */
-    CacheEngine engine = CacheEngine::Auto;
 
     /** Number of sets implied by size/ways/line size. */
     std::uint64_t

@@ -12,9 +12,6 @@ SetAssocCache::SetAssocCache(const CacheConfig &cfg, std::uint64_t seed)
       sets_(cfg.sets()),
       ways_(cfg.ways),
       hashed_(cfg.index == IndexFn::Hashed),
-      legacy_((cfg.engine == CacheEngine::Auto ? defaultCacheEngine()
-                                               : cfg.engine) ==
-              CacheEngine::Legacy),
       policy_(cfg.repl),
       tags_(sets_ * ways_, 0),
       owner_(sets_ * ways_, 0),
@@ -39,10 +36,6 @@ SetAssocCache::SetAssocCache(const CacheConfig &cfg, std::uint64_t seed)
     if (cfg.inclusive)
         inner_.assign(sets_ * ways_, 0);
 
-    if (legacy_) {
-        repl_ = ReplacementState::create(cfg, seed);
-        return;
-    }
     switch (policy_) {
       case ReplPolicy::LRU:
         age_.assign(sets_ * ways_, 0);
@@ -82,10 +75,7 @@ SetAssocCache::markDirty(Addr line)
     if (way < 0)
         return false;
     dirty_[set] |= (1u << way);
-    if (legacy_)
-        repl_->touch(set, static_cast<unsigned>(way));
-    else
-        replTouch(set, static_cast<unsigned>(way));
+    replTouch(set, static_cast<unsigned>(way));
     return true;
 }
 
@@ -105,10 +95,6 @@ SetAssocCache::invalidate(Addr line)
     tags_[set * ways_ + static_cast<unsigned>(way)] = 0;
     if (!inner_.empty())
         inner_[set * ways_ + static_cast<unsigned>(way)] = 0;
-    if (legacy_) {
-        repl_->invalidate(set, static_cast<unsigned>(way));
-        return res;
-    }
     switch (policy_) {
       case ReplPolicy::LRU:
         age_[set * ways_ + static_cast<unsigned>(way)] = 0;
@@ -133,7 +119,7 @@ SetAssocCache::setPartitionMask(unsigned slot, WayMask mask)
     capart_assert(!mask.empty());
     capart_assert((mask & WayMask::all(ways_)) == mask);
     masks_[slot] = mask;
-    if (!legacy_ && policy_ == ReplPolicy::TreePLRU)
+    if (policy_ == ReplPolicy::TreePLRU)
         slotTables_[slot] = buildPlruMaskTable(ways_, mask.bits());
 }
 

@@ -7,23 +7,13 @@
  * only victim selection is restricted to the accessor's mask; and
  * changing a mask never flushes resident data.
  *
- * Two implementations share this class (DESIGN.md "fast-path layout"):
- *
- *  - the **fast engine** (default) keeps all state in flat contiguous
- *    planes — tags, inserter/owner ids, and per-policy replacement
- *    bits — and dispatches replacement with a switch on a member enum,
- *    so the entire access path inlines into callers with no virtual
- *    calls. Tree-PLRU victims descend precomputed per-mask traversal
- *    tables (mem/plru_tables.hh) branch-free.
- *  - the **legacy engine** is the original virtual-dispatch
- *    @ref ReplacementState machinery, kept as a bit-exact reference:
- *    tests/test_mem_differential.cc and the golden suite prove both
- *    engines produce identical hit/miss/victim streams and identical
- *    sweep results before the legacy path may be deleted.
- *
- * Selection: CacheConfig::engine, resolving Auto through
- * defaultCacheEngine() (overridable via setDefaultCacheEngine() or
- * `CAPART_CACHE_ENGINE=legacy`).
+ * All state lives in flat contiguous planes (DESIGN.md "fast-path
+ * layout") — tags, inserter/owner ids, and per-policy replacement
+ * bits — and replacement dispatches with a switch on a member enum, so
+ * the entire access path inlines into callers with no virtual calls.
+ * Tree-PLRU victims descend precomputed per-mask traversal tables
+ * (mem/plru_tables.hh) branch-free. tests/test_mem_differential.cc
+ * checks every policy against a naive reference model.
  */
 
 #ifndef CAPART_MEM_SET_ASSOC_CACHE_HH
@@ -32,7 +22,6 @@
 #include <bit>
 #include <cstdint>
 #include <limits>
-#include <memory>
 #include <vector>
 
 #include "common/logging.hh"
@@ -40,7 +29,6 @@
 #include "common/types.hh"
 #include "mem/cache_config.hh"
 #include "mem/plru_tables.hh"
-#include "mem/replacement.hh"
 #include "mem/way_mask.hh"
 
 namespace capart
@@ -200,12 +188,6 @@ class SetAssocCache
     const CacheConfig &config() const { return cfg_; }
     std::uint64_t sets() const { return sets_; }
 
-    /** Which implementation services this cache (never Auto). */
-    CacheEngine engine() const
-    {
-        return legacy_ ? CacheEngine::Legacy : CacheEngine::Fast;
-    }
-
     const PartitionStats &slotStats(unsigned slot) const;
     /** Aggregate over all slots. */
     PartitionStats totalStats() const;
@@ -260,7 +242,7 @@ class SetAssocCache
         return -1;
     }
 
-    /** Fast-engine recency update; bit-identical to the legacy states. */
+    /** Record a use (hit or fill) of @p way in @p set. */
     void
     replTouch(std::uint64_t set, unsigned way)
     {
@@ -298,7 +280,7 @@ class SetAssocCache
         }
     }
 
-    /** Fast-engine victim inside @p slot's mask (invalid ways first). */
+    /** Victim inside @p slot's mask (invalid ways first). */
     unsigned
     replVictim(std::uint64_t set, unsigned slot)
     {
@@ -377,9 +359,7 @@ class SetAssocCache
         CacheAccessResult res;
         res.set = set;
         capart_assert(!masks_[slot].empty());
-        const unsigned victim = legacy_
-            ? repl_->victim(set, masks_[slot], valid_[set])
-            : replVictim(set, slot);
+        const unsigned victim = replVictim(set, slot);
         capart_assert(victim < ways_);
         capart_assert(masks_[slot].contains(victim));
         res.way = static_cast<std::int32_t>(victim);
@@ -403,10 +383,7 @@ class SetAssocCache
             dirty_[set] |= bit;
         else
             dirty_[set] &= ~bit;
-        if (legacy_)
-            repl_->touch(set, victim);
-        else
-            replTouch(set, victim);
+        replTouch(set, victim);
         return res;
     }
 
@@ -414,7 +391,6 @@ class SetAssocCache
     std::uint64_t sets_;
     unsigned ways_;
     bool hashed_;
-    bool legacy_;
     ReplPolicy policy_;
 
     // ---- SoA planes (fast-path layout; see DESIGN.md) ---------------
@@ -427,7 +403,7 @@ class SetAssocCache
     std::vector<std::uint32_t> valid_; //!< per-set valid bitmask
     std::vector<std::uint32_t> dirty_; //!< per-set dirty bitmask
 
-    // ---- fast-engine replacement planes (policy-dependent) ----------
+    // ---- replacement planes (policy-dependent) ---------------------
     std::vector<std::uint32_t> age_;   //!< LRU: age[set*ways+way]
     std::vector<std::uint32_t> clock_; //!< LRU: per-set tick counter
     std::vector<std::uint32_t> rbits_; //!< BitPLRU mru / NRU ref bits
@@ -438,9 +414,6 @@ class SetAssocCache
     unsigned levels_ = 0;   //!< TreePLRU tree depth
     std::uint32_t fullMask_; //!< all `ways_` bits set
     Rng rng_;                //!< Random policy only
-
-    /** Legacy engine (engine() == Legacy); null on the fast path. */
-    std::unique_ptr<ReplacementState> repl_;
 
     std::vector<WayMask> masks_;
     std::vector<PartitionStats> stats_;
@@ -456,10 +429,7 @@ SetAssocCache::access(Addr line, bool write, unsigned slot)
     const int way = findWay(set, line);
     if (way >= 0) {
         ++stats_[slot].hits;
-        if (legacy_)
-            repl_->touch(set, static_cast<unsigned>(way));
-        else
-            replTouch(set, static_cast<unsigned>(way));
+        replTouch(set, static_cast<unsigned>(way));
         if (write)
             dirty_[set] |= (1u << way);
         return CacheAccessResult{.hit = true, .set = set, .way = way};
@@ -474,10 +444,7 @@ SetAssocCache::fill(Addr line, bool dirty, unsigned slot)
     const std::uint64_t set = setIndex(line);
     const int way = findWay(set, line);
     if (way >= 0) {
-        if (legacy_)
-            repl_->touch(set, static_cast<unsigned>(way));
-        else
-            replTouch(set, static_cast<unsigned>(way));
+        replTouch(set, static_cast<unsigned>(way));
         if (dirty)
             dirty_[set] |= (1u << way);
         return CacheAccessResult{.hit = true, .set = set, .way = way};
@@ -492,10 +459,7 @@ SetAssocCache::touchLineWay(Addr line)
     const int way = findWay(set, line);
     if (way < 0)
         return -1;
-    if (legacy_)
-        repl_->touch(set, static_cast<unsigned>(way));
-    else
-        replTouch(set, static_cast<unsigned>(way));
+    replTouch(set, static_cast<unsigned>(way));
     return way;
 }
 

@@ -10,6 +10,7 @@
 
 #include <gtest/gtest.h>
 
+#include <algorithm>
 #include <atomic>
 #include <cstdio>
 #include <filesystem>
@@ -25,6 +26,7 @@
 #include "exec/result_cache.hh"
 #include "exec/sweep_runner.hh"
 #include "exec/thread_pool.hh"
+#include "obs/run_ledger.hh"
 #include "sim/experiment.hh"
 #include "workload/catalog.hh"
 
@@ -503,6 +505,72 @@ TEST(SweepRunner, CacheSkipsCompletedPointsBitExactly)
         SweepRunner(other).run(specs);
     EXPECT_FALSE(reseeded[0].fromCache);
     std::remove(path.c_str());
+}
+
+TEST(SweepRunner, LedgerRecordsOnlyMeasuredMetrics)
+{
+    // runSpec sets the flat SweepResult fields per kind — solo and pair
+    // all of them, consolidation none, N-app only timedOut — so a point
+    // record must carry no other flat metric: an untouched default is
+    // not a measurement.
+    const std::string path = (std::filesystem::temp_directory_path() /
+                              "capart_kinds_ledger.jsonl")
+                                 .string();
+    std::remove(path.c_str());
+    const ExperimentSpec solo = soloSpec("ferret", 4, 12, kTestScale);
+    const ExperimentSpec pair = pairSpec("429.mcf", "ferret", kTestScale);
+    const ExperimentSpec consolidation =
+        consolidationSpec("429.mcf", "ferret", policyBit(Policy::Shared),
+                          kTestScale, 15e-6);
+    const ExperimentSpec napp =
+        nappSpec({"429.mcf", "ferret"}, 4, 8, npolicyBit(NPolicy::Fair),
+                 2, kTestScale);
+    {
+        obs::RunLedger ledger(path);
+        SweepRunnerOptions o;
+        o.ledger = &ledger;
+        SweepRunner(o).run({solo, pair, consolidation, napp});
+    }
+    const std::vector<obs::RunRecord> recs =
+        obs::RunLedger::load(path).records;
+    std::remove(path.c_str());
+
+    using Names = std::vector<std::string>;
+    const Names flat = {"time_s", "socket_energy_j", "wall_energy_j",
+                        "mpki",   "apki",            "ipc"};
+    Names solo_names = flat;
+    solo_names.push_back("timed_out");
+    Names pair_names = flat;
+    pair_names.push_back("bg_throughput_ips");
+    pair_names.push_back("timed_out");
+    const Names consolidation_names = {
+        "shared.fg_slowdown",       "shared.bg_throughput_ips",
+        "shared.energy_vs_seq",     "shared.wall_energy_vs_seq",
+        "shared.weighted_speedup", "shared.fg_ways"};
+    const Names napp_names = {
+        "timed_out",           "fair.stp",
+        "fair.throughput_ips", "fair.unfairness",
+        "fair.fg_slowdown",    "fair.socket_energy_j",
+        "fair.wall_energy_j",  "fair.slo_breaches",
+        "fair.remasks"};
+    const std::vector<std::pair<const ExperimentSpec *, Names>> expected =
+        {{&solo, solo_names},
+         {&pair, pair_names},
+         {&consolidation, consolidation_names},
+         {&napp, napp_names}};
+
+    ASSERT_EQ(recs.size(), expected.size());
+    for (const auto &[spec, names] : expected) {
+        const auto rec = std::find_if(
+            recs.begin(), recs.end(), [&](const obs::RunRecord &r) {
+                return r.specHash == spec->hash();
+            });
+        ASSERT_NE(rec, recs.end()) << spec->canonical();
+        Names got;
+        for (const auto &[name, value] : rec->metrics)
+            got.push_back(name);
+        EXPECT_EQ(got, names) << spec->canonical();
+    }
 }
 
 // ---------------------------------------------------- determinism audit

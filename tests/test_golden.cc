@@ -24,9 +24,7 @@
 
 #include "core/partitioner.hh"
 #include "exec/experiment_spec.hh"
-#include "exec/result_cache.hh"
 #include "exec/sweep_runner.hh"
-#include "mem/cache_config.hh"
 #include "stats/summary.hh"
 #include "workload/catalog.hh"
 
@@ -182,54 +180,6 @@ TEST(Golden, DynamicForegroundWithinTwoPercentOfBestStatic)
     // gets 5 points before we call the controller broken.
     EXPECT_LT(avg_pts, 2.0);
     EXPECT_LT(worst_pts, 5.0);
-}
-
-/**
- * Engine bit-identity at golden seed 12345: the flat-array fast cache
- * engine and the legacy virtual-dispatch engine must produce
- * *byte-identical* sweep points on the fig13 workload. The spec list
- * is the fig13 `--quick` matrix (consolidation pairs under
- * Shared/Biased/Dynamic, scale 0.06 * 0.3, perf window 15 us)
- * restricted to three cluster representatives so the double run stays
- * unit-test sized. Points are compared through ResultCache::encode —
- * the exact hexfloat line a point record/result cache stores — so any
- * engine divergence in any serialized metric fails byte-for-byte.
- *
- * This test is the contract that gates deleting the legacy engine:
- * only once it (plus the differential suite) has passed in CI may the
- * legacy path go.
- */
-TEST(Golden, FastEngineBitIdenticalToLegacyOnFig13Quick)
-{
-    // C1 (LLC-sensitive), C3 (scalable, cache-indifferent), C4
-    // (saturated, cache-sensitive) — the contention-relevant corners
-    // of the six-cluster representative set.
-    const std::vector<std::string> reps = {"429.mcf", "ferret", "fop"};
-    constexpr double kQuickScale = 0.06 * 0.3;
-
-    const unsigned policies = policyBit(Policy::Shared) |
-                              policyBit(Policy::Biased) |
-                              policyBit(Policy::Dynamic);
-    std::vector<ExperimentSpec> specs;
-    for (const auto &fg : reps)
-        for (const auto &bg : reps)
-            specs.push_back(consolidationSpec(fg, bg, policies,
-                                              kQuickScale,
-                                              /*perf_window=*/15e-6));
-
-    setDefaultCacheEngine(CacheEngine::Legacy);
-    const std::vector<SweepResult> legacy = runGolden(specs);
-    setDefaultCacheEngine(CacheEngine::Fast);
-    const std::vector<SweepResult> fast = runGolden(specs);
-    setDefaultCacheEngine(CacheEngine::Auto);
-
-    ASSERT_EQ(legacy.size(), fast.size());
-    for (std::size_t i = 0; i < specs.size(); ++i) {
-        EXPECT_EQ(ResultCache::encode(legacy[i]),
-                  ResultCache::encode(fast[i]))
-            << "point " << i << " (" << specs[i].canonical()
-            << ") diverged between engines";
-    }
 }
 
 /**

@@ -310,7 +310,8 @@ INSTANTIATE_TEST_SUITE_P(AllPolicies, ReplacementPolicyTest,
                          ::testing::Values(ReplPolicy::LRU,
                                            ReplPolicy::BitPLRU,
                                            ReplPolicy::NRU,
-                                           ReplPolicy::Random),
+                                           ReplPolicy::Random,
+                                           ReplPolicy::TreePLRU),
                          [](const auto &info) {
                              switch (info.param) {
                                case ReplPolicy::LRU:
@@ -319,6 +320,8 @@ INSTANTIATE_TEST_SUITE_P(AllPolicies, ReplacementPolicyTest,
                                  return "BitPLRU";
                                case ReplPolicy::NRU:
                                  return "NRU";
+                               case ReplPolicy::TreePLRU:
+                                 return "TreePLRU";
                                default:
                                  return "Random";
                              }

@@ -37,17 +37,20 @@ namespace
 {
 
 /**
- * Naive mirror of SetAssocCache for LRU, BitPLRU, and TreePLRU. Every
- * structure is a plain per-way vector and every decision a loop over
- * ways; no bit tricks shared with the implementation under test. Set
- * indexing is delegated to the hardware model (the public setIndex())
- * so the hashed indexing function is exercised too — the model then
- * has to agree on everything that *happens* at that set.
+ * Naive mirror of SetAssocCache for all five replacement policies.
+ * Every structure is a plain per-way vector and every decision a loop
+ * over ways; no bit tricks shared with the implementation under test.
+ * Set indexing is delegated to the hardware model (the public
+ * setIndex()) so the hashed indexing function is exercised too — the
+ * model then has to agree on everything that *happens* at that set.
+ * @p seed must be the cache's: the Random policy draws from its own
+ * Rng in lockstep with the cache's.
  */
 class RefCache
 {
   public:
-    RefCache(const SetAssocCache &hw, ReplPolicy repl, unsigned slots)
+    RefCache(const SetAssocCache &hw, ReplPolicy repl, unsigned slots,
+             std::uint64_t seed)
         : hw_(&hw),
           sets_(hw.sets()),
           ways_(hw.config().ways),
@@ -59,7 +62,8 @@ class RefCache
           age_(sets_ * ways_, 0),
           clock_(sets_, 0),
           mru_(sets_ * ways_, 0),
-          masks_(slots, WayMask::all(ways_))
+          masks_(slots, WayMask::all(ways_)),
+          rng_(seed)
     {
         // Padded leaf count of the tree-PLRU tree: the smallest power
         // of two covering the ways (computed the obvious way).
@@ -113,10 +117,10 @@ class RefCache
         dirty_[at(set, way)] = 0;
         if (repl_ == ReplPolicy::LRU)
             age_[at(set, way)] = 0;
-        else if (repl_ == ReplPolicy::BitPLRU)
+        else if (repl_ == ReplPolicy::BitPLRU || repl_ == ReplPolicy::NRU)
             mru_[at(set, way)] = 0;
-        // TreePLRU: direction bits are left alone — victim selection
-        // prefers invalid allowed ways before consulting the tree.
+        // TreePLRU, Random: nothing to forget — victim selection
+        // prefers invalid allowed ways before consulting policy state.
         return res;
     }
 
@@ -207,9 +211,14 @@ class RefCache
             }
             return;
         }
-        // Bit-PLRU: mark MRU; when every way of the set is marked, the
-        // epoch restarts with only the just-touched way marked.
+        if (repl_ == ReplPolicy::Random)
+            return;
         mru_[at(set, static_cast<int>(way))] = 1;
+        // NRU: the reference bit never saturates.
+        if (repl_ == ReplPolicy::NRU)
+            return;
+        // Bit-PLRU: when every way of the set is marked MRU, the epoch
+        // restarts with only the just-touched way marked.
         bool all = true;
         for (unsigned w = 0; w < ways_; ++w)
             all = all && mru_[at(set, static_cast<int>(w))];
@@ -259,7 +268,20 @@ class RefCache
             EXPECT_TRUE(found);
             return best;
         }
-        // Bit-PLRU: first allowed way without its MRU bit; if all
+        if (repl_ == ReplPolicy::Random) {
+            // Draw the pick-th allowed way, counting in index order.
+            unsigned n = 0;
+            for (unsigned w = 0; w < ways_; ++w)
+                n += allowed.contains(w) ? 1 : 0;
+            auto pick = rng_.below(n);
+            for (unsigned w = 0; w < ways_; ++w) {
+                if (allowed.contains(w) && pick-- == 0)
+                    return w;
+            }
+            ADD_FAILURE() << "random pick outside the mask";
+            return 0;
+        }
+        // Bit-PLRU and NRU: first allowed way without its bit; if all
         // allowed ways are marked, clear them and take the lowest.
         for (unsigned w = 0; w < ways_; ++w) {
             if (allowed.contains(w) && !mru_[at(set, static_cast<int>(w))])
@@ -308,11 +330,12 @@ class RefCache
     std::vector<unsigned> inserter_;
     std::vector<std::uint32_t> age_; //!< LRU
     std::vector<std::uint32_t> clock_;
-    std::vector<std::uint8_t> mru_; //!< bit-PLRU
+    std::vector<std::uint8_t> mru_; //!< bit-PLRU MRU / NRU reference
     unsigned leaves_ = 1;           //!< tree-PLRU padded leaf count
     /** tree-PLRU direction per (set, heap node): 0 left, 1 right. */
     std::vector<std::uint8_t> treeDir_;
     std::vector<WayMask> masks_;
+    Rng rng_; //!< Random
 };
 
 CacheConfig
@@ -366,7 +389,7 @@ runDifferential(ReplPolicy repl, IndexFn index, std::uint64_t seed,
 
     const CacheConfig cfg = diffCache(repl, index, kWays, kSets, kSlots);
     SetAssocCache hw(cfg, seed);
-    RefCache ref(hw, repl, kSlots);
+    RefCache ref(hw, repl, kSlots, seed);
     Rng rng(seed);
 
     for (unsigned op = 0; op < kOps; ++op) {
@@ -457,6 +480,26 @@ TEST(MemDifferential, TreePlruHashedAgreesWithReference)
     runDifferential(ReplPolicy::TreePLRU, IndexFn::Hashed, 556);
 }
 
+TEST(MemDifferential, NruModuloAgreesWithReference)
+{
+    runDifferential(ReplPolicy::NRU, IndexFn::Modulo, 4101);
+}
+
+TEST(MemDifferential, NruHashedAgreesWithReference)
+{
+    runDifferential(ReplPolicy::NRU, IndexFn::Hashed, 4102);
+}
+
+TEST(MemDifferential, RandomModuloAgreesWithReference)
+{
+    runDifferential(ReplPolicy::Random, IndexFn::Modulo, 4201);
+}
+
+TEST(MemDifferential, RandomHashedAgreesWithReference)
+{
+    runDifferential(ReplPolicy::Random, IndexFn::Hashed, 4202);
+}
+
 TEST(MemDifferential, TreePlruNonPowerOfTwoWays)
 {
     // 20 ways pad the tree-PLRU leaf level to 32; the padding leaves
@@ -465,6 +508,14 @@ TEST(MemDifferential, TreePlruNonPowerOfTwoWays)
                     /*ways=*/20, /*sets=*/16);
     runDifferential(ReplPolicy::TreePLRU, IndexFn::Modulo, 558,
                     /*ways=*/12, /*sets=*/64);
+}
+
+TEST(MemDifferential, WideAssociativityAndModuloIndexing)
+{
+    runDifferential(ReplPolicy::TreePLRU, IndexFn::Modulo, 909,
+                    /*ways=*/20, /*sets=*/64, /*slots=*/4, /*ops=*/100000);
+    runDifferential(ReplPolicy::LRU, IndexFn::Modulo, 910,
+                    /*ways=*/16, /*sets=*/128, /*slots=*/4, /*ops=*/60000);
 }
 
 TEST(MemDifferential, SecondSeedSweep)
@@ -478,7 +529,7 @@ TEST(MemDifferential, SecondSeedSweep)
 /**
  * Seeded property/fuzz sweep: every iteration derives a random
  * configuration — associativity in {4, 8, 16, 20}, a power-of-two set
- * count in [64, 4096], one of LRU/BitPLRU/TreePLRU, either indexing
+ * count in [64, 4096], any of the five policies, either indexing
  * function — and replays a 100k-operation random stream with live
  * way-mask remasks mid-stream. The invariants are those of
  * runDifferential: the hit/miss/eviction stream is identical to the
@@ -490,7 +541,8 @@ TEST(MemProperty, FuzzRandomGeometriesAndPolicies)
     constexpr std::uint64_t kFuzzSeed = 0xf00dfaceULL;
     constexpr int kConfigs = 6;
     constexpr ReplPolicy kPolicies[] = {
-        ReplPolicy::LRU, ReplPolicy::BitPLRU, ReplPolicy::TreePLRU};
+        ReplPolicy::LRU, ReplPolicy::BitPLRU, ReplPolicy::NRU,
+        ReplPolicy::Random, ReplPolicy::TreePLRU};
     constexpr unsigned kAssocs[] = {4, 8, 16, 20};
 
     Rng meta(kFuzzSeed);
@@ -500,7 +552,7 @@ TEST(MemProperty, FuzzRandomGeometriesAndPolicies)
         // Sets: 2^6 .. 2^12 (the constructor requires a power of two).
         const unsigned sets = 1u << (6 + meta.below(7));
         const ReplPolicy repl =
-            kPolicies[static_cast<unsigned>(meta.below(3))];
+            kPolicies[static_cast<unsigned>(meta.below(5))];
         const IndexFn index =
             meta.chance(0.5) ? IndexFn::Hashed : IndexFn::Modulo;
         const std::uint64_t seed = meta.next();
@@ -515,101 +567,6 @@ TEST(MemProperty, FuzzRandomGeometriesAndPolicies)
 }
 
 /**
- * Fast-vs-legacy differential: replay one random stream — including
- * live remasks, fills, and back-invalidations — against the flat-array
- * fast engine and the original virtual-dispatch legacy engine, and
- * require identical outcomes on every operation. This is the bit-exact
- * equivalence proof that gates deleting the legacy path; it covers all
- * five policies (Random included: both engines must consume their RNG
- * in the same sequence).
- */
-void
-runEngineDifferential(ReplPolicy repl, IndexFn index, std::uint64_t seed,
-                      unsigned ways, unsigned sets, unsigned ops)
-{
-    constexpr unsigned kSlots = 4;
-    CacheConfig fast_cfg = diffCache(repl, index, ways, sets, kSlots);
-    fast_cfg.engine = CacheEngine::Fast;
-    CacheConfig legacy_cfg = fast_cfg;
-    legacy_cfg.engine = CacheEngine::Legacy;
-
-    SetAssocCache fast(fast_cfg, seed);
-    SetAssocCache legacy(legacy_cfg, seed);
-    ASSERT_EQ(fast.engine(), CacheEngine::Fast);
-    ASSERT_EQ(legacy.engine(), CacheEngine::Legacy);
-
-    const Addr kLines = 2ull * sets * ways;
-    Rng rng(seed);
-    for (unsigned op = 0; op < ops; ++op) {
-        if (rng.chance(0.005)) {
-            const unsigned slot = static_cast<unsigned>(rng.below(kSlots));
-            const auto bits = static_cast<std::uint32_t>(
-                rng.below((1u << ways) - 1) + 1);
-            fast.setPartitionMask(slot, WayMask(bits));
-            legacy.setPartitionMask(slot, WayMask(bits));
-        }
-
-        const Addr line = rng.below(kLines);
-        const unsigned slot = static_cast<unsigned>(rng.below(kSlots));
-
-        if (rng.chance(0.02)) {
-            const InvalidateResult f = fast.invalidate(line);
-            const InvalidateResult l = legacy.invalidate(line);
-            ASSERT_EQ(f.wasPresent, l.wasPresent) << "op " << op;
-            ASSERT_EQ(f.wasDirty, l.wasDirty) << "op " << op;
-            continue;
-        }
-
-        const bool write = rng.chance(0.3);
-        CacheAccessResult f;
-        CacheAccessResult l;
-        if (rng.chance(0.1)) {
-            f = fast.fill(line, write, slot);
-            l = legacy.fill(line, write, slot);
-        } else {
-            f = fast.access(line, write, slot);
-            l = legacy.access(line, write, slot);
-        }
-        ASSERT_EQ(f.hit, l.hit) << "op " << op << " line " << line;
-        ASSERT_EQ(f.evicted, l.evicted) << "op " << op;
-        if (f.evicted) {
-            ASSERT_EQ(f.victimLine, l.victimLine) << "op " << op;
-            ASSERT_EQ(f.victimDirty, l.victimDirty) << "op " << op;
-        }
-        ASSERT_EQ(fast.wayOf(line), legacy.wayOf(line)) << "op " << op;
-        ASSERT_EQ(fast.ownerOf(line), legacy.ownerOf(line)) << "op " << op;
-    }
-
-    // Full-state parity at the end: every resident line of the legacy
-    // engine sits in the same way of the fast engine.
-    ASSERT_EQ(fast.residentLines(), legacy.residentLines());
-    legacy.forEachResident([&](Addr line, unsigned way) {
-        EXPECT_EQ(fast.wayOf(line), static_cast<int>(way));
-    });
-}
-
-TEST(MemEngineDifferential, AllPoliciesAgreeAcrossEngines)
-{
-    constexpr ReplPolicy kAll[] = {
-        ReplPolicy::LRU, ReplPolicy::BitPLRU, ReplPolicy::NRU,
-        ReplPolicy::Random, ReplPolicy::TreePLRU};
-    std::uint64_t seed = 808;
-    for (const ReplPolicy repl : kAll) {
-        SCOPED_TRACE(static_cast<int>(repl));
-        runEngineDifferential(repl, IndexFn::Hashed, seed++, 8, 16,
-                              100000);
-    }
-}
-
-TEST(MemEngineDifferential, WideAssociativityAndModuloIndexing)
-{
-    runEngineDifferential(ReplPolicy::TreePLRU, IndexFn::Modulo, 909,
-                          /*ways=*/20, /*sets=*/64, 100000);
-    runEngineDifferential(ReplPolicy::LRU, IndexFn::Modulo, 910,
-                          /*ways=*/16, /*sets=*/128, 60000);
-}
-
-/**
  * Under fixed, disjoint masks every slot's insertions land only in its
  * own ways, so in any set the number of resident lines a slot inserted
  * can never exceed its mask's popcount.
@@ -621,7 +578,7 @@ TEST(MemDifferential, OccupancyBoundedByMaskPopcount)
     const CacheConfig cfg =
         diffCache(ReplPolicy::BitPLRU, IndexFn::Hashed, kWays, kSets, 2);
     SetAssocCache hw(cfg, 4242);
-    RefCache ref(hw, ReplPolicy::BitPLRU, 2);
+    RefCache ref(hw, ReplPolicy::BitPLRU, 2, 4242);
 
     const WayMask fg = WayMask::range(0, 3); // ways 0..2
     const WayMask bg = WayMask::range(3, 5); // ways 3..7
