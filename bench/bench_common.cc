@@ -18,12 +18,11 @@
 #endif
 
 #include "common/logging.hh"
-#include "dashboard/dashboard.hh"
+#include "common/util.hh"
 #include "obs/metrics.hh"
 #include "obs/run_ledger.hh"
 #include "obs/timeseries.hh"
 #include "obs/trace.hh"
-#include "obs/trace_stitch.hh"
 #include "workload/catalog.hh"
 
 namespace capart::bench
@@ -34,20 +33,17 @@ namespace
 constexpr const char *kDefaultCacheDir = ".capart-cache";
 
 /**
- * Export destinations for the observability layer, written from an
- * atexit handler so every bench binary gets --metrics-out/--trace-out
- * without touching its main(). Failures go to stderr: the figure on
- * stdout must never change shape because a side file was unwritable.
+ * The --obs-dir of this invocation, exported from an atexit handler so
+ * every bench binary gets it without touching its main(). Empty for
+ * shard workers: their sweep loop writes their files (see
+ * exec::runShardWorker). Failures go to stderr: the figure on stdout
+ * must never change shape because a side file was unwritable.
  */
-std::string gMetricsOut;  // NOLINT(cert-err58-cpp)
-std::string gTraceOut;    // NOLINT(cert-err58-cpp)
-std::string gDashboardOut; // NOLINT(cert-err58-cpp)
-std::string gAttrDir;      // NOLINT(cert-err58-cpp)
-std::string gStatusOut;    // NOLINT(cert-err58-cpp)
+std::string gObsDir; // NOLINT(cert-err58-cpp)
 
 /** Supervisor only (> 1): shard count of this invocation's sweeps.
  *  Tells the atexit exporter to stitch the per-shard worker traces
- *  with the supervisor's own into gTraceOut. */
+ *  with the supervisor's own. */
 unsigned gShards = 0;
 
 /** Ledger state of this invocation (one run id across all records). */
@@ -142,15 +138,6 @@ selfExePath(const char *argv0)
     return argv0 ? argv0 : "";
 }
 
-double
-unixMillisNow()
-{
-    return static_cast<double>(
-        std::chrono::duration_cast<std::chrono::milliseconds>(
-            std::chrono::system_clock::now().time_since_epoch())
-            .count());
-}
-
 /** argv[0] basename with any "bench_" prefix stripped. */
 std::string
 benchNameFromArgv0(const char *argv0)
@@ -181,64 +168,26 @@ exportObsFiles()
         rec.counters = obs::metrics().counterSnapshot();
         gLedger->append(rec);
     }
-    if (!gMetricsOut.empty()) {
-        std::ofstream out(gMetricsOut);
-        if (out)
-            obs::metrics().writeJson(out);
-        else
-            std::fprintf(stderr, "capart: cannot write --metrics-out=%s\n",
-                         gMetricsOut.c_str());
-    }
-    if (!gTraceOut.empty()) {
-        if (gShards > 1 && obs::enabled()) {
-            // Supervisor of a sharded sweep: dump this process's own
-            // timeline (lifecycle instants), then stitch it with the
-            // workers' `<trace>.shard-<k>` files into one --trace-out
-            // document. Shards that never spawned (clamped count) or
-            // died mid-export are tolerated and counted in the
-            // stitched metadata.
-            const std::string sup = gTraceOut + ".supervisor";
-            {
-                std::ofstream out(sup);
-                if (out)
-                    obs::tracer().writeChromeTrace(out);
-            }
-            std::vector<obs::StitchSource> sources;
-            sources.push_back({sup, "supervisor"});
-            for (unsigned k = 0; k < gShards; ++k)
-                sources.push_back(
-                    {gTraceOut + ".shard-" + std::to_string(k),
-                     "shard " + std::to_string(k)});
-            obs::stitchTraceFiles(sources, gTraceOut);
-        } else {
-            std::ofstream out(gTraceOut);
-            if (out)
-                obs::tracer().writeChromeTrace(out);
-            else
-                std::fprintf(stderr,
-                             "capart: cannot write --trace-out=%s\n",
-                             gTraceOut.c_str());
-        }
-    }
-    if (!gDashboardOut.empty()) {
-        // Points come back out of the ledger file (they were appended
-        // as the sweep ran); batches come from the process-wide
-        // attribution recorder (deposited per point by the sweep
-        // runner, plus any undrained direct-run scope).
-        std::vector<obs::RunRecord> points;
-        if (gLedger) {
-            for (auto &rec : obs::RunLedger::load(gLedger->path()).records) {
-                if (rec.kind == "point" && rec.run == gRunId)
-                    points.push_back(std::move(rec));
-            }
-        }
-        const std::string bench =
-            gBenchName.empty() ? "run" : gBenchName;
-        dashboard::writeDashboardFile(
-            gDashboardOut,
-            "capart " + bench + (gRunId.empty() ? "" : " — " + gRunId),
-            points, gStatusOut);
-    }
+    if (gObsDir.empty())
+        return;
+    exec::writeObsFiles(gObsDir, gShards);
+    // Sweep points wrote their attribution as they finished; what a
+    // bench driving System directly (Fig. 12) recorded becomes one
+    // more side file. Not after a signal: the main thread may still be
+    // recording into its scope.
+    if (gStopSignal != 0)
+        return;
+    obs::AttributionBatch rest = obs::timeseries().drainAll();
+    if (rest.samples.empty() && rest.journal.empty())
+        return;
+    rest.label = gBenchName;
+    rest.attrFile = gObsDir + "/attr/" + gBenchName + "-main.json";
+    std::ofstream out(rest.attrFile);
+    if (out)
+        obs::writeAttributionJson(out, rest);
+    else
+        std::fprintf(stderr, "capart: cannot write %s\n",
+                     rest.attrFile.c_str());
 }
 
 void
@@ -250,8 +199,7 @@ enableObsExport()
         // Touch the globals before registering the handler: function
         // statics are destroyed in reverse construction order, so
         // constructing them first guarantees they outlive the atexit
-        // exporter. timeseries() included — the dashboard renderer
-        // collects from it inside the handler.
+        // exporter, which drains timeseries() too.
         obs::metrics();
         obs::tracer();
         obs::timeseries();
@@ -260,7 +208,7 @@ enableObsExport()
     if (!obs::kCompiledIn) {
         std::fprintf(stderr,
                      "capart: observability compiled out (CAPART_OBS=OFF); "
-                     "--metrics-out/--trace-out will record nothing\n");
+                     "--obs-dir will record nothing\n");
     }
     obs::setEnabled(true);
 }
@@ -281,15 +229,18 @@ parseArgs(int argc, char **argv, double default_scale,
     gWallStart = std::chrono::steady_clock::now();
     installSignalHandlers();
     // Re-exec command for shard workers: the resolved binary plus every
-    // flag as given. The supervisor appends --shards/--shard-worker/
-    // --ledger-dir, which override because later flags win here.
+    // flag as given, less the ones the supervisor assigns per worker.
+    // It appends --shards/--shard-worker/--ledger-dir (and --obs-dir
+    // with observability armed), which override because later flags
+    // win here.
     gWorkerCmd.clear();
     gWorkerCmd.push_back(selfExePath(argv[0]));
     for (int i = 1; i < argc; ++i) {
-        if (std::string(argv[i]).rfind("--shard-worker=", 0) != 0)
-            gWorkerCmd.push_back(argv[i]);
+        const std::string arg = argv[i];
+        if (arg.rfind("--shard-worker=", 0) != 0 &&
+            arg.rfind("--obs-dir=", 0) != 0)
+            gWorkerCmd.push_back(arg);
     }
-    bool isolation_process = false;
     for (int i = 1; i < argc; ++i) {
         const std::string arg = argv[i];
         if (arg.rfind("--scale=", 0) == 0) {
@@ -312,13 +263,8 @@ parseArgs(int argc, char **argv, double default_scale,
         } else if (arg.rfind("--cache-dir=", 0) == 0) {
             opts.cacheDir = arg.substr(12);
             opts.resume = true;
-        } else if (arg.rfind("--metrics-out=", 0) == 0) {
-            opts.metricsOut = arg.substr(14);
-            gMetricsOut = opts.metricsOut;
-            enableObsExport();
-        } else if (arg.rfind("--trace-out=", 0) == 0) {
-            opts.traceOut = arg.substr(12);
-            gTraceOut = opts.traceOut;
+        } else if (arg.rfind("--obs-dir=", 0) == 0) {
+            opts.obsDir = arg.substr(10);
             enableObsExport();
         } else if (arg.rfind("--ledger=", 0) == 0) {
             opts.ledgerOut = arg.substr(9);
@@ -328,34 +274,11 @@ parseArgs(int argc, char **argv, double default_scale,
                 std::strtoull(arg.c_str() + 20, nullptr, 10);
             enableObsExport();
             obs::timeseries().setPeriod(opts.obsSamplePeriod);
-        } else if (arg.rfind("--attr-dir=", 0) == 0) {
-            opts.attrDir = arg.substr(11);
-            gAttrDir = opts.attrDir;
-            std::filesystem::create_directories(gAttrDir);
-            enableObsExport();
-        } else if (arg.rfind("--dashboard-out=", 0) == 0) {
-            opts.dashboardOut = arg.substr(16);
-            gDashboardOut = opts.dashboardOut;
-            enableObsExport();
         } else if (arg.rfind("--shards=", 0) == 0) {
             opts.shards = static_cast<unsigned>(
                 std::strtoul(arg.c_str() + 9, nullptr, 10));
             if (opts.shards == 0)
                 opts.shards = std::thread::hardware_concurrency();
-            if (opts.shards > 1)
-                isolation_process = true;
-        } else if (arg.rfind("--isolation=", 0) == 0) {
-            const std::string mode = arg.substr(12);
-            if (mode == "process") {
-                isolation_process = true;
-            } else if (mode == "thread" || mode == "none") {
-                isolation_process = false;
-                opts.shards = 0;
-            } else {
-                std::fprintf(stderr, "invalid --isolation (want "
-                                     "process or thread)\n");
-                std::exit(1);
-            }
         } else if (arg.rfind("--shard-worker=", 0) == 0) {
             opts.shardWorker = static_cast<int>(
                 std::strtol(arg.c_str() + 15, nullptr, 10));
@@ -366,17 +289,6 @@ parseArgs(int argc, char **argv, double default_scale,
         } else if (arg.rfind("--max-retries=", 0) == 0) {
             opts.maxRetries = static_cast<unsigned>(
                 std::strtoul(arg.c_str() + 14, nullptr, 10));
-        } else if (arg.rfind("--status-out=", 0) == 0) {
-            opts.statusOut = arg.substr(13);
-            gStatusOut = opts.statusOut;
-            enableObsExport();
-        } else if (arg.rfind("--prom-out=", 0) == 0) {
-            opts.promOut = arg.substr(11);
-            enableObsExport();
-        } else if (arg.rfind("--log-out=", 0) == 0) {
-            // Sink opened after the loop: a later --shard-worker (the
-            // supervisor appends it last) rewrites the path per shard.
-            opts.logOut = arg.substr(10);
         } else if (arg.rfind("--log-level=", 0) == 0) {
             LogLevel lvl;
             if (!parseLogLevel(arg.substr(12), &lvl)) {
@@ -389,8 +301,7 @@ parseArgs(int argc, char **argv, double default_scale,
         } else {
             std::printf("%s\n\nusage: %s [--scale=F] [--csv] [--quick] "
                         "[--seed=N] [--jobs=N] [--resume] "
-                        "[--cache-dir=D] [--metrics-out=F] "
-                        "[--trace-out=F]\n"
+                        "[--cache-dir=D] [--ledger=F] [--obs-dir=D]\n"
                         "  --scale=F    app instruction-count scale "
                         "(default %.3g)\n"
                         "  --csv        machine-readable output\n"
@@ -404,30 +315,21 @@ parseArgs(int argc, char **argv, double default_scale,
                         "               and skip them on re-runs\n"
                         "  --cache-dir=D  --resume with cache files "
                         "under D\n"
-                        "  --metrics-out=F  write observability counters/"
-                        "gauges/histograms\n"
-                        "               to F as JSON on exit\n"
-                        "  --trace-out=F  write a Chrome trace_event "
-                        "JSON timeline to F\n"
-                        "               on exit (open in Perfetto or "
-                        "about:tracing)\n"
                         "  --ledger=F   append one JSONL run-ledger "
                         "record per sweep point\n"
                         "               plus a closing bench record to F "
                         "(see bench_report)\n"
+                        "  --obs-dir=D  write this run's obs files under "
+                        "D: metrics.json,\n"
+                        "               trace.json (Perfetto), log.jsonl, "
+                        "attr/ and, with\n"
+                        "               --shards, status.json and "
+                        "metrics.prom (see\n"
+                        "               bench_status, bench_dashboard)\n"
                         "  --obs-sample-period=N  snapshot per-owner "
                         "attribution (LLC ways,\n"
                         "               stalls, energy, DRAM channels) "
                         "every N quanta\n"
-                        "  --attr-dir=D write one attribution JSON side "
-                        "file per computed\n"
-                        "               sweep point under D and ledger "
-                        "partitioner decisions\n"
-                        "  --dashboard-out=F  render the self-contained "
-                        "HTML dashboard to F\n"
-                        "               on exit (see bench_dashboard)\n"
-                        "  --log-out=F  structured JSONL event log to F "
-                        "(\"-\" = stderr)\n"
                         "  --log-level=L  drop structured events below L "
                         "(debug|info|warn|error)\n"
                         "  --shards=N   run sweeps across N supervised "
@@ -436,8 +338,6 @@ parseArgs(int argc, char **argv, double default_scale,
                         "host cores);\n"
                         "               merged output is bit-identical "
                         "to --jobs=1\n"
-                        "  --isolation=M  process (same as --shards) or "
-                        "thread (default)\n"
                         "  --ledger-dir=D shard segment/results/log "
                         "files under D\n"
                         "               (default <cache-dir>/shards)\n"
@@ -448,15 +348,7 @@ parseArgs(int argc, char **argv, double default_scale,
                         "               the slowest legitimate point)\n"
                         "  --max-retries=N  retries before a failing "
                         "point is quarantined\n"
-                        "               (default 2)\n"
-                        "  --status-out=F  (with --shards) atomically "
-                        "refresh a live sweep\n"
-                        "               status.json at F (watch with "
-                        "bench_status --watch F)\n"
-                        "  --prom-out=F (with --shards) refresh a "
-                        "Prometheus text\n"
-                        "               exposition file at F on the "
-                        "same cadence\n",
+                        "               (default 2)\n",
                         description, argv[0], default_scale,
                         kDefaultCacheDir);
             std::exit(arg == "--help" ? 0 : 1);
@@ -468,38 +360,22 @@ parseArgs(int argc, char **argv, double default_scale,
     }
     if (opts.cacheDir.empty())
         opts.cacheDir = kDefaultCacheDir;
-    if (isolation_process && opts.shards < 2) {
-        opts.shards = opts.jobs > 1 ? opts.jobs
-                                    : std::thread::hardware_concurrency();
-        opts.shards = std::max(opts.shards, 2u);
-    }
     if (opts.shardWorker >= 0) {
-        // Shard worker: its records go to its own ledger segment, and
-        // the supervising parent owns the user-facing exports. Metrics
-        // and traces are still worth keeping per worker — under the
-        // `<path>.shard-<k>` naming convention, never the parent's
-        // paths (every worker writing the same file was last-writer-
-        // wins clobbering). The supervisor collects them afterwards:
-        // traces are stitched into the parent's --trace-out, counters
-        // folded into --prom-out. Dashboard and ledger exports stay
-        // disabled — the supervisor owns both (a worker ledger record
-        // would double-count once segments merge).
-        const std::string suffix =
-            ".shard-" + std::to_string(opts.shardWorker);
-        if (!gMetricsOut.empty())
-            gMetricsOut += suffix;
-        if (!gTraceOut.empty())
-            gTraceOut += suffix;
-        gDashboardOut.clear();
-        gStatusOut.clear();
+        // Shard worker: its records go to its own ledger segment (a
+        // worker ledger record would double-count once segments
+        // merge), and its sweep loop writes its obs files into the
+        // `<obs-dir>/shard-<k>` the supervisor passed.
         opts.ledgerOut.clear();
-        if (!opts.logOut.empty() && opts.logOut != "-")
-            opts.logOut += suffix;
     } else if (opts.shards > 1) {
         gShards = opts.shards;
     }
-    if (!opts.logOut.empty())
-        setLogSink(opts.logOut);
+    if (!opts.obsDir.empty()) {
+        std::filesystem::create_directories(opts.obsDir + "/attr");
+        setLogSink(opts.obsDir + "/log.jsonl");
+        gBenchName = benchNameFromArgv0(argv[0]);
+        if (opts.shardWorker < 0)
+            gObsDir = opts.obsDir;
+    }
     if (opts.shards > 1 || opts.shardWorker >= 0) {
         if (opts.ledgerDir.empty())
             opts.ledgerDir = opts.cacheDir + "/shards";
@@ -517,8 +393,6 @@ parseArgs(int argc, char **argv, double default_scale,
                      unixMillisNow()));
         gLedger = std::make_unique<obs::RunLedger>(opts.ledgerOut);
     }
-    if (gBenchName.empty() && !gDashboardOut.empty())
-        gBenchName = benchNameFromArgv0(argv[0]);
     return opts;
 }
 
@@ -544,7 +418,10 @@ makeRunner(const BenchOptions &opts, const std::string &bench_name)
         ro.ledger = gLedger.get();
         ro.runId = gRunId;
     }
-    ro.attrDir = gAttrDir;
+    if (!opts.obsDir.empty()) {
+        ro.obsDir = opts.obsDir;
+        ro.attrDir = opts.obsDir + "/attr";
+    }
     // Process-isolated shard mode (see exec/shard_supervisor.hh).
     ro.shards = opts.shards;
     ro.shardWorker = opts.shardWorker;
@@ -554,10 +431,6 @@ makeRunner(const BenchOptions &opts, const std::string &bench_name)
     ro.maxRetries = opts.maxRetries;
     ro.workerCmd = gWorkerCmd;
     ro.stopFlag = &gStopSignal;
-    // Live status plane (supervisor side; workers ignore these).
-    ro.statusPath = opts.statusOut;
-    ro.promPath = opts.promOut;
-    ro.workerMetricsBase = opts.metricsOut;
     if ((ro.shards > 1 || ro.shardWorker >= 0) && ro.runId.empty()) {
         // Segment records need a run id even without --ledger.
         ro.runId = bench_name + "-" + std::to_string(opts.seed) + "-" +

@@ -39,22 +39,14 @@ struct BenchOptions
     bool resume = false;
     /** Cache directory for --resume (default .capart-cache/). */
     std::string cacheDir;
-    /** Write the obs metrics registry here as JSON on exit ("" = off). */
-    std::string metricsOut;
-    /** Write a Chrome trace_event JSON file here on exit ("" = off). */
-    std::string traceOut;
     /** Append run-ledger records (JSONL) to this file ("" = off). */
     std::string ledgerOut;
-    /** Structured JSONL log sink ("" = off, "-" = stderr). */
-    std::string logOut;
     /** Attribution sampling period in quanta (0 = off). */
     std::uint64_t obsSamplePeriod = 0;
-    /** Directory for per-point attribution side files ("" = off). */
-    std::string attrDir;
-    /** Render the HTML dashboard here on exit ("" = off). */
-    std::string dashboardOut;
-    /** Process-isolated shard workers (--shards=N / --isolation=process;
-     *  0-1 = in-process thread pool). See exec/shard_supervisor.hh. */
+    /** This invocation's obs directory ("" = off); see parseArgs. */
+    std::string obsDir;
+    /** Process-isolated shard workers (--shards=N; 0-1 = in-process
+     *  thread pool). See exec/shard_supervisor.hh. */
     unsigned shards = 0;
     /** >= 0: this process is shard worker k (internal; the supervisor
      *  passes it when re-executing the binary). */
@@ -69,57 +61,49 @@ struct BenchOptions
     double pointTimeoutS = 0.0;
     /** Retries a failing point gets before quarantine. */
     unsigned maxRetries = 2;
-    /** Live sweep status.json path, atomically refreshed by the shard
-     *  supervisor while a --shards sweep runs ("" = off); watch it
-     *  with bench_status. See src/obs/status.hh. */
-    std::string statusOut;
-    /** Prometheus text exposition file, refreshed on the same cadence
-     *  ("" = off). */
-    std::string promOut;
 };
 
 /**
  * Parse --scale=X, --csv, --quick, --seed=N, --jobs=N, --resume,
- * --cache-dir=D, --metrics-out=F, --trace-out=F, --ledger=F,
- * --log-out=F, --log-level=L, --obs-sample-period=N, --attr-dir=D,
- * --dashboard-out=F; prints usage and exits on --help or unknown
- * arguments. @p default_scale seeds opts.scale. Passing
- * --metrics-out, --trace-out, --ledger, --obs-sample-period,
- * --attr-dir, or --dashboard-out enables the observability layer for
- * the run and registers an atexit hook that writes the file(s);
- * stdout (the table/CSV) is never touched, so golden outputs stay
- * byte-identical. --ledger also stamps a run id
- * (`<bench>-<seed>-<epoch ms>`) shared by every record of the
- * invocation and appends a final `bench` record at exit.
- * --obs-sample-period=N arms per-owner attribution sampling every N
- * quanta; --attr-dir=D makes sweep runners write one attribution side
- * file per computed point under D (created if missing) and ledger the
- * partitioner's decisions; --dashboard-out=F renders the
- * self-contained HTML dashboard over everything collected at exit.
- * --log-out opens the process-wide structured JSONL log (see
- * common/logging.hh).
+ * --cache-dir=D, --ledger=F, --obs-dir=D, --obs-sample-period=N,
+ * --log-level=L and the shard flags below; prints usage and exits on
+ * --help or unknown arguments. @p default_scale seeds opts.scale.
+ * stdout (the table/CSV) is never touched by any obs flag, so golden
+ * outputs stay byte-identical.
  *
- * Robustness flags: --shards=N (or --isolation=process) runs sweeps
- * process-isolated — N supervised worker processes, per-point
- * timeouts (--point-timeout=S), bounded retries (--max-retries=N),
- * quarantine, and a crash-safe ledger merge from segment files under
- * --ledger-dir=D (see exec/shard_supervisor.hh). With --resume the
- * supervisor keeps existing segments and fast-forwards past finished
- * points, so a killed sweep continues where it stopped.
+ * --ledger=F appends one record per sweep point to F, the append-only
+ * record many invocations share; it stamps a run id
+ * (`<bench>-<seed>-<epoch ms>`) on every record of the invocation and
+ * appends a final `bench` record at exit.
  *
- * Sharded export convention: a shard worker (--shard-worker=k) never
- * writes the parent's side files. Its --metrics-out, --trace-out, and
- * --log-out paths are rewritten to `<path>.shard-<k>`, its dashboard
- * and ledger exports are disabled (the supervisor owns both), and the
- * supervisor collects the per-shard files afterwards: worker traces
- * are stitched with the supervisor's own into one --trace-out timeline
- * (see src/obs/trace_stitch.hh) and worker counters are folded into
- * the --prom-out exposition. --status-out=F keeps a live, atomically
- * replaced status.json fresh while the sweep runs (per-shard pids,
- * progress, retries, quarantines, heartbeat ages; sweep throughput /
- * ETA / cache-hit rate — watch it with `bench_status --watch F`), and
- * --prom-out=F a Prometheus text exposition on the same cadence. Both
- * are supervisor-side: without --shards > 1 they write nothing.
+ * --obs-dir=D enables the observability layer and writes everything
+ * that belongs to this one invocation under D, with fixed names:
+ * `metrics.json` (the metrics registry) and `trace.json` (a Chrome
+ * trace) at exit, `log.jsonl` (the structured log, see
+ * common/logging.hh), and `attr/` — one attribution side file per
+ * computed sweep point (the point's ledger record links it, and the
+ * partitioner's decisions are ledgered), plus one for samples a bench
+ * recorded outside any sweep. --obs-sample-period=N arms the
+ * per-owner sampling those files carry, every N quanta.
+ * `bench_dashboard --ledger=F --obs-dir=D` renders the HTML dashboard.
+ *
+ * Robustness flags: --shards=N runs sweeps process-isolated — N
+ * supervised worker processes, per-point timeouts (--point-timeout=S),
+ * bounded retries (--max-retries=N), quarantine, and a crash-safe
+ * ledger merge from segment files under --ledger-dir=D (see
+ * exec/shard_supervisor.hh). With --resume the supervisor keeps
+ * existing segments and fast-forwards past finished points, so a
+ * killed sweep continues where it stopped. With --obs-dir=D the
+ * supervisor keeps a live, atomically replaced D/status.json fresh
+ * (per-shard pids, progress, retries, quarantines, heartbeat ages;
+ * sweep throughput / ETA / cache-hit rate — watch it with
+ * `bench_status --watch D/status.json`) and a Prometheus exposition
+ * D/metrics.prom on the same cadence, and gives worker k
+ * `--obs-dir=D/shard-<k>`. A worker writes its metrics, trace and log
+ * there and never the ledger (the supervisor merges its segment);
+ * the supervisor folds the workers' counters into metrics.prom and
+ * stitches their traces with its own into D/trace.json (see
+ * src/obs/trace_stitch.hh).
  *
  * parseArgs also arms SIGTERM/SIGINT handling: the signals are blocked
  * process-wide and consumed by a dedicated watcher thread (sigwait),

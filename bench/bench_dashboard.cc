@@ -1,36 +1,33 @@
 /**
  * @file
- * bench_dashboard: join a run ledger, its attribution side files, and
- * the decision journal into one self-contained HTML dashboard.
+ * bench_dashboard: join a run ledger, a bench's obs directory (its
+ * attribution side files and sweep status), and the decision journal
+ * into one self-contained HTML dashboard — the only renderer.
  *
- * Typical CI usage:
+ * Typical usage:
  *
  *     bench_fig13_dynamic --quick --ledger=runs.jsonl \
- *         --obs-sample-period=8 --attr-dir=attr
- *     bench_dashboard --ledger=runs.jsonl --out=dashboard.html
+ *         --obs-sample-period=8 --obs-dir=obs
+ *     bench_dashboard --ledger=runs.jsonl --obs-dir=obs \
+ *         --out=dashboard.html
  *
  * The newest run in the ledger (or --run=ID) supplies the point
  * records; every point that carries an `attr_file` pointer has its
- * attribution document loaded and embedded. --attr=F adds side files
- * that no ledger points to (e.g. a direct System run), and
- * --attr-dir=D sweeps a whole directory. The output opens offline —
- * all data and drawing code are inline.
+ * attribution document loaded and embedded. --obs-dir=D adds the side
+ * files under D that no ledger point links (a bench driving System
+ * directly, such as Fig. 12) and a sharded sweep's D/status.json as
+ * the fleet section. The output opens offline — all data and drawing
+ * code are inline.
  */
 
-#include <algorithm>
 #include <cstdio>
 #include <cstdlib>
-#include <filesystem>
 #include <fstream>
 #include <iostream>
-#include <sstream>
 #include <string>
 #include <vector>
 
 #include "dashboard/dashboard.hh"
-#include "obs/run_ledger.hh"
-#include "obs/timeseries.hh"
-#include "report/report.hh"
 
 namespace
 {
@@ -41,11 +38,11 @@ usage(const char *argv0, int status)
     std::printf(
         "Render a self-contained HTML dashboard from capart "
         "observability output.\n\n"
-        "usage: %s [--ledger=F ...] [--attr=F ...] [options]\n"
+        "usage: %s [--ledger=F ...] [--obs-dir=D] [options]\n"
         "  --ledger=F   JSONL run ledger to read (repeatable)\n"
-        "  --attr=F     attribution JSON side file to embed "
-        "(repeatable)\n"
-        "  --attr-dir=D embed every *.json attribution file under D\n"
+        "  --obs-dir=D  a bench's --obs-dir: embed its attribution "
+        "side files\n"
+        "               and a sharded sweep's status.json\n"
         "  --run=ID     run id to show (default: newest in the "
         "ledger)\n"
         "  --bench=NAME only consider runs of this bench\n"
@@ -55,38 +52,15 @@ usage(const char *argv0, int status)
     std::exit(status);
 }
 
-/** Load and parse one attribution side file; false on any failure. */
-bool
-loadAttrFile(const std::string &path, capart::obs::AttributionBatch *out)
-{
-    std::ifstream in(path);
-    if (!in) {
-        std::fprintf(stderr, "bench_dashboard: cannot read %s\n",
-                     path.c_str());
-        return false;
-    }
-    std::ostringstream text;
-    text << in.rdbuf();
-    if (!capart::obs::parseAttributionJson(text.str(), out)) {
-        std::fprintf(stderr, "bench_dashboard: %s is not an "
-                             "attribution document\n", path.c_str());
-        return false;
-    }
-    if (out->attrFile.empty())
-        out->attrFile = path;
-    return true;
-}
-
 } // namespace
 
 int
 main(int argc, char **argv)
 {
     std::vector<std::string> ledgers;
-    std::vector<std::string> attr_files;
-    std::string attr_dir;
+    std::string obs_dir;
     std::string run_id;
-    std::string bench_filter;
+    std::string bench;
     std::string title;
     std::string out_path;
 
@@ -94,14 +68,12 @@ main(int argc, char **argv)
         const std::string arg = argv[i];
         if (arg.rfind("--ledger=", 0) == 0) {
             ledgers.push_back(arg.substr(9));
-        } else if (arg.rfind("--attr=", 0) == 0) {
-            attr_files.push_back(arg.substr(7));
-        } else if (arg.rfind("--attr-dir=", 0) == 0) {
-            attr_dir = arg.substr(11);
+        } else if (arg.rfind("--obs-dir=", 0) == 0) {
+            obs_dir = arg.substr(10);
         } else if (arg.rfind("--run=", 0) == 0) {
             run_id = arg.substr(6);
         } else if (arg.rfind("--bench=", 0) == 0) {
-            bench_filter = arg.substr(8);
+            bench = arg.substr(8);
         } else if (arg.rfind("--title=", 0) == 0) {
             title = arg.substr(8);
         } else if (arg.rfind("--out=", 0) == 0) {
@@ -110,97 +82,31 @@ main(int argc, char **argv)
             usage(argv[0], arg == "--help" ? 0 : 1);
         }
     }
-    if (ledgers.empty() && attr_files.empty() && attr_dir.empty())
+    if (ledgers.empty() && obs_dir.empty())
         usage(argv[0], 1);
 
     capart::dashboard::DashboardData data;
+    if (!capart::dashboard::loadDashboardData(ledgers, obs_dir, run_id,
+                                              bench, &data))
+        return 1;
+    if (!title.empty())
+        data.title = title;
 
-    // ---- ledger: pick the run, embed its points, follow attr_file --
-    std::vector<capart::obs::RunRecord> records;
-    for (const std::string &path : ledgers) {
-        auto loaded = capart::obs::RunLedger::load(path);
-        for (auto &rec : loaded.records) {
-            if (bench_filter.empty() || rec.bench == bench_filter)
-                records.push_back(std::move(rec));
-        }
-    }
-    const std::vector<capart::report::RunGroup> groups =
-        capart::report::groupRuns(records);
-    const capart::report::RunGroup *group = nullptr;
-    if (!run_id.empty()) {
-        for (const auto &g : groups) {
-            if (g.run == run_id)
-                group = &g;
-        }
-        if (!group) {
-            std::fprintf(stderr, "bench_dashboard: no run with id %s\n",
-                         run_id.c_str());
-            return 1;
-        }
-    } else if (!groups.empty()) {
-        group = &groups.back(); // groups are sorted by start time
-    }
-    if (group) {
-        data.points = group->points;
-        if (title.empty())
-            title = "capart " + group->bench + " — " + group->run;
-        for (const capart::obs::RunRecord &p : group->points) {
-            if (p.attrFile.empty())
-                continue;
-            capart::obs::AttributionBatch batch;
-            if (loadAttrFile(p.attrFile, &batch))
-                data.batches.push_back(std::move(batch));
-        }
-    }
-
-    // ---- explicitly named side files, then a directory sweep --------
-    if (!attr_dir.empty()) {
-        std::error_code ec;
-        std::vector<std::string> found;
-        for (const auto &entry :
-             std::filesystem::directory_iterator(attr_dir, ec)) {
-            if (entry.path().extension() == ".json")
-                found.push_back(entry.path().string());
-        }
-        if (ec) {
-            std::fprintf(stderr, "bench_dashboard: cannot list %s\n",
-                         attr_dir.c_str());
-            return 1;
-        }
-        std::sort(found.begin(), found.end()); // deterministic order
-        attr_files.insert(attr_files.end(), found.begin(), found.end());
-    }
-    for (const std::string &path : attr_files) {
-        const bool already =
-            std::any_of(data.batches.begin(), data.batches.end(),
-                        [&](const capart::obs::AttributionBatch &b) {
-                            return b.attrFile == path;
-                        });
-        if (already)
-            continue;
-        capart::obs::AttributionBatch batch;
-        if (loadAttrFile(path, &batch))
-            data.batches.push_back(std::move(batch));
-    }
-
-    data.title = title.empty() ? "capart dashboard" : title;
-
-    if (!out_path.empty()) {
-        std::ofstream out(out_path);
-        if (!out) {
-            std::fprintf(stderr, "bench_dashboard: cannot write %s\n",
-                         out_path.c_str());
-            return 1;
-        }
-        capart::dashboard::renderDashboardHtml(out, data);
-        std::fprintf(stderr,
-                     "bench_dashboard: wrote %s (%zu batches, %zu "
-                     "samples, %zu points)\n",
-                     out_path.c_str(), data.batches.size(),
-                     capart::dashboard::sampleTotal(data),
-                     data.points.size());
-    } else {
+    if (out_path.empty()) {
         capart::dashboard::renderDashboardHtml(std::cout, data);
+        return 0;
     }
+    std::ofstream out(out_path);
+    if (!out) {
+        std::fprintf(stderr, "bench_dashboard: cannot write %s\n",
+                     out_path.c_str());
+        return 1;
+    }
+    capart::dashboard::renderDashboardHtml(out, data);
+    std::fprintf(stderr,
+                 "bench_dashboard: wrote %s (%zu batches, %zu samples, "
+                 "%zu points)\n",
+                 out_path.c_str(), data.batches.size(),
+                 capart::dashboard::sampleTotal(data), data.points.size());
     return 0;
 }

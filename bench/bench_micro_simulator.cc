@@ -17,13 +17,13 @@
 
 #include <benchmark/benchmark.h>
 
-#include <chrono>
 #include <cstdint>
 #include <cstdio>
 #include <string>
 #include <vector>
 
 #include "common/rng.hh"
+#include "common/util.hh"
 #include "mem/hierarchy.hh"
 #include "mem/set_assoc_cache.hh"
 #include "obs/run_ledger.hh"
@@ -210,28 +210,6 @@ BM_SoloRunEndToEnd(benchmark::State &state)
 BENCHMARK(BM_SoloRunEndToEnd)->Unit(benchmark::kMillisecond);
 
 // -------------------------------------------------- ledger emission --
-
-/** FNV-1a 64-bit — same spec-hash scheme ExperimentSpec::hash uses,
- *  applied to the benchmark name so report pairing works unchanged. */
-std::uint64_t
-fnv1a64(const std::string &s)
-{
-    std::uint64_t h = 14695981039346656037ull;
-    for (const unsigned char c : s) {
-        h ^= c;
-        h *= 1099511628211ull;
-    }
-    return h;
-}
-
-double
-unixMillisNow()
-{
-    return static_cast<double>(
-        std::chrono::duration_cast<std::chrono::milliseconds>(
-            std::chrono::system_clock::now().time_since_epoch())
-            .count());
-}
 
 /** Console reporter that also captures each run's items/second. */
 class CapturingReporter : public benchmark::ConsoleReporter

@@ -44,7 +44,7 @@ usage(const char *argv0, int status)
         "  --baseline-run=ID baseline run id (default: oldest run)\n"
         "  --current-run=ID  current run id (default: newest run)\n"
         "  --status=F        embed a sweep status.json snapshot "
-        "(--status-out)\n"
+        "(<obs-dir>/status.json)\n"
         "  --json-out=F      write the BENCH_capart.json time series\n"
         "  --md-out=F        write the markdown report (default: stdout)\n"
         "  --warn-delta=X    worse-direction mean delta that warns "

@@ -5,8 +5,8 @@
  *
  * Typical usage, while a sweep runs in another terminal:
  *
- *     bench_fig13_dynamic --shards=4 --status-out=status.json &
- *     bench_status --watch status.json
+ *     bench_fig13_dynamic --shards=4 --obs-dir=obs &
+ *     bench_status --watch obs/status.json
  *
  * The status file is atomically replaced by the supervisor (see
  * src/obs/status.hh), so reads here always see a complete document.
@@ -33,7 +33,7 @@ usage(const char *argv0, int status)
 {
     std::printf(
         "Pretty-print a sharded sweep's live status.json "
-        "(see --status-out).\n\n"
+        "(<obs-dir>/status.json).\n\n"
         "usage: %s [options] STATUS_FILE\n"
         "  --watch         redraw every interval until the sweep "
         "finishes\n"

@@ -10,7 +10,7 @@
 # fault tolerance may never change a result, only recompute it.
 #
 # The crash scenarios additionally arm the live status plane
-# (--status-out): the final status.json must reflect the injected
+# (--obs-dir): the final status.json there must reflect the injected
 # faults — retries for transient crashes, quarantines for persistent
 # ones — while the sweep still completes.
 #
@@ -79,13 +79,13 @@ check_identical clean
 echo "== worker crashes (every 5th point dies on its first attempt)"
 (
     export CAPART_CHAOS_CRASH_MOD=5
-    sharded crash --status-out="$WORK/crash.status.json"
+    sharded crash --obs-dir="$WORK/crash.obs"
 )
 check_identical crash
 # The status plane watched the crashes: retries recorded, nothing
 # quarantined, sweep complete — and recording it changed nothing
 # (check_identical above proves the results stayed byte-identical).
-check_status "$WORK/crash.status.json" \
+check_status "$WORK/crash.obs/status.json" \
     "s['state'] == 'complete' and s['retries'] > 0 \
      and s['points_quarantined'] == 0 \
      and s['points_done'] == s['points_total'] \
@@ -94,7 +94,7 @@ check_status "$WORK/crash.status.json" \
 echo "== persistent crashes (every 5th point dies on EVERY attempt)"
 if ! (
     export CAPART_CHAOS_CRASH_MOD=5 CAPART_CHAOS_CRASH_ATTEMPTS=99
-    sharded quarantine --status-out="$WORK/quarantine.status.json"
+    sharded quarantine --obs-dir="$WORK/quarantine.obs"
 ); then
     echo "FAIL: quarantine scenario aborted the sweep" >&2
     fail=1
@@ -102,7 +102,7 @@ fi
 # Quarantined points are holes, so stdout legitimately diverges from
 # golden here; the contract is that the sweep completes and the final
 # snapshot accounts for every point as done or quarantined.
-check_status "$WORK/quarantine.status.json" \
+check_status "$WORK/quarantine.obs/status.json" \
     "s['state'] == 'complete' and s['points_quarantined'] > 0 \
      and s['points_done'] + s['points_quarantined'] == s['points_total'] \
      and sum(sh['points_quarantined'] for sh in s['shard_states']) \

@@ -12,15 +12,18 @@
 #                interrupted run restarts where it stopped.
 #
 # Every experiment appends to run_ledger.jsonl (one JSON record per
-# sweep point); afterwards bench_report aggregates the ledger into
+# sweep point) and writes its metrics, trace and structured log under
+# obs/<binary>/; afterwards bench_report aggregates the ledger into
 # BENCH_capart.json and bench_report.md. Keep the ledger across
 # invocations and the report compares the newest run against the
-# oldest — an advisory regression check between reproductions.
+# oldest — an advisory regression check between reproductions. obs/
+# belongs to one reproduction and is emptied at the start.
 set -u
 cd "$(dirname "$0")/.."
 
 JOBS="${JOBS:-0}" # 0 = all cores
 LEDGER="${LEDGER:-run_ledger.jsonl}"
+OBS=obs
 SWEEP_FLAGS="--jobs=$JOBS"
 [ "${RESUME:-0}" = "1" ] && SWEEP_FLAGS="$SWEEP_FLAGS --resume"
 
@@ -37,12 +40,15 @@ cmake --build build
 
 ctest --test-dir build 2>&1 | tee test_output.txt
 
+rm -rf "$OBS"
 for b in build/bench/*; do
     [ -f "$b" ] && [ -x "$b" ] || continue
-    case "$(basename "$b")" in
-    bench_report | bench_dashboard) continue ;; # aggregators, after the loop
+    name="$(basename "$b")"
+    case "$name" in
+    bench_report | bench_dashboard | bench_status) continue ;; # readers
     esac
     echo "### $b"
+    OBS_FLAGS=(--ledger="$LEDGER" --obs-dir="$OBS/$name")
     case "$b" in
     *micro_simulator*)
         # google-benchmark binary; takes no capart flags.
@@ -50,18 +56,16 @@ for b in build/bench/*; do
         ;;
     *fig13*)
         # The dynamic-policy sweep additionally records per-owner
-        # attribution samples and the decision journal, and renders
-        # the self-contained HTML dashboard over them at exit.
-        "$b" $SWEEP_FLAGS --ledger="$LEDGER" --log-out=events.jsonl \
-            --obs-sample-period=8 --attr-dir=attr \
-            --dashboard-out=dashboard.html
+        # attribution samples and the decision journal for the
+        # dashboard rendered below.
+        "$b" $SWEEP_FLAGS "${OBS_FLAGS[@]}" --obs-sample-period=8
         ;;
     *fig06* | *fig07* | *fig08* | *fig09* | *fig10* | *fig11*)
         # Sweep binaries: parallel, optionally memoized (see header).
-        "$b" $SWEEP_FLAGS --ledger="$LEDGER" --log-out=events.jsonl
+        "$b" $SWEEP_FLAGS "${OBS_FLAGS[@]}"
         ;;
     *)
-        "$b" --ledger="$LEDGER" --log-out=events.jsonl
+        "$b" "${OBS_FLAGS[@]}"
         ;;
     esac
 done 2>&1 | tee bench_output.txt
@@ -72,8 +76,7 @@ build/bench/bench_report --ledger="$LEDGER" \
     --json-out=BENCH_capart.json --md-out=bench_report.md
 echo "wrote BENCH_capart.json and bench_report.md"
 
-# Re-render the fig13 dashboard from the ledger + side files alone
-# (the standalone path; the in-bench render above is the other).
+# Render the fig13 dashboard from the ledger and its obs directory.
 build/bench/bench_dashboard --ledger="$LEDGER" --bench=fig13_dynamic \
-    --out=dashboard_from_ledger.html &&
-    echo "wrote dashboard.html and dashboard_from_ledger.html"
+    --obs-dir="$OBS/bench_fig13_dynamic" --out=dashboard.html &&
+    echo "wrote dashboard.html"

@@ -1,13 +1,12 @@
 #include "common/logging.hh"
 
-#include <chrono>
 #include <cstdio>
 #include <cstdlib>
 #include <fstream>
-#include <iostream>
 #include <mutex>
 
 #include "common/json.hh"
+#include "common/util.hh"
 
 namespace capart
 {
@@ -26,7 +25,6 @@ struct LogSink
 {
     std::mutex mutex;
     std::ofstream file;
-    bool toStderr = false;
     bool open = false;
     LogLevel level = LogLevel::Info;
 };
@@ -36,14 +34,6 @@ sink()
 {
     static LogSink *s = new LogSink;
     return *s;
-}
-
-double
-unixMillis()
-{
-    return std::chrono::duration<double, std::milli>(
-               std::chrono::system_clock::now().time_since_epoch())
-        .count();
 }
 
 } // namespace
@@ -107,15 +97,9 @@ setLogSink(const std::string &path)
     std::lock_guard<std::mutex> lock(s.mutex);
     if (s.file.is_open())
         s.file.close();
-    s.toStderr = false;
     s.open = false;
     if (path.empty())
         return;
-    if (path == "-") {
-        s.toStderr = true;
-        s.open = true;
-        return;
-    }
     s.file.open(path, std::ios::app);
     if (!s.file) {
         std::fprintf(stderr, "capart: cannot open log sink %s\n",
@@ -131,14 +115,6 @@ setLogLevel(LogLevel lvl)
     LogSink &s = sink();
     std::lock_guard<std::mutex> lock(s.mutex);
     s.level = lvl;
-}
-
-LogLevel
-logLevel()
-{
-    LogSink &s = sink();
-    std::lock_guard<std::mutex> lock(s.mutex);
-    return s.level;
 }
 
 bool
@@ -162,7 +138,7 @@ logEvent(LogLevel lvl, const char *event,
     // a crash truncates at most the final line.
     std::ostringstream line;
     line << "{\"ts_ms\":";
-    jsonWriteNumber(line, unixMillis());
+    jsonWriteNumber(line, unixMillisNow());
     line << ",\"level\":\"" << logLevelName(lvl) << "\",\"event\":\""
          << jsonEscape(event) << '"';
     for (const LogField &f : fields) {
@@ -170,9 +146,8 @@ logEvent(LogLevel lvl, const char *event,
         f.writeTo(line);
     }
     line << "}\n";
-    std::ostream &os = s.toStderr ? std::cerr : s.file;
-    os << line.str();
-    os.flush();
+    s.file << line.str();
+    s.file.flush();
 }
 
 // ------------------------------------------------------ stderr macros --

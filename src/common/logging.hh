@@ -13,9 +13,10 @@
  * per line) that typed events — controller health decisions, SLO
  * breaches, injected faults, warnings — are routed into so one
  * machine-readable stream tells the whole story of a run. The sink is
- * off until setLogSink() names a file (the benches wire `--log-out=F`
- * / `--log-level=L` to it); with no sink, logEvent() is a cheap early
- * return, so instrumentation sites need no gating of their own.
+ * off until setLogSink() names a file (the benches open
+ * `<obs-dir>/log.jsonl` and wire `--log-level=L` to it); with no sink,
+ * logEvent() is a cheap early return, so instrumentation sites need
+ * no gating of their own.
  */
 
 #ifndef CAPART_COMMON_LOGGING_HH
@@ -102,14 +103,13 @@ class LogField
 };
 
 /**
- * Open (append) the structured sink at @p path; "" closes it, "-"
- * writes to stderr. Replaces any previous sink.
+ * Open (append) the structured sink at @p path; "" closes it.
+ * Replaces any previous sink.
  */
 void setLogSink(const std::string &path);
 
 /** Drop structured events below @p lvl (default Info). */
 void setLogLevel(LogLevel lvl);
-LogLevel logLevel();
 
 /** True when a sink is open and @p lvl passes the filter. */
 bool logEnabled(LogLevel lvl);

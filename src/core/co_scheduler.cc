@@ -66,12 +66,8 @@ CoScheduler::bgSoloFull()
 const BiasedSearchResult &
 CoScheduler::biased()
 {
-    if (!biased_) {
-        BiasedSearchOptions search;
-        search.pair = basePairOptions(true);
-        search.tolerance = opts_.biasedTolerance;
-        biased_ = findBiasedPartition(fg_, bg_, search);
-    }
+    if (!biased_)
+        biased_ = findBiasedPartition(fg_, bg_, basePairOptions(true));
     return *biased_;
 }
 

@@ -33,8 +33,6 @@ struct CoScheduleOptions
     /** Instruction-scale factor applied to both applications. */
     double scale = 1.0;
     SystemConfig system{};
-    /** Tolerance of the biased search (§5.2). */
-    double biasedTolerance = 0.01;
     DynamicPartitionerConfig dynamic{};
     /**
      * Attach a @ref SloMonitor to continuous (responsiveness) runs.

@@ -70,7 +70,7 @@ journalNAppRunMarker(const char *rule, std::size_t num_apps,
 
 /**
  * Drives a @ref Partitioner online: folds each app's perf windows into
- * its observation and re-decides every @p every foreground windows,
+ * its observation and re-decides on every foreground window,
  * installing only the masks that actually changed.
  */
 class NAppController final : public PartitionController
@@ -83,11 +83,11 @@ class NAppController final : public PartitionController
      */
     NAppController(Partitioner *part, LfocPartitioner *lfoc,
                    NPolicy policy, const LfocConfig &lfoc_cfg,
-                   std::vector<AppObservation> obs, unsigned every,
+                   std::vector<AppObservation> obs,
                    std::vector<WayMask> current, std::uint64_t first_seq)
         : part_(part), lfoc_(lfoc), policy_(policy),
           lfocCfg_(lfoc_cfg), obs_(std::move(obs)),
-          every_(every > 0 ? every : 1), current_(std::move(current)),
+          current_(std::move(current)),
           seen_(obs_.size(), false), seq_(first_seq)
     {
         if (lfoc_)
@@ -110,7 +110,7 @@ class NAppController final : public PartitionController
                 seen_[app] = true;
             }
         }
-        if (app != 0 || ++fgWindows_ % every_ != 0)
+        if (app != 0)
             return;
         // Snapshot the complete decision inputs *before* decide()
         // mutates the policy's carried state; recording never feeds
@@ -182,11 +182,9 @@ class NAppController final : public PartitionController
     NPolicy policy_;
     LfocConfig lfocCfg_;
     std::vector<AppObservation> obs_;
-    unsigned every_;
     std::vector<WayMask> current_;
     std::vector<bool> seen_;
     std::vector<AppClass> lastClasses_;
-    std::uint64_t fgWindows_ = 0;
     std::uint64_t remasks_ = 0;
     std::uint64_t seq_ = 0;
 };
@@ -326,8 +324,7 @@ runNApp(const std::vector<NAppMember> &members, NPolicy policy,
         break;
       case NPolicy::Dynamic: {
         DynamicPartitionerConfig dc = opts.dynamic;
-        if (opts.autoScaleDynamic)
-            dc.maxFgWays = total - 1;
+        dc.maxFgWays = total - 1;
         // The controller's starting allocation, installed statically so
         // a run with no windows still has the paper's initial split.
         masks.push_back(WayMask::range(0, dc.maxFgWays));
@@ -408,7 +405,7 @@ runNApp(const std::vector<NAppMember> &members, NPolicy policy,
     } else if (policy == NPolicy::Lfoc) {
         ctrl = std::make_unique<NAppController>(
             part.get(), static_cast<LfocPartitioner *>(part.get()),
-            policy, opts.lfoc, obs, opts.decisionWindows, masks, seq);
+            policy, opts.lfoc, obs, masks, seq);
         sys.setController(ctrl.get());
     }
 

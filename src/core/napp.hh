@@ -84,17 +84,14 @@ struct NAppOptions
     double scale = 1.0;
     /** Foreground ways of the Biased policy; 0 = half the LLC. */
     unsigned biasedFgWays = 0;
-    DynamicPartitionerConfig dynamic{};
     /**
-     * Scale the dynamic controller's probe ceiling to the machine:
-     * maxFgWays = llc ways - 1 (the paper's 11-of-12 generalized).
-     * On the 12-way default machine this equals the stock config, so
-     * the N = 2 differential tests stay bit-identical.
+     * The dynamic controller's config. Its probe ceiling is always
+     * scaled to the machine: maxFgWays = llc ways - 1 (the paper's
+     * 11-of-12 generalized), which on the 12-way default machine
+     * equals the stock config, so N = 2 stays bit-identical to a pair.
      */
-    bool autoScaleDynamic = true;
+    DynamicPartitionerConfig dynamic{};
     LfocConfig lfoc{};
-    /** LFOC re-decides (and bounces) every this many app-0 windows. */
-    unsigned decisionWindows = 1;
     /** Reference cap of each miss-curve profile. */
     std::uint64_t profileAccesses = 200'000;
 };
@@ -119,7 +116,7 @@ struct NAppRunResult
 /**
  * Run @p members under @p policy. Curve-driven policies (UCP, LFOC)
  * profile each member's miss curve first; UCP then allocates once up
- * front, LFOC keeps re-deciding every decisionWindows windows so its
+ * front, LFOC keeps re-deciding every app-0 window so its
  * fractional-way bouncing is exercised. Dynamic reuses the hardened
  * Algorithm 6.2 controller with members 1..N-1 as the background set.
  */

@@ -48,21 +48,19 @@ policyMasks(Policy p, unsigned total_ways, unsigned biased_fg_ways)
 
 BiasedSearchResult
 findBiasedPartition(const AppParams &fg, const AppParams &bg,
-                    const BiasedSearchOptions &opts)
+                    const PairOptions &pair)
 {
     BiasedSearchResult result;
-    const unsigned total = opts.pair.system.hierarchy.llc.ways;
-    capart_assert(opts.minWays >= 1);
-    capart_assert(total >= 2 * opts.minWays);
+    const unsigned total = pair.system.hierarchy.llc.ways;
+    capart_assert(total >= 2);
 
     Seconds best_time = std::numeric_limits<double>::infinity();
-    for (unsigned fg_ways = opts.minWays; fg_ways <= total - opts.minWays;
-         ++fg_ways) {
-        PairOptions pair = opts.pair;
+    for (unsigned fg_ways = 1; fg_ways < total; ++fg_ways) {
+        PairOptions split = pair;
         const SplitMasks masks = splitWays(fg_ways, total);
-        pair.fgMask = masks.fg;
-        pair.bgMask = masks.bg;
-        const PairResult r = runPair(fg, bg, pair);
+        split.fgMask = masks.fg;
+        split.bgMask = masks.bg;
+        const PairResult r = runPair(fg, bg, split);
 
         BiasedSweepPoint pt;
         pt.fgWays = fg_ways;
@@ -77,7 +75,7 @@ findBiasedPartition(const AppParams &fg, const AppParams &bg,
     // best, pick the split with the highest background throughput.
     double best_bg = -1.0;
     for (const BiasedSweepPoint &pt : result.sweep) {
-        if (pt.fgTime <= best_time * (1.0 + opts.tolerance) &&
+        if (pt.fgTime <= best_time * (1.0 + kBiasedTolerance) &&
             pt.bgThroughput > best_bg) {
             best_bg = pt.bgThroughput;
             result.fgWays = pt.fgWays;

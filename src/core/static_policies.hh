@@ -53,25 +53,19 @@ struct BiasedSearchResult
     std::vector<BiasedSweepPoint> sweep;
 };
 
-/** Options controlling the biased search. */
-struct BiasedSearchOptions
-{
-    PairOptions pair{};
-    /** FG times within (1+tolerance) x best count as "minimum". */
-    double tolerance = 0.01;
-    /** Minimum ways either side must keep. */
-    unsigned minWays = 1;
-};
+/** FG times within (1 + kBiasedTolerance) x best count as "minimum". */
+constexpr double kBiasedTolerance = 0.01;
 
 /**
- * Exhaustively evaluate every uneven split of the LLC between @p fg and
- * @p bg and return the paper's biased choice (§5.2): among allocations
- * with minimum foreground degradation, the one that maximizes
- * background performance.
+ * Exhaustively evaluate every split of the LLC between @p fg and @p bg
+ * that leaves each side at least one way, running each as @p pair with
+ * the split's masks, and return the paper's biased choice (§5.2):
+ * among allocations with minimum foreground degradation, the one that
+ * maximizes background performance.
  */
 BiasedSearchResult findBiasedPartition(const AppParams &fg,
                                        const AppParams &bg,
-                                       const BiasedSearchOptions &opts);
+                                       const PairOptions &pair);
 
 /** Pair masks for a static policy (Biased requires the search result). */
 SplitMasks policyMasks(Policy p, unsigned total_ways,

@@ -1,14 +1,19 @@
 #include "dashboard/dashboard.hh"
 
+#include <algorithm>
 #include <cstdio>
-#include <fstream>
+#include <filesystem>
 #include <ostream>
 #include <sstream>
 
 #include "common/json.hh"
+#include "common/util.hh"
+#include "report/report.hh"
 
 namespace capart::dashboard
 {
+
+namespace fs = std::filesystem;
 
 namespace
 {
@@ -935,15 +940,9 @@ dashboardJson(const DashboardData &data)
             os << ',';
         os << obs::RunLedger::encode(data.points[i]);
     }
-    os << "],\"status\":";
-    // Re-encode through the parser so a torn or foreign file can never
-    // break the page's embedded JSON.
-    const auto status = Json::parse(data.statusJson);
-    if (!data.statusJson.empty() && status && status->isObj())
-        os << status->dump();
-    else
-        os << "null";
-    os << "}";
+    os << "],\"status\":"
+       << (data.status ? obs::statusToJson(*data.status).dump() : "null")
+       << "}";
     return scriptSafe(os.str());
 }
 
@@ -962,30 +961,75 @@ renderDashboardHtml(std::ostream &os, const DashboardData &data)
 }
 
 bool
-writeDashboardFile(const std::string &path, const std::string &title,
-                   const std::vector<obs::RunRecord> &points,
-                   const std::string &status_path)
+loadDashboardData(const std::vector<std::string> &ledgers,
+                  const std::string &obs_dir, const std::string &run_id,
+                  const std::string &bench, DashboardData *out)
 {
-    DashboardData data;
-    data.title = title;
-    data.batches = obs::timeseries().collect();
-    data.points = points;
-    if (!status_path.empty()) {
-        std::ifstream status(status_path, std::ios::binary);
-        if (status) {
-            std::ostringstream text;
-            text << status.rdbuf();
-            data.statusJson = text.str();
+    std::vector<obs::RunRecord> records;
+    for (const std::string &path : ledgers) {
+        for (obs::RunRecord &rec : obs::RunLedger::load(path).records) {
+            if (bench.empty() || rec.bench == bench)
+                records.push_back(std::move(rec));
         }
     }
-    std::ofstream out(path);
-    if (!out) {
-        std::fprintf(stderr, "capart: cannot write --dashboard-out=%s\n",
-                     path.c_str());
+    const std::vector<report::RunGroup> groups = report::groupRuns(records);
+    const report::RunGroup *group = nullptr;
+    for (const report::RunGroup &g : groups) {
+        if (run_id.empty() || g.run == run_id)
+            group = &g; // groups sort by start time: the last is newest
+    }
+    if (!run_id.empty() && !group) {
+        std::fprintf(stderr, "dashboard: no run with id %s\n",
+                     run_id.c_str());
         return false;
     }
-    renderDashboardHtml(out, data);
-    return static_cast<bool>(out);
+    out->title = group ? "capart " + group->bench + " — " + group->run
+                       : "capart dashboard";
+    std::vector<std::string> files;
+    if (group) {
+        out->points = group->points;
+        for (const obs::RunRecord &p : group->points) {
+            if (!p.attrFile.empty())
+                files.push_back(p.attrFile);
+        }
+    }
+    // Then every side file under the obs directory's attr/ folders (its
+    // own and each shard's) that no point links, in a stable order.
+    std::error_code ec;
+    std::vector<std::string> found;
+    for (fs::recursive_directory_iterator it(obs_dir, ec), end;
+         !ec && it != end; it.increment(ec)) {
+        const fs::path &p = it->path();
+        if (it.depth() > 0 && p.parent_path().filename() == "attr" &&
+            p.extension() == ".json")
+            found.push_back(p.string());
+    }
+    std::sort(found.begin(), found.end());
+    const std::size_t linked = files.size();
+    for (const std::string &f : found) {
+        if (std::none_of(files.begin(), files.begin() + linked,
+                         [&](const std::string &l) {
+                             return fs::equivalent(l, f, ec);
+                         }))
+            files.push_back(f);
+    }
+    for (const std::string &f : files) {
+        std::string text;
+        obs::AttributionBatch batch;
+        if (!readFile(f, &text) || !obs::parseAttributionJson(text, &batch)) {
+            std::fprintf(stderr, "dashboard: skipping %s (not a readable "
+                                 "attribution file)\n", f.c_str());
+            continue;
+        }
+        if (batch.attrFile.empty())
+            batch.attrFile = f;
+        out->batches.push_back(std::move(batch));
+    }
+    obs::SweepStatus status;
+    if (!obs_dir.empty() &&
+        obs::readStatusFile(obs_dir + "/status.json", &status))
+        out->status = status;
+    return true;
 }
 
 } // namespace capart::dashboard

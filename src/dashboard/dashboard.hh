@@ -19,8 +19,9 @@
  * contract of core/decision_journal.hh).
  *
  * The renderer is deterministic — no timestamps, no randomness — so
- * golden tests can diff its output byte-for-byte. Under CAPART_OBS=OFF
- * the data sources are empty and the page renders with
+ * golden tests can diff its output byte-for-byte. Its data comes from
+ * files alone (loadDashboardData; bench_dashboard is the CLI). Under
+ * CAPART_OBS=OFF no side files are written and the page renders with
  * `data-samples="0"`, which CI greps to prove attribution compiled
  * out.
  */
@@ -29,10 +30,12 @@
 #define CAPART_DASHBOARD_DASHBOARD_HH
 
 #include <iosfwd>
+#include <optional>
 #include <string>
 #include <vector>
 
 #include "obs/run_ledger.hh"
+#include "obs/status.hh"
 #include "obs/timeseries.hh"
 
 namespace capart::dashboard
@@ -47,11 +50,10 @@ struct DashboardData
     std::vector<obs::AttributionBatch> batches;
     /** Ledger `point` records for the summary table (may be empty). */
     std::vector<obs::RunRecord> points;
-    /** A sharded sweep's final `status.json` document (see
-     *  src/obs/status.hh), embedded verbatim so the page shows the
-     *  fleet summary (per-shard retries, kills, quarantines). Empty or
-     *  unparsable = section omitted. */
-    std::string statusJson;
+    /** A sharded sweep's final status (see src/obs/status.hh); when
+     *  set, the page shows the fleet summary (per-shard retries,
+     *  kills, quarantines). */
+    std::optional<obs::SweepStatus> status;
 };
 
 /** Total attribution samples across @p data's batches. */
@@ -67,16 +69,20 @@ std::string dashboardJson(const DashboardData &data);
 void renderDashboardHtml(std::ostream &os, const DashboardData &data);
 
 /**
- * Convenience for bench binaries: collect the process-wide
- * obs::timeseries() batches (drained scopes included) and render to
- * @p path. Returns false (after a stderr note) when the file cannot
- * be written. @p points may be empty. A non-empty @p status_path names
- * a sweep `status.json` to embed as the fleet-status section (missing
- * or unreadable is not an error — the section is just omitted).
+ * Build one page's data from files alone, as `bench_dashboard
+ * --ledger=F --obs-dir=D` does: the `point` records of run @p run_id
+ * ("" = the newest run in @p ledgers; @p bench, if set, keeps only that
+ * bench's runs), the attribution side file each point links, every
+ * other side file in D's `attr/` directories (its own and each
+ * `shard-<k>/attr/`), and D's `status.json` as the fleet section (@p
+ * obs_dir may be ""). The title names the run. Unreadable side files
+ * are skipped with a stderr note. Returns false (after a stderr note)
+ * only when @p run_id names no run.
  */
-bool writeDashboardFile(const std::string &path, const std::string &title,
-                        const std::vector<obs::RunRecord> &points,
-                        const std::string &status_path = "");
+bool loadDashboardData(const std::vector<std::string> &ledgers,
+                       const std::string &obs_dir,
+                       const std::string &run_id, const std::string &bench,
+                       DashboardData *out);
 
 } // namespace capart::dashboard
 

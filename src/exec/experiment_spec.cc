@@ -1,6 +1,6 @@
 #include "exec/experiment_spec.hh"
 
-#include <cstdio>
+#include "common/util.hh"
 
 namespace capart::exec
 {
@@ -21,15 +21,6 @@ kindName(SpecKind k)
         return "napp";
     }
     return "?";
-}
-
-/** Exact, locale-free double encoding (hexfloat). */
-std::string
-hexDouble(double v)
-{
-    char buf[48];
-    std::snprintf(buf, sizeof(buf), "%a", v);
-    return buf;
 }
 
 } // namespace
@@ -65,13 +56,7 @@ ExperimentSpec::canonical() const
 std::uint64_t
 ExperimentSpec::hash() const
 {
-    // FNV-1a 64-bit over the canonical encoding.
-    std::uint64_t h = 0xcbf29ce484222325ULL;
-    for (const char c : canonical()) {
-        h ^= static_cast<unsigned char>(c);
-        h *= 0x100000001b3ULL;
-    }
-    return h;
+    return fnv1a64(canonical());
 }
 
 ExperimentSpec

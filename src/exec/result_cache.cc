@@ -8,6 +8,7 @@
 #include <sstream>
 
 #include "common/logging.hh"
+#include "common/util.hh"
 #include "obs/metrics.hh"
 
 namespace capart::exec
@@ -21,25 +22,6 @@ namespace
 // the six NAppPolicyOutcome blocks. v1/v2 files lack fields and are
 // ignored wholesale (recompute beats wrong reuse).
 constexpr const char *kHeader = "# capart-sweep-cache v3";
-
-std::string
-hexDouble(double v)
-{
-    char buf[48];
-    std::snprintf(buf, sizeof(buf), "%a", v);
-    return buf;
-}
-
-std::uint64_t
-fnv1a64(const std::string &s)
-{
-    std::uint64_t h = 0xcbf29ce484222325ULL;
-    for (const char c : s) {
-        h ^= static_cast<unsigned char>(c);
-        h *= 0x100000001b3ULL;
-    }
-    return h;
-}
 
 /** One corrupt line / file seen: log-free counting (the caller warns). */
 void

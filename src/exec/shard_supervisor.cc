@@ -20,7 +20,6 @@
 #include <cstdlib>
 #include <cstring>
 #include <filesystem>
-#include <fstream>
 #include <memory>
 #include <string>
 #include <thread>
@@ -29,6 +28,7 @@
 #include <vector>
 
 #include "common/logging.hh"
+#include "common/util.hh"
 #include "exec/result_cache.hh"
 #include "fault/process_chaos.hh"
 #include "obs/metrics.hh"
@@ -44,15 +44,6 @@ namespace
 {
 
 using Clock = std::chrono::steady_clock;
-
-double
-unixMillisNow()
-{
-    return static_cast<double>(
-        std::chrono::duration_cast<std::chrono::milliseconds>(
-            std::chrono::system_clock::now().time_since_epoch())
-            .count());
-}
 
 std::uintmax_t
 fileSizeOr0(const std::string &path)
@@ -145,6 +136,19 @@ backoffBaseMs()
             return v;
     }
     return 200.0;
+}
+
+/**
+ * End a shard worker, first writing its metrics and trace into its obs
+ * directory — the one place a worker writes either: the supervisor
+ * folds the counters into its exposition and stitches the trace.
+ */
+[[noreturn]] void
+exitWorker(const SweepRunnerOptions &opts, int code)
+{
+    if (obs::enabled() && !opts.obsDir.empty())
+        writeObsFiles(opts.obsDir);
+    std::exit(code);
 }
 
 void
@@ -262,7 +266,7 @@ runShardWorker(const SweepRunnerOptions &opts,
         if (shardOf(h, shards) != k)
             continue;
         if (opts.stopFlag && *opts.stopFlag != 0)
-            std::exit(128 + static_cast<int>(*opts.stopFlag));
+            exitWorker(opts, 128 + static_cast<int>(*opts.stopFlag));
         if (prior.failed.count(h) != 0)
             continue; // quarantined by the supervisor: never retried
         SweepResult replay;
@@ -314,14 +318,7 @@ runShardWorker(const SweepRunnerOptions &opts,
         if (chaos.tearAfterPoint(h, attempt))
             fault::ProcessChaos::tearAndDie(seg_path);
     }
-    // Workers without an atexit exporter (the test harness) still feed
-    // trace stitching: dump this process's trace before exiting.
-    if (obs::enabled() && !opts.workerTraceOut.empty()) {
-        std::ofstream os(opts.workerTraceOut, std::ios::trunc);
-        if (os)
-            obs::tracer().writeChromeTrace(os);
-    }
-    std::exit(0);
+    exitWorker(opts, 0);
 }
 
 // ------------------------------------------------------ supervisor --
@@ -360,17 +357,17 @@ runShardedSweep(const SweepRunnerOptions &opts,
     // Everything below the `statusOn` gate is observability *output*:
     // derived from segment digests the supervisor reads anyway, written
     // to side files nothing reads back. With observability disabled (or
-    // no --status-out/--prom-out) not a single extra syscall runs.
-    const bool statusOn = obs::enabled() && (!opts.statusPath.empty() ||
-                                             !opts.promPath.empty());
+    // no obs directory) not a single extra syscall runs.
+    const bool statusOn = obs::enabled() && !opts.obsDir.empty();
     const double sweepStartTsMs = unixMillisNow();
     const Clock::time_point sweepStart = Clock::now();
     std::vector<SegmentState> segCache(shards);
     std::vector<std::pair<std::string, unsigned>> workerMetrics;
-    if (statusOn && !opts.workerMetricsBase.empty()) {
+    if (statusOn) {
+        std::filesystem::create_directories(opts.obsDir, ec);
         for (unsigned k = 0; k < shards; ++k)
             workerMetrics.emplace_back(
-                opts.workerMetricsBase + ".shard-" + std::to_string(k), k);
+                shardObsDir(opts.obsDir, k) + "/metrics.json", k);
     }
 
     const auto shardStatusOf = [&](const ShardState &s) {
@@ -449,11 +446,9 @@ runShardedSweep(const SweepRunnerOptions &opts,
         if (ss.pointsDone > 0)
             ss.cacheHitRate = static_cast<double>(ss.pointsFromCache) /
                               static_cast<double>(ss.pointsDone);
-        if (!opts.statusPath.empty())
-            obs::writeStatusFile(opts.statusPath, ss);
-        if (!opts.promPath.empty())
-            obs::writePromFile(opts.promPath, obs::metrics(), &ss,
-                               workerMetrics);
+        obs::writeStatusFile(opts.obsDir + "/status.json", ss);
+        obs::writePromFile(opts.obsDir + "/metrics.prom", obs::metrics(), &ss,
+                           workerMetrics);
     };
 
     if (!opts.resumeShards) {
@@ -516,6 +511,8 @@ runShardedSweep(const SweepRunnerOptions &opts,
         args.push_back("--shards=" + std::to_string(shards));
         args.push_back("--shard-worker=" + std::to_string(s.id));
         args.push_back("--ledger-dir=" + opts.ledgerDir);
+        if (statusOn)
+            args.push_back("--obs-dir=" + shardObsDir(opts.obsDir, s.id));
         std::vector<char *> argv;
         argv.reserve(args.size() + 1);
         for (std::string &a : args)

@@ -3,12 +3,14 @@
 #include <chrono>
 #include <cinttypes>
 #include <cstdio>
+#include <filesystem>
 #include <fstream>
 #include <memory>
 #include <mutex>
 
 #include "common/logging.hh"
 #include "common/rng.hh"
+#include "common/util.hh"
 #include "core/co_scheduler.hh"
 #include "core/napp.hh"
 #include "core/static_policies.hh"
@@ -19,6 +21,7 @@
 #include "obs/run_ledger.hh"
 #include "obs/timeseries.hh"
 #include "obs/trace.hh"
+#include "obs/trace_stitch.hh"
 #include "sim/experiment.hh"
 #include "workload/catalog.hh"
 
@@ -160,20 +163,6 @@ runSpec(const ExperimentSpec &spec, std::uint64_t base_seed)
     }
     return out;
 }
-
-namespace
-{
-
-double
-unixMillisNow()
-{
-    return static_cast<double>(
-        std::chrono::duration_cast<std::chrono::milliseconds>(
-            std::chrono::system_clock::now().time_since_epoch())
-            .count());
-}
-
-} // namespace
 
 obs::RunRecord
 pointRecord(const SweepRunnerOptions &opts, const ExperimentSpec &spec,
@@ -327,9 +316,9 @@ decisionRecord(const SweepRunnerOptions &opts, const ExperimentSpec &spec,
 
 /**
  * Drain the calling worker's attribution scope for the point it just
- * computed: write the side file, ledger the partitioner decisions, and
- * deposit the batch for dashboard export. Returns the side-file path
- * ("" when nothing was recorded or the write failed).
+ * computed: write the side file and ledger the partitioner decisions.
+ * Returns the side-file path ("" when nothing was recorded or the
+ * write failed).
  */
 std::string
 exportPointAttribution(const SweepRunnerOptions &opts,
@@ -360,9 +349,7 @@ exportPointAttribution(const SweepRunnerOptions &opts,
                 ledger->append(decisionRecord(opts, spec, e));
         }
     }
-    std::string path = batch.attrFile;
-    obs::timeseries().deposit(std::move(batch));
-    return path;
+    return batch.attrFile;
 }
 
 } // namespace
@@ -393,6 +380,40 @@ computePoint(const SweepRunnerOptions &opts, const ExperimentSpec &spec,
         ledger->append(rec);
     }
     return r;
+}
+
+std::string
+shardObsDir(const std::string &dir, unsigned shard)
+{
+    return dir + "/shard-" + std::to_string(shard);
+}
+
+void
+writeObsFiles(const std::string &dir, unsigned shards)
+{
+    std::error_code ec;
+    std::filesystem::create_directories(dir, ec);
+    const std::string trace = dir + "/trace.json";
+    std::ofstream metrics_out(dir + "/metrics.json");
+    std::ofstream trace_out(trace);
+    if (!metrics_out || !trace_out) {
+        std::fprintf(stderr, "capart: cannot write to %s\n", dir.c_str());
+        return;
+    }
+    obs::metrics().writeJson(metrics_out);
+    obs::tracer().writeChromeTrace(trace_out);
+    trace_out.close();
+    if (shards < 2 || !obs::enabled())
+        return;
+    // A sharded sweep's supervisor: its own timeline (lifecycle
+    // instants) first, then each worker's. Shards that never spawned
+    // (clamped count) or died mid-export are tolerated and counted in
+    // the stitched metadata.
+    std::vector<obs::StitchSource> sources = {{trace, "supervisor"}};
+    for (unsigned k = 0; k < shards; ++k)
+        sources.push_back({shardObsDir(dir, k) + "/trace.json",
+                           "shard " + std::to_string(k)});
+    obs::stitchTraceFiles(sources, trace);
 }
 
 SweepRunner::SweepRunner(SweepRunnerOptions opts) : opts_(std::move(opts))

@@ -152,14 +152,24 @@ struct SweepRunnerOptions
      * journal its worker thread accumulated — is drained after the
      * point finishes and written to
      * `<attrDir>/<bench>-<runId>-<spec hash>.json`. The point's
-     * ledger record then carries the path in `attr_file`, the point's
-     * partitioner decisions are appended to the ledger as `decision`
-     * records, and the batch is deposited with obs::timeseries() so a
-     * later dashboard export sees it. Cache hits skip all of this:
-     * a replayed point executes nothing, so there is nothing to
-     * attribute. The directory must already exist.
+     * ledger record then carries the path in `attr_file` and the
+     * point's partitioner decisions are appended to the ledger as
+     * `decision` records; bench_dashboard renders from those files.
+     * Cache hits skip all of this: a replayed point executes nothing,
+     * so there is nothing to attribute. The directory must already
+     * exist.
      */
     std::string attrDir;
+    /**
+     * This invocation's obs directory (`--obs-dir`); empty disables.
+     * Output-only, written only while observability is armed. A
+     * sharded sweep's supervisor refreshes `status.json` (see
+     * src/obs/status.hh) and `metrics.prom` there every ~statusPeriodS
+     * and once more after the merge, and gives worker k the obs
+     * directory shardObsDir(obsDir, k), where the worker writes its
+     * metrics and trace on exit (writeObsFiles).
+     */
+    std::string obsDir;
 
     // ---- process-isolated shard mode --------------------------------
 
@@ -198,7 +208,8 @@ struct SweepRunnerOptions
     /**
      * Parent mode: the argv to re-execute for workers — the current
      * binary and flags. The supervisor appends `--shards=N`,
-     * `--shard-worker=k`, and `--ledger-dir=D` (later flags override
+     * `--shard-worker=k`, `--ledger-dir=D`, and with observability
+     * armed `--obs-dir=<obsDir>/shard-<k>` (later flags override
      * earlier ones in parseArgs). Empty disables shard mode.
      */
     std::vector<std::string> workerCmd;
@@ -207,37 +218,23 @@ struct SweepRunnerOptions
      *  run interrupted, and exits. nullptr disables. */
     const volatile std::sig_atomic_t *stopFlag = nullptr;
 
-    // ---- live status plane (observability output only) --------------
-
-    /**
-     * Path of the supervisor's live `status.json` (see
-     * src/obs/status.hh): atomically replaced every ~statusPeriodS
-     * while the sweep runs and once more (state "complete" or
-     * "interrupted") after the merge. Empty — or observability
-     * disabled — writes nothing. Output-only: nothing reads it back,
-     * so it cannot perturb results.
-     */
-    std::string statusPath;
-    /** Path of the Prometheus text exposition file, refreshed on the
-     *  same cadence; empty disables. */
-    std::string promPath;
     /** Minimum seconds between status/prom refreshes. */
     double statusPeriodS = 0.5;
-    /**
-     * The *base* `--metrics-out` path workers derive their
-     * per-shard `<base>.shard-<k>` files from (see bench/bench_common);
-     * the supervisor folds those files' counters into the prom
-     * exposition as `capart_worker_*{shard="k"}` samples. Empty skips
-     * worker-counter collection.
-     */
-    std::string workerMetricsBase;
-    /** Worker mode only: write this process's Chrome trace here when
-     *  the worker loop exits (workers without an atexit exporter —
-     *  e.g. the test harness — still feed trace stitching). Empty
-     *  disables; bench workers leave it empty and export through
-     *  their normal atexit path instead. */
-    std::string workerTraceOut;
 };
+
+/** `<dir>/shard-<k>`: shard worker k's obs directory under a sharded
+ *  sweep's obs directory @p dir. */
+std::string shardObsDir(const std::string &dir, unsigned shard);
+
+/**
+ * Write this process's metrics registry to `<dir>/metrics.json` and its
+ * Chrome trace to `<dir>/trace.json` (creating @p dir): the one writer
+ * of both, for benches and shard workers alike. With @p shards > 1 and
+ * observability armed (a sharded sweep's supervisor), trace.json then
+ * stitches in every `shardObsDir(dir, k)/trace.json` (see
+ * src/obs/trace_stitch.hh). Failures go to stderr.
+ */
+void writeObsFiles(const std::string &dir, unsigned shards = 0);
 
 /**
  * Compute one point end to end and record everything about it: trace

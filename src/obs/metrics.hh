@@ -184,7 +184,7 @@ class MetricsRegistry
      * gauges as `capart_<name>`, histograms as summaries (quantile
      * samples at 0.5/0.9/0.99 plus `_sum` and `_count`). Names are
      * sanitized to the exposition charset; each family is preceded by
-     * a `# TYPE` line. Consumed by obs::writePromFile (--prom-out).
+     * a `# TYPE` line. Consumed by obs::writePromFile (metrics.prom).
      */
     void writeProm(std::ostream &os) const;
 

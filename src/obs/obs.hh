@@ -8,8 +8,9 @@
  *    CAPART_OBS_DISABLED, making enabled() a constant false so every
  *    `if (obs::enabled()) ...` seam is dead code the optimizer deletes;
  *  - run time: even when compiled in, recording is off until
- *    setEnabled(true) (the benches flip it for --metrics-out /
- *    --trace-out). The disabled hot path is one relaxed atomic load.
+ *    setEnabled(true) (the benches flip it for --obs-dir, --ledger and
+ *    --obs-sample-period). The disabled hot path is one relaxed atomic
+ *    load.
  *
  * Recording never feeds back into simulation state, so enabling
  * observability cannot change any experiment's output — a property

@@ -7,6 +7,7 @@
 #include <sstream>
 
 #include "common/json.hh"
+#include "common/util.hh"
 #include "obs/metrics.hh"
 
 namespace capart::obs
@@ -202,12 +203,8 @@ writeStatusFile(const std::string &path, const SweepStatus &status)
 bool
 readStatusFile(const std::string &path, SweepStatus *out)
 {
-    std::ifstream is(path, std::ios::binary);
-    if (!is)
-        return false;
-    std::ostringstream text;
-    text << is.rdbuf();
-    return decodeStatus(text.str(), out);
+    std::string text;
+    return readFile(path, &text) && decodeStatus(text, out);
 }
 
 std::string
@@ -311,12 +308,10 @@ bool
 appendWorkerCounters(std::ostream &os, const std::string &metrics_json_path,
                      unsigned shard)
 {
-    std::ifstream is(metrics_json_path, std::ios::binary);
-    if (!is)
+    std::string text;
+    if (!readFile(metrics_json_path, &text))
         return false;
-    std::ostringstream text;
-    text << is.rdbuf();
-    const auto doc = Json::parse(text.str());
+    const auto doc = Json::parse(text);
     if (!doc || !doc->isObj())
         return false;
     const Json &counters = doc->at("counters");

@@ -3,10 +3,11 @@
  * Live sweep status plane: the supervisor-maintained `status.json`
  * snapshot and the Prometheus-style text exposition file.
  *
- * While a sharded sweep runs, the supervisor keeps two side files
- * fresh on every heartbeat tick:
+ * While a sharded sweep runs with an obs directory (`--obs-dir=D`),
+ * the supervisor keeps two side files in D fresh on every heartbeat
+ * tick:
  *
- *  - `--status-out=F` — a single JSON document (@ref SweepStatus)
+ *  - `status.json` — a single JSON document (@ref SweepStatus)
  *    describing the whole fleet: per shard the worker pid, lifecycle
  *    state, point counts (done / from-cache / quarantined), retries,
  *    last-heartbeat age, and the point currently being computed with
@@ -15,7 +16,7 @@
  *    (write `<F>.tmp`, then rename), so a concurrent reader — the
  *    `bench_status` CLI, a dashboard, `cat` in a loop — always sees a
  *    complete document, never a torn one.
- *  - `--prom-out=F` — the metrics registry plus the sweep/shard gauges
+ *  - `metrics.prom` — the metrics registry plus the sweep/shard gauges
  *    in Prometheus text exposition format (counters, gauges, histogram
  *    quantiles as summaries), also atomically replaced, so an external
  *    scraper can watch a long sweep with nothing but a file mount.
@@ -143,7 +144,7 @@ void writePromText(std::ostream &os, const MetricsRegistry &registry,
 
 /**
  * Append worker-side counters collected from a shard's
- * `--metrics-out` JSON side file as `capart_worker_<name>{shard="k"}`
+ * `metrics.json` side file as `capart_worker_<name>{shard="k"}`
  * samples. Missing or unparsable files are skipped silently (a worker
  * that never exported is not an error). Returns false when skipped.
  */

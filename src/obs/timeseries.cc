@@ -212,10 +212,9 @@ TimeSeries::record(AttributionSample sample)
         return;
     Scope &s = scope();
     if (s.samplesRecorded >= s.samples.size()) {
+        // A full ring evicts its oldest sample.
         static Counter &drops = metrics().counter("timeseries.dropped");
         drops.inc();
-        std::lock_guard<std::mutex> lock(mutex_);
-        ++droppedSamples_;
     }
     s.samples[s.sampleNext] = std::move(sample);
     s.sampleNext = (s.sampleNext + 1) % s.samples.size();
@@ -231,12 +230,20 @@ TimeSeries::journal(JournalEntry entry)
     if (s.journalRecorded >= s.journal.size()) {
         static Counter &drops = metrics().counter("journal.dropped");
         drops.inc();
-        std::lock_guard<std::mutex> lock(mutex_);
-        ++droppedJournal_;
     }
     s.journal[s.journalNext] = std::move(entry);
     s.journalNext = (s.journalNext + 1) % s.journal.size();
     ++s.journalRecorded;
+}
+
+AttributionBatch
+TimeSeries::drainAll()
+{
+    AttributionBatch batch;
+    std::lock_guard<std::mutex> lock(mutex_);
+    for (const auto &s : scopes_)
+        drainRing(*s, &batch);
+    return batch;
 }
 
 void
@@ -276,80 +283,22 @@ TimeSeries::drainScope()
         return batch;
     Scope &s = scope();
     // The scope belongs to the calling thread, but drain under the
-    // lock anyway: collect() walks all scopes from the export thread.
+    // lock anyway: drainAll() and clear() walk every scope.
     std::lock_guard<std::mutex> lock(mutex_);
     drainRing(s, &batch);
     return batch;
 }
 
 void
-TimeSeries::deposit(AttributionBatch batch)
-{
-    if constexpr (!kCompiledIn)
-        return;
-    std::lock_guard<std::mutex> lock(mutex_);
-    deposited_.push_back(std::move(batch));
-}
-
-std::vector<AttributionBatch>
-TimeSeries::collect(const std::string &leftover_label)
-{
-    std::vector<AttributionBatch> out;
-    std::lock_guard<std::mutex> lock(mutex_);
-    for (AttributionBatch &b : deposited_)
-        out.push_back(std::move(b));
-    deposited_.clear();
-    for (const auto &s : scopes_) {
-        if (!s->samplesRecorded && !s->journalRecorded)
-            continue;
-        AttributionBatch batch;
-        batch.label = leftover_label;
-        drainRing(*s, &batch);
-        out.push_back(std::move(batch));
-    }
-    return out;
-}
-
-std::uint64_t
-TimeSeries::droppedSamples() const
-{
-    std::lock_guard<std::mutex> lock(mutex_);
-    return droppedSamples_;
-}
-
-std::uint64_t
-TimeSeries::droppedJournal() const
-{
-    std::lock_guard<std::mutex> lock(mutex_);
-    return droppedJournal_;
-}
-
-std::uint64_t
-TimeSeries::sampleCount() const
-{
-    std::lock_guard<std::mutex> lock(mutex_);
-    std::uint64_t n = 0;
-    for (const AttributionBatch &b : deposited_)
-        n += b.samples.size();
-    for (const auto &s : scopes_)
-        n += std::min<std::uint64_t>(s->samplesRecorded,
-                                     s->samples.size());
-    return n;
-}
-
-void
 TimeSeries::clear()
 {
     std::lock_guard<std::mutex> lock(mutex_);
-    deposited_.clear();
     for (const auto &s : scopes_) {
         s->sampleNext = 0;
         s->samplesRecorded = 0;
         s->journalNext = 0;
         s->journalRecorded = 0;
     }
-    droppedSamples_ = 0;
-    droppedJournal_ = 0;
 }
 
 TimeSeries &

@@ -20,9 +20,11 @@
  *
  * Threading model: the sweep runner executes each experiment point on
  * one worker thread, so per-thread scopes double as per-point scopes;
- * drainScope() hands a completed point's data to the caller, and
- * whatever is never drained (single-threaded benches driving System
- * directly) is picked up by collect() at export time.
+ * drainScope() hands a completed point's data to the caller, which
+ * writes it as an attribution side file (writeAttributionJson). A
+ * bench driving System directly writes what it recorded as one more
+ * side file at exit (drainAll()). bench_dashboard renders from those
+ * files.
  */
 
 #ifndef CAPART_OBS_TIMESERIES_HH
@@ -152,25 +154,16 @@ class TimeSeries
      */
     AttributionBatch drainScope();
 
-    /** Park a completed batch for collect() (dashboard export). */
-    void deposit(AttributionBatch batch);
-
     /**
-     * Deposited batches followed by any still-undrained per-thread
-     * scopes (as one batch each, labeled @p leftover_label).
+     * drainScope() for every scope at once, into one batch. Unlike
+     * drainScope() it touches no thread_local state, so a bench's
+     * atexit handler (which runs after the main thread's thread_local
+     * objects are destroyed) can export what it recorded outside a
+     * sweep.
      */
-    std::vector<AttributionBatch>
-    collect(const std::string &leftover_label = "run");
+    AttributionBatch drainAll();
 
-    /** Samples evicted because a ring filled. */
-    std::uint64_t droppedSamples() const;
-    /** Journal entries evicted because a scope filled. */
-    std::uint64_t droppedJournal() const;
-
-    /** Retained samples across all scopes (deposited + undrained). */
-    std::uint64_t sampleCount() const;
-
-    /** Forget everything recorded and deposited. */
+    /** Forget everything recorded. */
     void clear();
 
   private:
@@ -199,9 +192,6 @@ class TimeSeries
 
     mutable std::mutex mutex_;
     std::vector<std::unique_ptr<Scope>> scopes_;
-    std::vector<AttributionBatch> deposited_;
-    std::uint64_t droppedSamples_ = 0;
-    std::uint64_t droppedJournal_ = 0;
 };
 
 /** The process-wide attribution recorder. */

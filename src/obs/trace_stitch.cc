@@ -1,12 +1,12 @@
 #include "obs/trace_stitch.hh"
 
 #include <algorithm>
-#include <fstream>
 #include <ostream>
 #include <sstream>
 #include <utility>
 
 #include "common/json.hh"
+#include "common/util.hh"
 #include "obs/status.hh"
 
 namespace capart::obs
@@ -57,14 +57,12 @@ stitchTraces(const std::vector<StitchSource> &sources, std::ostream &os,
     std::vector<std::pair<unsigned, std::string>> labels; // (source, label)
 
     for (unsigned i = 0; i < sources.size(); ++i) {
-        std::ifstream is(sources[i].path, std::ios::binary);
-        if (!is) {
+        std::string text;
+        if (!readFile(sources[i].path, &text)) {
             ++local.sourcesMissing;
             continue;
         }
-        std::ostringstream text;
-        text << is.rdbuf();
-        const auto doc = Json::parse(text.str());
+        const auto doc = Json::parse(text);
         if (!doc || !doc->isObj() || !doc->at("traceEvents").isArr()) {
             // A worker killed mid-export leaves a torn file; skip it
             // but keep the shard visible in the stats.

@@ -4,11 +4,11 @@
  *
  * A sharded sweep produces one Chrome trace per process: the
  * supervisor's own (spawn/kill/quarantine lifecycle instants) and one
- * per worker (`<trace>.shard-<k>`, see bench/bench_common). Each of
- * those files uses the fixed two-pid layout of obs::Tracer
- * (pid 1 = simulated time, pid 2 = host wall clock), so opened
- * together they collide. @ref stitchTraces merges them into one
- * well-formed timeline:
+ * per worker (`<obs-dir>/shard-<k>/trace.json`, see
+ * exec::writeObsFiles). Each of those files uses the fixed two-pid
+ * layout of obs::Tracer (pid 1 = simulated time, pid 2 = host wall
+ * clock), so opened together they collide. @ref stitchTraces merges
+ * them into one well-formed timeline:
  *
  *  - source i's pids are remapped to 2*i+1 / 2*i+2, so every process
  *    track in the stitched file is unique;

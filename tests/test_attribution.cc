@@ -20,7 +20,7 @@
  * under the Dynamic policy) through a SweepRunner with an attrDir and
  * a ledger, then checks every artifact the pipeline promises: the
  * side file, the ledger pointers, the decision records, and the
- * dashboard rendered over all of it.
+ * dashboard rendered from those files.
  */
 
 #include <gtest/gtest.h>
@@ -41,6 +41,7 @@
 #include "obs/metrics.hh"
 #include "obs/obs.hh"
 #include "obs/run_ledger.hh"
+#include "obs/status.hh"
 #include "obs/timeseries.hh"
 #include "sim/system.hh"
 #include "workload/catalog.hh"
@@ -61,8 +62,8 @@ namespace fs = std::filesystem;
 
 /**
  * Arms attribution recording for one test: observability on, the
- * sampler's period set, and both the scope and any deposited batches
- * cleared on entry and exit so tests never see each other's data.
+ * sampler's period set, and every scope cleared on entry and exit so
+ * tests never see each other's data.
  */
 struct SamplingGuard
 {
@@ -357,7 +358,7 @@ TEST(AttributionGating, CompiledOutRecordsNothing)
     sys.run();
     obs::timeseries().setPeriod(0);
     obs::setEnabled(false);
-    EXPECT_EQ(obs::timeseries().sampleCount(), 0u)
+    EXPECT_TRUE(obs::timeseries().drainAll().samples.empty())
         << "attribution must compile out entirely";
 }
 
@@ -626,13 +627,13 @@ TEST(AttributionEndToEnd, SweepRunnerWritesSideFilesAndDecisions)
     EXPECT_GE(batch.journal.size(), 1u);
     expectJournalReplays(batch.journal);
 
-    // The drained batch was deposited, so a dashboard rendered "at
-    // exit" sees the point without re-reading the side file.
+    // The dashboard renders from the ledger and the side file alone.
     dashboard::DashboardData data;
-    data.title = "e2e";
-    data.batches = obs::timeseries().collect();
-    data.points = {*point};
-    ASSERT_GE(data.batches.size(), 1u);
+    ASSERT_TRUE(
+        dashboard::loadDashboardData({ledger.path()}, "", "", "", &data));
+    ASSERT_EQ(data.points.size(), 1u);
+    ASSERT_EQ(data.batches.size(), 1u);
+    EXPECT_EQ(data.batches[0].attrFile, point->attrFile);
     std::ostringstream html;
     dashboard::renderDashboardHtml(html, data);
     EXPECT_NE(html.str().find("data-samples=\""), std::string::npos);
@@ -750,24 +751,62 @@ TEST(Dashboard, EmptyDataRendersZeroSamples)
         << "CI's obs-off proof greps for exactly this";
 }
 
-TEST(Dashboard, WriteDashboardFileCollectsAndWrites)
+TEST(Dashboard, LedgerPlusObsDirRendersTheFleetSection)
 {
+    // bench_dashboard --ledger=F --obs-dir=D: the run's points come
+    // from the ledger; the side files under D's attr/ directories (a
+    // shard worker's included) and a sharded sweep's D/status.json
+    // come from D. The status document is what the fleet section
+    // draws.
     const fs::path dir =
-        fs::path(testing::TempDir()) / "capart_dash_write";
+        fs::path(testing::TempDir()) / "capart_dash_obs_dir";
     fs::remove_all(dir);
-    fs::create_directories(dir);
-    const std::string path = (dir / "dashboard.html").string();
+    fs::create_directories(dir / "shard-1" / "attr");
+    const std::string ledger_path = (dir / "runs.jsonl").string();
+    {
+        obs::RunLedger ledger(ledger_path);
+        obs::RunRecord p;
+        p.kind = "point";
+        p.bench = "fig13_dynamic";
+        p.run = "fig13_dynamic-1-test";
+        p.specHash = 0x1234;
+        p.tsMs = 1.0;
+        ledger.append(p);
+    }
+    {
+        std::ofstream out(dir / "shard-1" / "attr" / "worker.json");
+        obs::writeAttributionJson(out, syntheticBatch());
+    }
+    obs::SweepStatus status;
+    status.bench = "fig13_dynamic";
+    status.run = "fig13_dynamic-1-test";
+    status.state = "complete";
+    status.shards = 2;
+    status.pointsTotal = 1;
+    status.pointsDone = 1;
+    ASSERT_TRUE(
+        obs::writeStatusFile((dir / "status.json").string(), status));
 
-    ASSERT_TRUE(dashboard::writeDashboardFile(path, "write test", {}));
-    std::ifstream in(path);
-    ASSERT_TRUE(in.good());
-    std::ostringstream text;
-    text << in.rdbuf();
-    EXPECT_NE(text.str().find("write test"), std::string::npos);
-    EXPECT_NE(text.str().find("data-samples=\""), std::string::npos);
+    dashboard::DashboardData data;
+    ASSERT_TRUE(dashboard::loadDashboardData({ledger_path}, dir.string(),
+                                             "", "", &data));
+    EXPECT_EQ(data.title, "capart fig13_dynamic — fig13_dynamic-1-test");
+    ASSERT_EQ(data.points.size(), 1u);
+    ASSERT_EQ(data.batches.size(), 1u);
+    EXPECT_EQ(dashboard::sampleTotal(data), 2u);
 
-    EXPECT_FALSE(dashboard::writeDashboardFile(
-        (dir / "no-such-dir" / "x.html").string(), "t", {}));
+    std::ostringstream html;
+    dashboard::renderDashboardHtml(html, data);
+    const Json doc = embeddedBlob(html.str());
+    ASSERT_TRUE(doc.at("status").isObj())
+        << "the fleet section needs the embedded status document";
+    EXPECT_EQ(doc.at("status").at("state").asStr(), "complete");
+    EXPECT_EQ(doc.at("status").at("shards").asNum(), 2.0);
+
+    // A --run that names no run is an error, not an empty page.
+    dashboard::DashboardData none;
+    EXPECT_FALSE(dashboard::loadDashboardData({ledger_path}, dir.string(),
+                                              "no-such-run", "", &none));
     fs::remove_all(dir);
 }
 

@@ -182,11 +182,11 @@ TEST(StaticPolicies, MaskShapes)
 
 TEST(StaticPolicies, BiasedSearchImplementsThePaperCriterion)
 {
-    BiasedSearchOptions opts;
-    opts.pair.scale = kTestScale;
+    PairOptions pair;
+    pair.scale = kTestScale;
     const BiasedSearchResult r = findBiasedPartition(
         Catalog::byName("471.omnetpp"), Catalog::byName("streamcluster"),
-        opts);
+        pair);
     ASSERT_EQ(r.sweep.size(), 11u);
     EXPECT_EQ(r.masks.fg.count(), r.fgWays);
     EXPECT_GT(r.bgThroughput, 0.0);
@@ -196,20 +196,20 @@ TEST(StaticPolicies, BiasedSearchImplementsThePaperCriterion)
     double best_time = 1e30;
     for (const auto &pt : r.sweep)
         best_time = std::min(best_time, pt.fgTime);
-    EXPECT_LE(r.fgTime, best_time * (1.0 + opts.tolerance) + 1e-12);
+    EXPECT_LE(r.fgTime, best_time * (1.0 + kBiasedTolerance) + 1e-12);
     for (const auto &pt : r.sweep) {
-        if (pt.fgTime <= best_time * (1.0 + opts.tolerance))
+        if (pt.fgTime <= best_time * (1.0 + kBiasedTolerance))
             EXPECT_GE(r.bgThroughput, pt.bgThroughput);
     }
 }
 
 TEST(StaticPolicies, BiasedSearchGivesCacheAwayWhenFgInsensitive)
 {
-    BiasedSearchOptions opts;
-    opts.pair.scale = kTestScale;
+    PairOptions pair;
+    pair.scale = kTestScale;
     const BiasedSearchResult r =
         findBiasedPartition(Catalog::byName("swaptions"),
-                            Catalog::byName("471.omnetpp"), opts);
+                            Catalog::byName("471.omnetpp"), pair);
     // swaptions does not need LLC: the search should hand most ways to
     // the cache-hungry background.
     EXPECT_LE(r.fgWays, 4u);

@@ -292,30 +292,30 @@ TEST(PromExposition, WorkerCountersFoldInWithShardLabels)
 {
     const std::string dir = freshDir("capart_prom_workers");
     {
-        std::ofstream os(dir + "/m.shard-2");
+        std::ofstream os(dir + "/metrics-2.json");
         os << "{\"counters\":{\"sim.quanta\":42,\"exec.points\":3},"
               "\"gauges\":{},\"histograms\":{}}";
     }
     std::ostringstream os;
-    EXPECT_TRUE(obs::appendWorkerCounters(os, dir + "/m.shard-2", 2));
+    EXPECT_TRUE(obs::appendWorkerCounters(os, dir + "/metrics-2.json", 2));
     const std::string text = os.str();
     EXPECT_NE(text.find("capart_worker_sim_quanta{shard=\"2\"} 42"),
               std::string::npos);
     EXPECT_NE(text.find("capart_worker_exec_points{shard=\"2\"} 3"),
               std::string::npos);
 
-    // A worker that never exported (killed before atexit) is skipped
+    // A worker that never exported (killed before its exit) is skipped
     // silently, never an error.
     std::ostringstream os2;
     EXPECT_FALSE(
-        obs::appendWorkerCounters(os2, dir + "/m.shard-9", 9));
+        obs::appendWorkerCounters(os2, dir + "/metrics-9.json", 9));
     EXPECT_TRUE(os2.str().empty());
 
     obs::MetricsRegistry reg;
     const obs::SweepStatus s = sampleStatus();
     ASSERT_TRUE(obs::writePromFile(
         dir + "/metrics.prom", reg, &s,
-        {{dir + "/m.shard-2", 2}, {dir + "/m.shard-9", 9}}));
+        {{dir + "/metrics-2.json", 2}, {dir + "/metrics-9.json", 9}}));
     const std::string file = slurp(dir + "/metrics.prom");
     EXPECT_NE(file.find("capart_worker_sim_quanta{shard=\"2\"} 42"),
               std::string::npos);

@@ -381,19 +381,18 @@ runNAppPoint(const fs::path &dir, const exec::ExperimentSpec &spec,
     EXPECT_EQ(loaded.skipped, 0u);
     *records_out = loaded.records;
 
+    // The dashboard renders from the ledger and the side files alone.
     dashboard::DashboardData data;
-    data.title = "fig09n determinism";
-    data.batches = obs::timeseries().collect();
-    for (obs::RunRecord rec : loaded.records) {
-        if (rec.kind != "point")
-            continue;
+    EXPECT_TRUE(
+        dashboard::loadDashboardData({ledger.path()}, "", "", "", &data));
+    EXPECT_EQ(data.batches.size(), 1u);
+    for (obs::RunRecord &rec : data.points) {
         // The wall-clock stamps and the attrDir path are the only
         // host-dependent bytes of a point; everything else (metrics,
         // spec hash, decisions) must reproduce bit for bit.
         rec.tsMs = 0.0;
         rec.wallMs = 0.0;
         rec.attrFile.clear();
-        data.points.push_back(rec);
     }
     for (obs::AttributionBatch &b : data.batches)
         b.attrFile.clear();

@@ -16,13 +16,14 @@
  * resume fast-forward) is injected through the CAPART_CHAOS_*
  * environment exactly as the chaos CI job does with bench binaries.
  *
- * The ShardStatus tests additionally arm the live status plane
- * (obs/status.hh): the final status.json must agree exactly with the
- * ledger segments the merge reads, quarantines must reach the
- * snapshot, worker traces must stitch with the supervisor's lifecycle
- * instants into one well-formed timeline, and — the non-perturbation
- * contract — chaos-armed results with the plane on must stay
- * bit-identical to a plain in-process run.
+ * The ShardStatus tests additionally give the supervisor an obs
+ * directory, arming the live status plane (obs/status.hh): the final
+ * status.json must agree exactly with the ledger segments the merge
+ * reads, quarantines must reach the snapshot, the workers' traces
+ * (written to their `shard-<k>` obs directories) must stitch with the
+ * supervisor's lifecycle instants into one well-formed trace.json,
+ * and — the non-perturbation contract — chaos-armed results with the
+ * plane on must stay bit-identical to a plain in-process run.
  */
 
 #include <gtest/gtest.h>
@@ -47,7 +48,6 @@
 #include "obs/run_ledger.hh"
 #include "obs/status.hh"
 #include "obs/trace.hh"
-#include "obs/trace_stitch.hh"
 
 namespace capart::exec
 {
@@ -692,10 +692,8 @@ TEST(ShardStatus, ChaosArmedSweepMatchesLedgerAndStaysBitExact)
     obs::tracer().clear();
     SweepRunnerOptions o = supervisorOptions(dir);
     o.shards = 4;
-    o.statusPath = dir + "/status.json";
-    o.promPath = dir + "/metrics.prom";
+    o.obsDir = dir + "/obs";
     o.statusPeriodS = 0.05;
-    o.workerCmd = {selfExe(), "--worker-trace=" + dir + "/trace"};
     obs::RunLedger canonical(dir + "/canonical.jsonl");
     o.ledger = &canonical;
     const std::vector<SweepResult> got = SweepRunner(o).run(specs);
@@ -709,7 +707,7 @@ TEST(ShardStatus, ChaosArmedSweepMatchesLedgerAndStaysBitExact)
     // The final status snapshot agrees with the ledger segments — the
     // same files the merge derives the canonical record set from.
     obs::SweepStatus s;
-    ASSERT_TRUE(obs::readStatusFile(dir + "/status.json", &s));
+    ASSERT_TRUE(obs::readStatusFile(o.obsDir + "/status.json", &s));
     EXPECT_EQ(s.state, "complete");
     EXPECT_EQ(s.bench, kShardBench);
     EXPECT_EQ(s.shards, 4u);
@@ -728,9 +726,11 @@ TEST(ShardStatus, ChaosArmedSweepMatchesLedgerAndStaysBitExact)
     }
     EXPECT_EQ(per_shard_done, specs.size());
 
-    // The prom exposition was refreshed on the same cadence.
+    // The prom exposition was refreshed on the same cadence, and its
+    // final refresh folded in the counters each worker wrote to its
+    // own obs directory on exit.
     {
-        std::ifstream is(dir + "/metrics.prom");
+        std::ifstream is(o.obsDir + "/metrics.prom");
         ASSERT_TRUE(is.good());
         std::ostringstream text;
         text << is.rdbuf();
@@ -738,6 +738,8 @@ TEST(ShardStatus, ChaosArmedSweepMatchesLedgerAndStaysBitExact)
                   std::string::npos)
             << text.str();
         EXPECT_NE(text.str().find("capart_shard_points_done{shard=\"0\"}"),
+                  std::string::npos);
+        EXPECT_NE(text.str().find("capart_worker_exec_points_computed{"),
                   std::string::npos);
     }
 
@@ -760,23 +762,17 @@ TEST(ShardStatus, ChaosArmedSweepMatchesLedgerAndStaysBitExact)
     EXPECT_EQ(rec_retries, s.retries);
 
     // Worker traces stitch with the supervisor's lifecycle instants
-    // into one well-formed timeline: unique pids per source process,
-    // globally sorted timestamps, spawn instants present.
-    {
-        std::ofstream sup(dir + "/trace.supervisor");
-        obs::tracer().writeChromeTrace(sup);
-    }
-    std::vector<obs::StitchSource> sources = {
-        {dir + "/trace.supervisor", "supervisor"}};
+    // into one well-formed trace.json: unique pids per source process,
+    // globally sorted timestamps, spawn instants present. Each worker
+    // that ran wrote its own trace on exit.
+    unsigned worker_traces = 0;
     for (unsigned k = 0; k < 4; ++k)
-        sources.push_back({dir + "/trace.shard-" + std::to_string(k),
-                           "shard " + std::to_string(k)});
-    obs::StitchStats stats;
-    ASSERT_TRUE(obs::stitchTraceFiles(sources, dir + "/trace", &stats));
-    EXPECT_GE(stats.sourcesRead, 2u); // supervisor + >=1 worker
-    EXPECT_EQ(stats.sourcesMalformed, 0u);
+        worker_traces += std::filesystem::exists(
+            shardObsDir(o.obsDir, k) + "/trace.json");
+    EXPECT_GE(worker_traces, 1u);
+    writeObsFiles(o.obsDir, 4);
 
-    std::ifstream is(dir + "/trace");
+    std::ifstream is(o.obsDir + "/trace.json");
     std::ostringstream text;
     text << is.rdbuf();
     const auto doc = Json::parse(text.str());
@@ -801,7 +797,8 @@ TEST(ShardStatus, ChaosArmedSweepMatchesLedgerAndStaysBitExact)
     }
     EXPECT_TRUE(saw_spawn);
     EXPECT_EQ(doc->at("metadata").at("stitched_sources").asNum(),
-              static_cast<double>(stats.sourcesRead));
+              1.0 + worker_traces);
+    EXPECT_EQ(doc->at("metadata").at("sources_malformed").asNum(), 0.0);
     std::filesystem::remove_all(dir);
 }
 
@@ -820,7 +817,7 @@ TEST(ShardStatus, QuarantinesAndCrashCountsReachTheFinalSnapshot)
     const ObsEnabledGuard obs_on;
     SweepRunnerOptions o = supervisorOptions(dir);
     o.shards = 4;
-    o.statusPath = dir + "/status.json";
+    o.obsDir = dir + "/obs";
     obs::RunLedger canonical(dir + "/canonical.jsonl");
     o.ledger = &canonical;
     const std::vector<SweepResult> got = SweepRunner(o).run(specs);
@@ -834,7 +831,7 @@ TEST(ShardStatus, QuarantinesAndCrashCountsReachTheFinalSnapshot)
     ASSERT_GT(failed_recs, 0u);
 
     obs::SweepStatus s;
-    ASSERT_TRUE(obs::readStatusFile(dir + "/status.json", &s));
+    ASSERT_TRUE(obs::readStatusFile(o.obsDir + "/status.json", &s));
     EXPECT_EQ(s.state, "complete");
     EXPECT_EQ(s.pointsQuarantined, failed_recs);
     EXPECT_EQ(s.pointsDone + s.pointsQuarantined, specs.size());
@@ -854,16 +851,15 @@ TEST(ShardStatus, PlaneOffWritesNothing)
     const std::vector<ExperimentSpec> specs = testSpecs();
 
     const std::string dir = freshDir("capart_shard_status_off");
-    // Paths set but the runtime obs switch off (or the whole layer
-    // compiled out): the run must not create the files.
+    // An obs directory set but the runtime obs switch off (or the
+    // whole layer compiled out): the run must not create it, and the
+    // workers get no obs directory of their own.
     const EnvGuard env({{"CAPART_SHARD_BACKOFF_MS", "20"}});
     SweepRunnerOptions o = supervisorOptions(dir);
-    o.statusPath = dir + "/status.json";
-    o.promPath = dir + "/metrics.prom";
+    o.obsDir = dir + "/obs";
     const std::vector<SweepResult> got = SweepRunner(o).run(specs);
     ASSERT_EQ(got.size(), specs.size());
-    EXPECT_FALSE(std::filesystem::exists(dir + "/status.json"));
-    EXPECT_FALSE(std::filesystem::exists(dir + "/metrics.prom"));
+    EXPECT_FALSE(std::filesystem::exists(o.obsDir));
     std::filesystem::remove_all(dir);
 }
 
@@ -882,7 +878,7 @@ main(int argc, char **argv)
     unsigned shards = 0;
     std::string ledger_dir;
     std::string cache_path;
-    std::string worker_trace;
+    std::string obs_dir;
     for (int i = 1; i < argc; ++i) {
         const std::string a = argv[i];
         if (a.rfind("--shard-worker=", 0) == 0)
@@ -894,8 +890,8 @@ main(int argc, char **argv)
             ledger_dir = a.substr(13);
         else if (a.rfind("--cache-path=", 0) == 0)
             cache_path = a.substr(13);
-        else if (a.rfind("--worker-trace=", 0) == 0)
-            worker_trace = a.substr(15);
+        else if (a.rfind("--obs-dir=", 0) == 0)
+            obs_dir = a.substr(10);
     }
     if (worker >= 0 && shards > 0) {
         using namespace capart::exec;
@@ -907,13 +903,11 @@ main(int argc, char **argv)
         o.shardWorker = worker;
         o.ledgerDir = ledger_dir;
         o.cachePath = cache_path;
-        if (!worker_trace.empty()) {
-            // Per-shard trace export, the bench_common `.shard-<k>`
-            // convention: the status-plane tests stitch these.
-            capart::obs::setEnabled(true);
-            o.workerTraceOut =
-                worker_trace + ".shard-" + std::to_string(worker);
-        }
+        // The supervisor passes an obs directory only while its own
+        // observability is armed; a worker arms it the way a bench's
+        // --obs-dir does.
+        o.obsDir = obs_dir;
+        capart::obs::setEnabled(!obs_dir.empty());
         SweepRunner(o).run(testSpecs()); // exits; never returns
     }
     ::testing::InitGoogleTest(&argc, argv);

@@ -391,9 +391,9 @@ TEST(NAppDifferential, DynamicMatchesLegacyPair)
 
     NAppOptions no;
     no.scale = kTestScale;
-    // autoScaleDynamic resolves maxFgWays to 12 - 1 = 11 on the stock
-    // machine — the same ceiling the legacy config hard-codes, so the
-    // two controllers walk identical trajectories.
+    // runNApp scales maxFgWays to 12 - 1 = 11 on the stock machine —
+    // the same ceiling the legacy config hard-codes, so the two
+    // controllers walk identical trajectories.
     const NAppRunResult napp =
         runNApp(pairAsMembers(fg, bg), NPolicy::Dynamic, no);
     expectBitIdentical(legacy, napp, "dynamic");
