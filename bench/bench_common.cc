@@ -12,10 +12,8 @@
 #include <memory>
 #include <thread>
 
-#ifndef _WIN32
 #include <pthread.h>
 #include <unistd.h>
-#endif
 
 #include "common/logging.hh"
 #include "common/util.hh"
@@ -64,24 +62,8 @@ volatile std::sig_atomic_t gStopSignal = 0;
  *  only sets the flag and the sweep loop exits at a point boundary. */
 bool gCooperativeShutdown = false;
 
-#ifdef _WIN32
 /**
- * Windows fallback (no sigwait): the handler only does async-signal-
- * safe work — set the flag, and on a second signal die immediately.
- * Non-cooperative benches lose the atexit flush on interrupt here;
- * the POSIX path below (the supported platform) does not.
- */
-extern "C" void
-onStopSignal(int sig)
-{
-    if (gStopSignal != 0)
-        std::_Exit(128 + sig); // second signal: no more patience
-    gStopSignal = sig;
-}
-#endif
-
-/**
- * Arm SIGTERM/SIGINT handling, once per process. POSIX: block both
+ * Arm SIGTERM/SIGINT handling, once per process: block both
  * signals process-wide (worker threads created later inherit the
  * mask) and consume them on a dedicated watcher thread via sigwait,
  * so shutdown runs in normal thread context — no async-signal-safety
@@ -99,7 +81,6 @@ installSignalHandlers()
     if (installed)
         return;
     installed = true;
-#ifndef _WIN32
     sigset_t set;
     sigemptyset(&set);
     sigaddset(&set, SIGINT);
@@ -117,24 +98,18 @@ installSignalHandlers()
                 std::exit(128 + sig);
         }
     }).detach();
-#else
-    std::signal(SIGINT, onStopSignal);
-    std::signal(SIGTERM, onStopSignal);
-#endif
 }
 
 /** Path of the running binary (re-exec target for shard workers). */
 std::string
 selfExePath(const char *argv0)
 {
-#ifndef _WIN32
     char buf[4096];
     const ssize_t n = readlink("/proc/self/exe", buf, sizeof(buf) - 1);
     if (n > 0) {
         buf[n] = '\0';
         return buf;
     }
-#endif
     return argv0 ? argv0 : "";
 }
 

@@ -46,7 +46,7 @@ struct BenchOptions
     /** This invocation's obs directory ("" = off); see parseArgs. */
     std::string obsDir;
     /** Process-isolated shard workers (--shards=N; 0-1 = in-process
-     *  thread pool). See exec/shard_supervisor.hh. */
+     *  --jobs threads). See exec/shard_supervisor.hh. */
     unsigned shards = 0;
     /** >= 0: this process is shard worker k (internal; the supervisor
      *  passes it when re-executing the binary). */

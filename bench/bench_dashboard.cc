@@ -1,8 +1,8 @@
 /**
  * @file
  * bench_dashboard: join a run ledger, a bench's obs directory (its
- * attribution side files and sweep status), and the decision journal
- * into one self-contained HTML dashboard — the only renderer.
+ * attribution side files), and the decision journal into one
+ * self-contained HTML dashboard — the only renderer.
  *
  * Typical usage:
  *
@@ -12,12 +12,12 @@
  *         --out=dashboard.html
  *
  * The newest run in the ledger (or --run=ID) supplies the point
- * records; every point that carries an `attr_file` pointer has its
- * attribution document loaded and embedded. --obs-dir=D adds the side
- * files under D that no ledger point links (a bench driving System
- * directly, such as Fig. 12) and a sharded sweep's D/status.json as
- * the fleet section. The output opens offline — all data and drawing
- * code are inline.
+ * records and, for a sharded sweep, the `shard` records the fleet
+ * section draws; every point that carries an `attr_file` pointer has
+ * its attribution document loaded and embedded. --obs-dir=D adds the
+ * side files under D that no ledger point links (a bench driving
+ * System directly, such as Fig. 12). The output opens offline — all
+ * data and drawing code are inline.
  */
 
 #include <cstdio>
@@ -42,7 +42,6 @@ usage(const char *argv0, int status)
         "  --ledger=F   JSONL run ledger to read (repeatable)\n"
         "  --obs-dir=D  a bench's --obs-dir: embed its attribution "
         "side files\n"
-        "               and a sharded sweep's status.json\n"
         "  --run=ID     run id to show (default: newest in the "
         "ledger)\n"
         "  --bench=NAME only consider runs of this bench\n"

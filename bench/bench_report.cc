@@ -26,7 +26,6 @@
 #include <vector>
 
 #include "obs/run_ledger.hh"
-#include "obs/status.hh"
 #include "report/report.hh"
 
 namespace
@@ -43,8 +42,6 @@ usage(const char *argv0, int status)
         "  --bench=NAME      only consider runs of this bench\n"
         "  --baseline-run=ID baseline run id (default: oldest run)\n"
         "  --current-run=ID  current run id (default: newest run)\n"
-        "  --status=F        embed a sweep status.json snapshot "
-        "(<obs-dir>/status.json)\n"
         "  --json-out=F      write the BENCH_capart.json time series\n"
         "  --md-out=F        write the markdown report (default: stdout)\n"
         "  --warn-delta=X    worse-direction mean delta that warns "
@@ -69,7 +66,6 @@ main(int argc, char **argv)
     std::string current_id;
     std::string json_out;
     std::string md_out;
-    std::string status_path;
     capart::report::GateOptions gate;
     bool gating = false;
 
@@ -87,8 +83,6 @@ main(int argc, char **argv)
             json_out = arg.substr(11);
         } else if (arg.rfind("--md-out=", 0) == 0) {
             md_out = arg.substr(9);
-        } else if (arg.rfind("--status=", 0) == 0) {
-            status_path = arg.substr(9);
         } else if (arg.rfind("--warn-delta=", 0) == 0) {
             gate.warnDelta = std::atof(arg.c_str() + 13);
         } else if (arg.rfind("--fail-delta=", 0) == 0) {
@@ -164,23 +158,8 @@ main(int argc, char **argv)
         capart::report::writeBenchJson(out, groups);
     }
 
-    capart::obs::SweepStatus status;
-    bool have_status = false;
-    if (!status_path.empty()) {
-        have_status = capart::obs::readStatusFile(status_path, &status);
-        if (!have_status)
-            std::fprintf(stderr,
-                         "bench_report: cannot read status file %s; "
-                         "section omitted\n",
-                         status_path.c_str());
-    }
-
-    const auto write_md = [&](std::ostream &out) {
-        capart::report::writeMarkdown(out, groups,
-                                      have_cmp ? &cmp : nullptr, gate);
-        if (have_status)
-            capart::report::writeStatusMarkdown(out, status);
-    };
+    const capart::report::RunComparison *cmp_or_null =
+        have_cmp ? &cmp : nullptr;
     if (!md_out.empty()) {
         std::ofstream out(md_out);
         if (!out) {
@@ -188,9 +167,9 @@ main(int argc, char **argv)
                          md_out.c_str());
             return 1;
         }
-        write_md(out);
+        capart::report::writeMarkdown(out, groups, cmp_or_null, gate);
     } else {
-        write_md(std::cout);
+        capart::report::writeMarkdown(std::cout, groups, cmp_or_null, gate);
     }
 
     if (have_cmp) {

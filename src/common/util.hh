@@ -1,16 +1,19 @@
 /**
  * @file
  * Small helpers shared across layers: the FNV-1a 64-bit hash behind
- * spec hashes and cache checksums, exact hexfloat text for doubles,
- * the wall-clock stamp ledger records carry, and whole-file reads.
+ * spec hashes and cache checksums, exact text for doubles and 64-bit
+ * hashes, the wall-clock stamp ledger records carry, and whole-file
+ * reads.
  */
 
 #ifndef CAPART_COMMON_UTIL_HH
 #define CAPART_COMMON_UTIL_HH
 
 #include <chrono>
+#include <cinttypes>
 #include <cstdint>
 #include <cstdio>
+#include <cstdlib>
 #include <fstream>
 #include <sstream>
 #include <string>
@@ -38,6 +41,27 @@ hexDouble(double v)
     char buf[48];
     std::snprintf(buf, sizeof(buf), "%a", v);
     return buf;
+}
+
+/** `0x` plus 16 lowercase hex digits: how obs files write spec hashes. */
+inline std::string
+hexU64(std::uint64_t v)
+{
+    char buf[32];
+    std::snprintf(buf, sizeof(buf), "0x%016" PRIx64, v);
+    return buf;
+}
+
+/** Parse @p s whole as a 64-bit integer (`0x...` hex or decimal) into
+ *  @p out; false when @p s is empty or has trailing characters. */
+inline bool
+parseU64(const std::string &s, std::uint64_t *out)
+{
+    if (s.empty())
+        return false;
+    char *end = nullptr;
+    *out = std::strtoull(s.c_str(), &end, 0);
+    return end && *end == '\0';
 }
 
 /** Wall-clock milliseconds since the Unix epoch. */

@@ -94,6 +94,10 @@ CoScheduler::runPolicy(Policy policy, bool bg_continuous)
       }
       case Policy::Biased: {
         const BiasedSearchResult &b = biased();
+        // The search already ran this split with these options; only a
+        // monitored run is simulated again, so the monitor sees it.
+        if (bg_continuous && !opts_.monitorSlo)
+            return pairRuns_.emplace(key, b.run).first->second;
         pair.fgMask = b.masks.fg;
         pair.bgMask = b.masks.bg;
         break;

@@ -83,7 +83,9 @@ class CoScheduler
     const BiasedSearchResult &biased();
 
     /**
-     * Run the pair under @p policy.
+     * Run the pair under @p policy. Without `monitorSlo`, the
+     * continuous Biased run is the biased search's winning run, not a
+     * fresh simulation of the same split.
      * @param bg_continuous  background restarts until FG finishes
      *        (use true for slowdown/throughput studies, false for
      *        energy/weighted-speedup studies, matching the paper).

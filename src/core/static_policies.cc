@@ -1,6 +1,7 @@
 #include "core/static_policies.hh"
 
 #include <limits>
+#include <utility>
 
 #include "common/logging.hh"
 
@@ -55,12 +56,14 @@ findBiasedPartition(const AppParams &fg, const AppParams &bg,
     capart_assert(total >= 2);
 
     Seconds best_time = std::numeric_limits<double>::infinity();
+    std::vector<PairResult> runs;
+    runs.reserve(total - 1);
     for (unsigned fg_ways = 1; fg_ways < total; ++fg_ways) {
         PairOptions split = pair;
         const SplitMasks masks = splitWays(fg_ways, total);
         split.fgMask = masks.fg;
         split.bgMask = masks.bg;
-        const PairResult r = runPair(fg, bg, split);
+        const PairResult &r = runs.emplace_back(runPair(fg, bg, split));
 
         BiasedSweepPoint pt;
         pt.fgWays = fg_ways;
@@ -85,6 +88,7 @@ findBiasedPartition(const AppParams &fg, const AppParams &bg,
     }
     capart_assert(result.fgWays >= 1);
     result.masks = splitWays(result.fgWays, total);
+    result.run = std::move(runs[result.fgWays - 1]);
     return result;
 }
 

@@ -49,6 +49,9 @@ struct BiasedSearchResult
     /** Foreground time / background throughput at the winning split. */
     Seconds fgTime = 0.0;
     double bgThroughput = 0.0;
+    /** The winning split's run: runPair with the search's options and
+     *  `masks`, so a caller need not simulate it again. */
+    PairResult run;
     /** Every split evaluated (for tables and ablations). */
     std::vector<BiasedSweepPoint> sweep;
 };

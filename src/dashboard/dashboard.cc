@@ -781,36 +781,40 @@ function pointsTable(parent) {
     }
 }
 
-// Fleet status of a sharded sweep (the supervisor's final
-// status.json, embedded verbatim): one row per shard.
+// Fleet section of a sharded sweep: the run's `shard` ledger records,
+// one row per shard.
 function fleetSection(parent) {
-    const s = data.status;
-    if (!s || !s.shard_states) return;
-    html('h2', '', parent, 'Fleet status');
+    const shards = data.shards || [];
+    if (!shards.length) return;
+    const total = {};
+    for (const sh of shards)
+        for (const k in sh.metrics)
+            total[k] = (total[k] || 0) + sh.metrics[k];
+    html('h2', '', parent, 'Fleet');
     html('p', 'sub', parent,
-         'Sweep ' + (s.state || '?') + ': ' + (s.points_done || 0) +
-         '/' + (s.points_total || 0) + ' points done, ' +
-         (s.points_from_cache || 0) + ' from cache, ' +
-         (s.points_quarantined || 0) + ' quarantined, ' +
-         (s.retries || 0) + ' retries across ' + (s.shards || 0) +
-         ' shard(s).');
+         (total.points_done || 0) + '/' + (total.points_assigned || 0) +
+         ' points done, ' + (total.points_from_cache || 0) +
+         ' from cache, ' + (total.points_quarantined || 0) +
+         ' quarantined, ' + (total.retries || 0) + ' retries across ' +
+         shards.length + ' shard(s).');
     const tbl = html('table', '', parent);
     const hdr = html('tr', '', tbl);
-    for (const h of ['shard', 'state', 'done', 'cached', 'quarantined',
+    for (const h of ['shard', 'wall (s)', 'done', 'cached', 'quarantined',
                      'retries', 'spawns', 'timeout kills', 'crashes'])
-        html('th', h === 'state' ? 's' : '', hdr, h);
-    for (const sh of s.shard_states) {
+        html('th', '', hdr, h);
+    for (const sh of shards) {
+        const m = sh.metrics || {};
         const tr = html('tr', '', tbl);
-        html('td', '', tr, fmt(sh.shard, 0));
-        html('td', 's', tr, sh.state || '?');
-        html('td', '', tr, fmt(sh.points_done, 0) + '/' +
-                           fmt(sh.points_assigned, 0));
-        html('td', '', tr, fmt(sh.points_from_cache, 0));
-        html('td', '', tr, fmt(sh.points_quarantined, 0));
-        html('td', '', tr, fmt(sh.retries, 0));
-        html('td', '', tr, fmt(sh.spawns, 0));
-        html('td', '', tr, fmt(sh.timeout_kills, 0));
-        html('td', '', tr, fmt(sh.crashes, 0));
+        html('td', '', tr, fmt(m.shard, 0));
+        html('td', '', tr, fmt((sh.wall_ms || 0) / 1000, 2));
+        html('td', '', tr, fmt(m.points_done, 0) + '/' +
+                           fmt(m.points_assigned, 0));
+        html('td', '', tr, fmt(m.points_from_cache, 0));
+        html('td', '', tr, fmt(m.points_quarantined, 0));
+        html('td', '', tr, fmt(m.retries, 0));
+        html('td', '', tr, fmt(m.spawns, 0));
+        html('td', '', tr, fmt(m.timeout_kills, 0));
+        html('td', '', tr, fmt(m.crashes, 0));
     }
 }
 
@@ -934,15 +938,20 @@ dashboardJson(const DashboardData &data)
             os << ',';
         os << batchJson(data.batches[i]);
     }
-    os << "],\"points\":[";
-    for (std::size_t i = 0; i < data.points.size(); ++i) {
-        if (i)
-            os << ',';
-        os << obs::RunLedger::encode(data.points[i]);
-    }
-    os << "],\"status\":"
-       << (data.status ? obs::statusToJson(*data.status).dump() : "null")
-       << "}";
+    os << ']';
+    const auto ledger_array = [&os](const char *key,
+                                    const std::vector<obs::RunRecord> &recs) {
+        os << ",\"" << key << "\":[";
+        for (std::size_t i = 0; i < recs.size(); ++i) {
+            if (i)
+                os << ',';
+            os << obs::RunLedger::encode(recs[i]);
+        }
+        os << ']';
+    };
+    ledger_array("points", data.points);
+    ledger_array("shards", data.shards);
+    os << '}';
     return scriptSafe(os.str());
 }
 
@@ -988,6 +997,7 @@ loadDashboardData(const std::vector<std::string> &ledgers,
     std::vector<std::string> files;
     if (group) {
         out->points = group->points;
+        out->shards = group->shards;
         for (const obs::RunRecord &p : group->points) {
             if (!p.attrFile.empty())
                 files.push_back(p.attrFile);
@@ -1025,10 +1035,6 @@ loadDashboardData(const std::vector<std::string> &ledgers,
             batch.attrFile = f;
         out->batches.push_back(std::move(batch));
     }
-    obs::SweepStatus status;
-    if (!obs_dir.empty() &&
-        obs::readStatusFile(obs_dir + "/status.json", &status))
-        out->status = status;
     return true;
 }
 

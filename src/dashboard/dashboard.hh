@@ -5,11 +5,11 @@
  * renderDashboardHtml() joins everything the observability layer
  * records about a run — per-owner attribution time series, the
  * partitioner decision journal, SLO evaluations, and the run ledger's
- * point records — into one HTML file with zero external dependencies:
- * all data is embedded as a JSON blob and all charts are drawn
- * client-side by inline vanilla JavaScript into inline SVG. The file
- * opens offline from a CI artifact tab or an `open` on a laptop, years
- * after the toolchain that made it is gone.
+ * point and shard records — into one HTML file with zero external
+ * dependencies: all data is embedded as a JSON blob and all charts are
+ * drawn client-side by inline vanilla JavaScript into inline SVG. The
+ * file opens offline from a CI artifact tab or an `open` on a laptop,
+ * years after the toolchain that made it is gone.
  *
  * Charts per experiment point (batch): stacked per-owner LLC
  * way-occupancy timeline with remask markers, per-owner stall
@@ -30,12 +30,10 @@
 #define CAPART_DASHBOARD_DASHBOARD_HH
 
 #include <iosfwd>
-#include <optional>
 #include <string>
 #include <vector>
 
 #include "obs/run_ledger.hh"
-#include "obs/status.hh"
 #include "obs/timeseries.hh"
 
 namespace capart::dashboard
@@ -50,10 +48,10 @@ struct DashboardData
     std::vector<obs::AttributionBatch> batches;
     /** Ledger `point` records for the summary table (may be empty). */
     std::vector<obs::RunRecord> points;
-    /** A sharded sweep's final status (see src/obs/status.hh); when
-     *  set, the page shows the fleet summary (per-shard retries,
-     *  kills, quarantines). */
-    std::optional<obs::SweepStatus> status;
+    /** Ledger `shard` records of a sharded sweep, one per shard; when
+     *  present, the page shows the fleet section (per-shard retries,
+     *  spawns, kills, quarantines). */
+    std::vector<obs::RunRecord> shards;
 };
 
 /** Total attribution samples across @p data's batches. */
@@ -70,14 +68,13 @@ void renderDashboardHtml(std::ostream &os, const DashboardData &data);
 
 /**
  * Build one page's data from files alone, as `bench_dashboard
- * --ledger=F --obs-dir=D` does: the `point` records of run @p run_id
- * ("" = the newest run in @p ledgers; @p bench, if set, keeps only that
- * bench's runs), the attribution side file each point links, every
- * other side file in D's `attr/` directories (its own and each
- * `shard-<k>/attr/`), and D's `status.json` as the fleet section (@p
- * obs_dir may be ""). The title names the run. Unreadable side files
- * are skipped with a stderr note. Returns false (after a stderr note)
- * only when @p run_id names no run.
+ * --ledger=F --obs-dir=D` does: the `point` and `shard` records of run
+ * @p run_id ("" = the newest run in @p ledgers; @p bench, if set, keeps
+ * only that bench's runs), the attribution side file each point links,
+ * and every other side file in D's `attr/` directories (its own and
+ * each `shard-<k>/attr/`; @p obs_dir may be ""). The title names the
+ * run. Unreadable side files are skipped with a stderr note. Returns
+ * false (after a stderr note) only when @p run_id names no run.
  */
 bool loadDashboardData(const std::vector<std::string> &ledgers,
                        const std::string &obs_dir,

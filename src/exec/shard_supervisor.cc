@@ -2,7 +2,7 @@
  * @file
  * Implementation of the process-isolated shard supervisor and worker
  * loop declared in shard_supervisor.hh. POSIX-only (posix_spawn,
- * waitpid, kill); the build gates this file to non-Windows targets.
+ * waitpid, kill), and so is everything that links capart_exec.
  */
 
 #include "exec/shard_supervisor.hh"
@@ -44,6 +44,9 @@ namespace
 {
 
 using Clock = std::chrono::steady_clock;
+
+/** Interval between refreshes of the live status.json and metrics.prom. */
+constexpr std::chrono::milliseconds kStatusPeriod{500};
 
 std::uintmax_t
 fileSizeOr0(const std::string &path)
@@ -663,8 +666,6 @@ runShardedSweep(const SweepRunnerOptions &opts,
     int stop_sig = 0;
     std::vector<std::size_t> doneCounts(shards, 0);
     std::size_t reportedDone = 0;
-    const auto statusPeriod = std::chrono::duration_cast<Clock::duration>(
-        std::chrono::duration<double>(std::max(opts.statusPeriodS, 0.05)));
     Clock::time_point nextStatusAt = Clock::now();
 
     while (true) {
@@ -820,7 +821,7 @@ runShardedSweep(const SweepRunnerOptions &opts,
 
         if (statusOn && Clock::now() >= nextStatusAt) {
             writeStatus("running");
-            nextStatusAt = Clock::now() + statusPeriod;
+            nextStatusAt = Clock::now() + kStatusPeriod;
         }
 
         if (opts.progress) {
@@ -873,25 +874,24 @@ runShardedSweep(const SweepRunnerOptions &opts,
         }
     }
 
-    // Refresh every digest from disk so the final status (and the
-    // per-shard summary records below) agree exactly with the merged
-    // ledger — the supervision loop's cache can trail the last writes.
-    if (statusOn) {
+    // Refresh every digest from disk so the final status and the
+    // per-shard records below agree exactly with the merged ledger —
+    // the supervision loop's cache can trail the last writes.
+    if (statusOn || opts.ledger) {
         for (unsigned k = 0; k < shards; ++k)
             segCache[k] = readSegmentState(segPathOf(k), opts.baseSeed);
     }
 
     if (opts.ledger) {
-        // One `shard` summary record per shard: the fleet bookkeeping
-        // (spawns, retries, kills, quarantines) the report layer turns
-        // into its per-shard table. Deterministic given the same sweep
-        // and chaos schedule, so the canonical ledger's record set does
-        // not depend on whether the live status plane was armed.
+        // The fleet record: one `shard` record per shard carrying the
+        // tally the final status.json shows (spawns, retries, kills,
+        // quarantines), which bench_report's shard table and the
+        // dashboard's fleet section render. Deterministic given the
+        // same sweep and chaos schedule, so the canonical ledger's
+        // record set does not depend on whether the live status plane
+        // was armed.
         for (const ShardState &s : st) {
-            const SegmentState seg =
-                statusOn ? segCache[s.id]
-                         : readSegmentState(segPathOf(s.id),
-                                            opts.baseSeed);
+            const obs::ShardStatus sh = shardStatusOf(s);
             obs::RunRecord rec;
             rec.kind = "shard";
             rec.bench = opts.benchName;
@@ -905,30 +905,21 @@ runShardedSweep(const SweepRunnerOptions &opts,
                                  end - s.firstSpawnAt)
                                  .count();
             }
-            std::uint64_t done = 0;
-            std::uint64_t failed = 0;
-            for (const std::size_t idx : s.assigned) {
-                const std::uint64_t h = sweepHashes[idx];
-                if (seg.done.count(h) != 0)
-                    ++done;
-                else if (seg.failed.count(h) != 0)
-                    ++failed;
-            }
             auto &m = rec.metrics;
-            m.emplace_back("shard", static_cast<double>(s.id));
+            m.emplace_back("shard", static_cast<double>(sh.shard));
             m.emplace_back("points_assigned",
-                           static_cast<double>(s.assigned.size()));
-            m.emplace_back("points_done", static_cast<double>(done));
+                           static_cast<double>(sh.pointsAssigned));
+            m.emplace_back("points_done",
+                           static_cast<double>(sh.pointsDone));
             m.emplace_back("points_from_cache",
-                           static_cast<double>(seg.cachedPoints));
+                           static_cast<double>(sh.pointsFromCache));
             m.emplace_back("points_quarantined",
-                           static_cast<double>(failed));
-            m.emplace_back("retries",
-                           static_cast<double>(seg.retries()));
-            m.emplace_back("spawns", static_cast<double>(s.spawns));
+                           static_cast<double>(sh.pointsQuarantined));
+            m.emplace_back("retries", static_cast<double>(sh.retries));
+            m.emplace_back("spawns", static_cast<double>(sh.spawns));
             m.emplace_back("timeout_kills",
-                           static_cast<double>(s.timeoutKills));
-            m.emplace_back("crashes", static_cast<double>(s.crashes));
+                           static_cast<double>(sh.timeoutKills));
+            m.emplace_back("crashes", static_cast<double>(sh.crashes));
             opts.ledger->append(rec);
         }
     }

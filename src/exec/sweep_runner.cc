@@ -1,12 +1,16 @@
 #include "exec/sweep_runner.hh"
 
+#include <algorithm>
+#include <atomic>
 #include <chrono>
 #include <cinttypes>
 #include <cstdio>
+#include <exception>
 #include <filesystem>
 #include <fstream>
 #include <memory>
 #include <mutex>
+#include <thread>
 
 #include "common/logging.hh"
 #include "common/rng.hh"
@@ -16,7 +20,6 @@
 #include "core/static_policies.hh"
 #include "exec/result_cache.hh"
 #include "exec/shard_supervisor.hh"
-#include "exec/thread_pool.hh"
 #include "obs/metrics.hh"
 #include "obs/run_ledger.hh"
 #include "obs/timeseries.hh"
@@ -478,10 +481,33 @@ SweepRunner::run(const std::vector<ExperimentSpec> &specs)
         return results;
     }
 
-    ThreadPool pool(opts_.jobs);
-    for (const std::size_t i : todo)
-        pool.submit([&compute, i] { compute(i); });
-    pool.wait();
+    // Every point is a whole simulation known up front, so workers just
+    // claim the next uncomputed index. The first failure stops further
+    // claims and is rethrown after the join, so run() fails as the
+    // inline loop does.
+    std::atomic<std::size_t> next{0};
+    std::exception_ptr first_error;
+    const auto worker = [&] {
+        try {
+            for (std::size_t k = next++; k < todo.size(); k = next++)
+                compute(todo[k]);
+        } catch (...) {
+            std::lock_guard<std::mutex> lock(progress_mutex);
+            if (!first_error)
+                first_error = std::current_exception();
+            next = todo.size();
+        }
+    };
+    {
+        // jthreads join when the scope ends, also when starting one throws.
+        std::vector<std::jthread> workers;
+        const std::size_t n = std::min<std::size_t>(opts_.jobs, todo.size());
+        workers.reserve(n);
+        for (std::size_t t = 0; t < n; ++t)
+            workers.emplace_back(worker);
+    }
+    if (first_error)
+        std::rethrow_exception(first_error);
     return results;
 }
 

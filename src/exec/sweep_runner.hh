@@ -2,16 +2,16 @@
  * @file
  * SweepRunner: deterministic parallel execution of experiment specs.
  *
- * The runner fans a vector of @ref ExperimentSpec out across a
- * work-stealing @ref ThreadPool and returns results in submission
- * order. Every run's RNG seed is `mixSeed(base_seed, spec.hash())` —
- * a function of the spec, not of scheduling — so output is
- * bit-identical for any `--jobs` value. An optional on-disk
- * @ref ResultCache memoizes completed points (keyed by the same
- * derived seed), making interrupted sweeps resumable and repeat runs
- * nearly free.
+ * The runner fans a vector of @ref ExperimentSpec out across `jobs`
+ * worker threads, each claiming the next uncomputed point, and returns
+ * results in submission order. Every run's RNG seed is
+ * `mixSeed(base_seed, spec.hash())` — a function of the spec, not of
+ * scheduling — so output is bit-identical for any `--jobs` value. An
+ * optional on-disk @ref ResultCache memoizes completed points (keyed by
+ * the same derived seed), making interrupted sweeps resumable and
+ * repeat runs nearly free.
  *
- * Beyond the in-process thread pool, the runner has a process-isolated
+ * Beyond the in-process threads, the runner has a process-isolated
  * mode (`shards > 1`, see src/exec/shard_supervisor.hh): points are
  * partitioned by spec hash into shard child processes — re-executions
  * of the same binary with `--shard-worker=k` — each appending to its
@@ -120,7 +120,9 @@ class ResultCache;
 /** Configuration of a @ref SweepRunner. */
 struct SweepRunnerOptions
 {
-    /** Worker threads; <= 1 runs inline on the calling thread. */
+    /** Worker threads; <= 1 runs inline on the calling thread. A
+     *  point that throws (or a throwing `progress`) stops further
+     *  points from starting; run() rethrows the first exception. */
     unsigned jobs = 1;
     /** Base seed mixed into every spec's derived seed. */
     std::uint64_t baseSeed = 12345;
@@ -164,17 +166,17 @@ struct SweepRunnerOptions
      * This invocation's obs directory (`--obs-dir`); empty disables.
      * Output-only, written only while observability is armed. A
      * sharded sweep's supervisor refreshes `status.json` (see
-     * src/obs/status.hh) and `metrics.prom` there every ~statusPeriodS
-     * and once more after the merge, and gives worker k the obs
-     * directory shardObsDir(obsDir, k), where the worker writes its
-     * metrics and trace on exit (writeObsFiles).
+     * src/obs/status.hh) and `metrics.prom` there every 0.5 s and once
+     * more after the merge, and gives worker k the obs directory
+     * shardObsDir(obsDir, k), where the worker writes its metrics and
+     * trace on exit (writeObsFiles).
      */
     std::string obsDir;
 
     // ---- process-isolated shard mode --------------------------------
 
     /**
-     * Shard child processes; <= 1 keeps the in-process thread pool.
+     * Shard child processes; <= 1 keeps the in-process threads.
      * When > 1 the runner ignores `jobs` (each shard owns a results
      * file under `ledgerDir` instead) and `run()` supervises `shards`
      * re-executions of `workerCmd`. A non-empty `cachePath` is still
@@ -217,9 +219,6 @@ struct SweepRunnerOptions
      *  supervisor terminates shards, merges what completed, marks the
      *  run interrupted, and exits. nullptr disables. */
     const volatile std::sig_atomic_t *stopFlag = nullptr;
-
-    /** Minimum seconds between status/prom refreshes. */
-    double statusPeriodS = 0.5;
 };
 
 /** `<dir>/shard-<k>`: shard worker k's obs directory under a sharded
@@ -250,7 +249,7 @@ SweepResult computePoint(const SweepRunnerOptions &opts,
 
 /**
  * Flatten one finished point into a `point` ledger record — the
- * canonical encoding shared by the thread-pool runner and the shard
+ * canonical encoding shared by the in-process runner and the shard
  * worker, so a cache replay and a fresh computation of the same spec
  * yield byte-comparable records.
  */
@@ -258,7 +257,7 @@ obs::RunRecord pointRecord(const SweepRunnerOptions &opts,
                            const ExperimentSpec &spec,
                            const SweepResult &r, double wall_ms);
 
-/** Fans specs across a thread pool; results in submission order. */
+/** Fans specs across worker threads; results in submission order. */
 class SweepRunner
 {
   public:

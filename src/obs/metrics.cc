@@ -1,8 +1,8 @@
 #include "obs/metrics.hh"
 
-#include <cstdio>
 #include <ostream>
 
+#include "common/json.hh"
 #include "obs/status.hh"
 
 namespace capart::obs
@@ -24,40 +24,6 @@ setEnabled(bool on)
 
 namespace
 {
-
-/** Escape for JSON string values (metric names are plain identifiers,
- *  but exports must stay valid JSON for any registered name). */
-std::string
-jsonEscape(const std::string &s)
-{
-    std::string out;
-    out.reserve(s.size());
-    for (const char c : s) {
-        switch (c) {
-          case '"':
-            out += "\\\"";
-            break;
-          case '\\':
-            out += "\\\\";
-            break;
-          case '\n':
-            out += "\\n";
-            break;
-          case '\t':
-            out += "\\t";
-            break;
-          default:
-            if (static_cast<unsigned char>(c) < 0x20) {
-                char buf[8];
-                std::snprintf(buf, sizeof(buf), "\\u%04x", c);
-                out += buf;
-            } else {
-                out += c;
-            }
-        }
-    }
-    return out;
-}
 
 template <typename Map, typename Fn>
 void
@@ -196,34 +162,6 @@ MetricsRegistry::writeJson(std::ostream &os) const
         },
         first_section);
     os << "\n}\n";
-}
-
-void
-MetricsRegistry::writeCsv(std::ostream &os) const
-{
-    std::lock_guard<std::mutex> lock(mutex_);
-    os << "kind,name,stat,value\n";
-    for (const auto &[name, c] : counters_)
-        os << "counter," << name << ",value," << c->value() << "\n";
-    for (const auto &[name, g] : gauges_)
-        os << "gauge," << name << ",value," << g->value() << "\n";
-    for (const auto &[name, h] : histograms_) {
-        os << "histogram," << name << ",count," << h->count() << "\n";
-        os << "histogram," << name << ",sum," << h->sum() << "\n";
-        os << "histogram," << name << ",p50," << h->percentile(0.50)
-           << "\n";
-        os << "histogram," << name << ",p90," << h->percentile(0.90)
-           << "\n";
-        os << "histogram," << name << ",p99," << h->percentile(0.99)
-           << "\n";
-        for (unsigned i = 0; i < Histogram::kBuckets; ++i) {
-            const std::uint64_t n = h->bucket(i);
-            if (n == 0)
-                continue;
-            os << "histogram," << name << ",le_"
-               << Histogram::bucketBound(i) << "," << n << "\n";
-        }
-    }
 }
 
 void

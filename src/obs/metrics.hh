@@ -1,7 +1,7 @@
 /**
  * @file
  * MetricsRegistry: named counters, gauges, and histograms with
- * lock-free hot-path updates and JSON/CSV export.
+ * lock-free hot-path updates, JSON export and Prometheus text.
  *
  * Registration (looking a metric up by name) takes a mutex; the
  * returned reference is stable for the registry's lifetime, so hot
@@ -172,12 +172,6 @@ class MetricsRegistry
      * the log2 buckets.
      */
     void writeJson(std::ostream &os) const;
-
-    /**
-     * One `kind,name,stat,value` row per scalar / histogram bucket,
-     * with p50/p90/p99 rows per histogram.
-     */
-    void writeCsv(std::ostream &os) const;
 
     /**
      * Prometheus text exposition: counters as `capart_<name>_total`,

@@ -1,13 +1,13 @@
 #include "obs/run_ledger.hh"
 
 #include <algorithm>
-#include <cinttypes>
 #include <cstdio>
 #include <sstream>
 #include <unordered_map>
 #include <unordered_set>
 
 #include "common/json.hh"
+#include "common/util.hh"
 
 namespace capart::obs
 {
@@ -17,24 +17,6 @@ namespace
 
 /** Record-format version; bump when fields change meaning. */
 constexpr int kVersion = 1;
-
-std::string
-hexU64(std::uint64_t v)
-{
-    char buf[32];
-    std::snprintf(buf, sizeof(buf), "0x%016" PRIx64, v);
-    return buf;
-}
-
-bool
-parseU64(const std::string &s, std::uint64_t *out)
-{
-    if (s.empty())
-        return false;
-    char *end = nullptr;
-    *out = std::strtoull(s.c_str(), &end, 0); // 0x... or decimal
-    return end && *end == '\0';
-}
 
 void
 writePairs(std::ostringstream &os, const char *key,

@@ -1,6 +1,5 @@
 #include "obs/status.hh"
 
-#include <cinttypes>
 #include <cstdio>
 #include <fstream>
 #include <ostream>
@@ -15,24 +14,6 @@ namespace capart::obs
 
 namespace
 {
-
-std::string
-hexU64(std::uint64_t v)
-{
-    char buf[32];
-    std::snprintf(buf, sizeof(buf), "0x%016" PRIx64, v);
-    return buf;
-}
-
-bool
-parseU64(const std::string &s, std::uint64_t *out)
-{
-    if (s.empty())
-        return false;
-    char *end = nullptr;
-    *out = std::strtoull(s.c_str(), &end, 0); // 0x... or decimal
-    return end && *end == '\0';
-}
 
 /** Read @p key of @p j as a count; counts ride as JSON numbers (they
  *  are far below 2^53 in any real sweep). */

@@ -14,7 +14,7 @@
  *    its elapsed time; sweep-wide the throughput in points/min, the
  *    ETA, and the cache-hit rate. The file is *atomically replaced*
  *    (write `<F>.tmp`, then rename), so a concurrent reader — the
- *    `bench_status` CLI, a dashboard, `cat` in a loop — always sees a
+ *    `bench_status` CLI, a scraper, `cat` in a loop — always sees a
  *    complete document, never a torn one.
  *  - `metrics.prom` — the metrics registry plus the sweep/shard gauges
  *    in Prometheus text exposition format (counters, gauges, histogram
@@ -46,7 +46,9 @@ namespace capart::obs
 
 class MetricsRegistry;
 
-/** One supervised shard's live state inside a @ref SweepStatus. */
+/** One supervised shard's live state inside a @ref SweepStatus. After
+ *  the merge the supervisor also ledgers each shard's final counts as a
+ *  `shard` record, the fleet record reports and dashboards render. */
 struct ShardStatus
 {
     unsigned shard = 0;

@@ -1,12 +1,11 @@
 #include "obs/timeseries.hh"
 
 #include <algorithm>
-#include <cinttypes>
-#include <cstdio>
 #include <ostream>
 
 #include "common/json.hh"
 #include "common/logging.hh"
+#include "common/util.hh"
 #include "obs/metrics.hh"
 
 namespace capart::obs
@@ -16,14 +15,6 @@ namespace
 {
 
 std::atomic<std::uint64_t> gNextSeriesId{1};
-
-std::string
-hexU64(std::uint64_t v)
-{
-    char buf[32];
-    std::snprintf(buf, sizeof(buf), "0x%016" PRIx64, v);
-    return buf;
-}
 
 Json
 u64Json(std::uint64_t v)
@@ -339,13 +330,8 @@ parseAttributionJson(const std::string &text, AttributionBatch *out)
     AttributionBatch batch;
     batch.label = doc->at("label").asStr();
     batch.attrFile = doc->at("attr_file").asStr();
-    {
-        const std::string hash = doc->at("spec_hash").asStr("0");
-        char *end = nullptr;
-        batch.specHash = std::strtoull(hash.c_str(), &end, 0);
-        if (!end || *end != '\0')
-            return false;
-    }
+    if (!parseU64(doc->at("spec_hash").asStr("0"), &batch.specHash))
+        return false;
     for (const Json &s : doc->at("samples").arr)
         batch.samples.push_back(sampleFromJson(s));
     for (const Json &e : doc->at("journal").arr)

@@ -8,7 +8,6 @@
 #include <ostream>
 
 #include "common/json.hh"
-#include "obs/status.hh"
 #include "stats/summary.hh"
 
 namespace capart::report
@@ -90,6 +89,13 @@ groupRuns(const std::vector<obs::RunRecord> &records)
         // Anything else (point_start, future kinds) is dropped: only
         // complete points may enter metric pairing.
     }
+    // Per-shard tables render in shard order whatever the merge order.
+    for (RunGroup &g : groups)
+        std::stable_sort(g.shards.begin(), g.shards.end(),
+                         [](const obs::RunRecord &a,
+                            const obs::RunRecord &b) {
+                             return a.metric("shard") < b.metric("shard");
+                         });
     std::sort(groups.begin(), groups.end(),
               [](const RunGroup &a, const RunGroup &b) {
                   if (a.startTsMs != b.startTsMs)
@@ -340,44 +346,39 @@ writeMarkdown(std::ostream &os, const std::vector<RunGroup> &groups,
     }
 
     // A sharded sweep's per-shard summary: where the wall time went,
-    // which shard burned retries or ate SIGKILLs. Sorted by shard
-    // index so the table is deterministic regardless of merge order.
+    // which shard burned retries or ate SIGKILLs.
     bool have_shards = false;
     for (const RunGroup &g : groups) {
-        std::vector<const obs::RunRecord *> shard_recs;
-        for (const obs::RunRecord &rec : g.shards)
-            shard_recs.push_back(&rec);
-        std::sort(shard_recs.begin(), shard_recs.end(),
-                  [](const obs::RunRecord *a, const obs::RunRecord *b) {
-                      return a->metric("shard") < b->metric("shard");
-                  });
-        for (const obs::RunRecord *rec : shard_recs) {
+        for (const obs::RunRecord &rec : g.shards) {
             if (!have_shards) {
                 have_shards = true;
                 os << "\n### Shards\n\n";
                 os << "| run | shard | wall (s) | computed | cached | "
-                      "retries | quarantined | timeout kills | crashes "
+                      "retries | spawns | quarantined | timeout kills | "
+                      "crashes |\n";
+                os << "|---|---:|---:|---:|---:|---:|---:|---:|---:|---:"
                       "|\n";
-                os << "|---|---:|---:|---:|---:|---:|---:|---:|---:|\n";
             }
             const std::uint64_t done =
-                static_cast<std::uint64_t>(rec->metric("points_done"));
+                static_cast<std::uint64_t>(rec.metric("points_done"));
             const std::uint64_t cached = static_cast<std::uint64_t>(
-                rec->metric("points_from_cache"));
+                rec.metric("points_from_cache"));
             os << "| " << g.run << " | "
-               << static_cast<unsigned>(rec->metric("shard")) << " | "
-               << formatDouble(rec->wallMs / 1000.0, "%.2f") << " | "
+               << static_cast<unsigned>(rec.metric("shard")) << " | "
+               << formatDouble(rec.wallMs / 1000.0, "%.2f") << " | "
                << (done - std::min(done, cached)) << " | " << cached
                << " | "
-               << static_cast<std::uint64_t>(rec->metric("retries"))
+               << static_cast<std::uint64_t>(rec.metric("retries"))
+               << " | "
+               << static_cast<std::uint64_t>(rec.metric("spawns"))
                << " | "
                << static_cast<std::uint64_t>(
-                      rec->metric("points_quarantined"))
+                      rec.metric("points_quarantined"))
                << " | "
                << static_cast<std::uint64_t>(
-                      rec->metric("timeout_kills"))
+                      rec.metric("timeout_kills"))
                << " | "
-               << static_cast<std::uint64_t>(rec->metric("crashes"))
+               << static_cast<std::uint64_t>(rec.metric("crashes"))
                << " |\n";
         }
     }
@@ -451,36 +452,6 @@ writeMarkdown(std::ostream &os, const std::vector<RunGroup> &groups,
                    << " journaled N-app policy decision(s)";
         }
         os << "\n";
-    }
-}
-
-void
-writeStatusMarkdown(std::ostream &os, const obs::SweepStatus &status)
-{
-    os << "\n## Sweep status\n\n";
-    os << "`" << status.bench << "` run `"
-       << (status.run.empty() ? "-" : status.run) << "` — **"
-       << status.state << "** with " << status.shards << " shard(s): "
-       << status.pointsDone << "/" << status.pointsTotal
-       << " points done (" << status.pointsFromCache << " cached, "
-       << status.pointsQuarantined << " quarantined, " << status.retries
-       << " retries)";
-    if (status.throughputPointsPerMin > 0.0)
-        os << ", " << formatDouble(status.throughputPointsPerMin, "%.1f")
-           << " points/min";
-    if (status.pointsDone > 0)
-        os << ", cache-hit rate "
-           << formatDouble(status.cacheHitRate * 100.0, "%.0f") << "%";
-    os << ".\n\n";
-    os << "| shard | state | done | cached | quarantined | retries | "
-          "spawns | timeout kills | crashes |\n";
-    os << "|---:|---|---:|---:|---:|---:|---:|---:|---:|\n";
-    for (const obs::ShardStatus &sh : status.shardStates) {
-        os << "| " << sh.shard << " | " << sh.state << " | "
-           << sh.pointsDone << "/" << sh.pointsAssigned << " | "
-           << sh.pointsFromCache << " | " << sh.pointsQuarantined
-           << " | " << sh.retries << " | " << sh.spawns << " | "
-           << sh.timeoutKills << " | " << sh.crashes << " |\n";
     }
 }
 

@@ -33,11 +33,6 @@
 
 #include "obs/run_ledger.hh"
 
-namespace capart::obs
-{
-struct SweepStatus;
-}
-
 namespace capart::report
 {
 
@@ -65,9 +60,10 @@ struct RunGroup
     std::vector<obs::RunRecord> interruptions;
     /** `shard` records: one per supervised shard of a --shards sweep,
      *  carrying the shard's wall time and fleet counters (points done
-     *  / from-cache / quarantined, retries, timeout kills, crashes).
-     *  Rendered as the per-shard markdown table; never paired as
-     *  points. */
+     *  / from-cache / quarantined, retries, spawns, timeout kills,
+     *  crashes), sorted by shard index. Rendered as the per-shard
+     *  markdown table and the dashboard's fleet section; never paired
+     *  as points. */
     std::vector<obs::RunRecord> shards;
 
     /** Points replayed from the memoization cache. */
@@ -77,9 +73,9 @@ struct RunGroup
 };
 
 /**
- * Group @p records by run id, each group's records in input order,
- * groups sorted by start timestamp (ties broken by run id so output
- * is deterministic).
+ * Group @p records by run id, each group's records in input order
+ * (`shard` records in shard order), groups sorted by start timestamp
+ * (ties broken by run id so output is deterministic).
  */
 std::vector<RunGroup> groupRuns(const std::vector<obs::RunRecord> &records);
 
@@ -188,14 +184,6 @@ RunComparison compareRuns(const RunGroup &baseline, const RunGroup &current,
  */
 void writeMarkdown(std::ostream &os, const std::vector<RunGroup> &groups,
                    const RunComparison *cmp, const GateOptions &gate);
-
-/**
- * Append a "## Sweep status" markdown section rendering @p status —
- * the final `status.json` snapshot of a sharded sweep (see
- * src/obs/status.hh): sweep state and totals plus the per-shard
- * table. bench_report emits this when given --status=F.
- */
-void writeStatusMarkdown(std::ostream &os, const obs::SweepStatus &status);
 
 } // namespace capart::report
 

@@ -15,6 +15,8 @@
 #include "core/phase_detector.hh"
 #include "core/slo_monitor.hh"
 #include "core/static_policies.hh"
+#include "obs/metrics.hh"
+#include "obs/obs.hh"
 #include "workload/catalog.hh"
 
 namespace capart
@@ -610,6 +612,66 @@ TEST(CoScheduler, CachesRepeatedQueries)
     const PairResult &a = cs.runPolicy(Policy::Shared, true);
     const PairResult &b = cs.runPolicy(Policy::Shared, true);
     EXPECT_EQ(&a, &b) << "same object: cached, not re-run";
+}
+
+/** Exact equality of two pair runs' results and per-app counters. */
+void
+expectSameRun(const PairResult &a, const PairResult &b)
+{
+    EXPECT_EQ(a.fgTime, b.fgTime);
+    EXPECT_EQ(a.bgThroughput, b.bgThroughput);
+    EXPECT_EQ(a.socketEnergy, b.socketEnergy);
+    EXPECT_EQ(a.wallEnergy, b.wallEnergy);
+    EXPECT_EQ(a.timedOut, b.timedOut);
+    EXPECT_EQ(a.fg.retired, b.fg.retired);
+    EXPECT_EQ(a.fg.cycles, b.fg.cycles);
+    EXPECT_EQ(a.fg.llcAccesses, b.fg.llcAccesses);
+    EXPECT_EQ(a.fg.llcMisses, b.fg.llcMisses);
+    EXPECT_EQ(a.bg.retired, b.bg.retired);
+    EXPECT_EQ(a.bg.cycles, b.bg.cycles);
+    EXPECT_EQ(a.bg.llcAccesses, b.bg.llcAccesses);
+    EXPECT_EQ(a.bg.llcMisses, b.bg.llcMisses);
+}
+
+/** Arms observability for one test and disarms it on every exit path. */
+struct ObsOn
+{
+    ObsOn() { obs::setEnabled(true); }
+    ~ObsOn() { obs::setEnabled(false); }
+};
+
+TEST(CoScheduler, BiasedRunReusesTheSearchWinnerUnlessMonitored)
+{
+    if (!obs::kCompiledIn)
+        GTEST_SKIP() << "observability compiled out (CAPART_OBS=OFF)";
+    const ObsOn obs_on;
+    const obs::Counter &quanta = obs::metrics().counter("sim.quanta");
+
+    CoScheduleOptions opts;
+    opts.scale = kTestScale;
+    CoScheduler cs(Catalog::byName("canneal"),
+                   Catalog::byName("streamcluster"), opts);
+    const BiasedSearchResult &search = cs.biased();
+    const std::uint64_t after_search = quanta.value();
+    const PairResult &run = cs.runPolicy(Policy::Biased, true);
+    EXPECT_EQ(quanta.value(), after_search)
+        << "the search already simulated the winning split";
+    expectSameRun(run, search.run);
+
+    // With the SLO monitor on, the split runs again so the monitor sees
+    // its windows, and the monitored run matches the search's.
+    CoScheduleOptions monitored = opts;
+    monitored.monitorSlo = true;
+    CoScheduler cs_mon(Catalog::byName("canneal"),
+                       Catalog::byName("streamcluster"), monitored);
+    cs_mon.biased();
+    cs_mon.fgSoloHalf(); // the monitor's baseline, simulated up front
+    const std::uint64_t before = quanta.value();
+    const PairResult &mon_run = cs_mon.runPolicy(Policy::Biased, true);
+    EXPECT_GT(quanta.value(), before);
+    ASSERT_NE(cs_mon.lastSloMonitor(), nullptr);
+    EXPECT_GT(cs_mon.lastSloMonitor()->windows(), 0u);
+    expectSameRun(mon_run, search.run);
 }
 
 // ---------------------------------------------------------- SloMonitor --

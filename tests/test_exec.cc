@@ -1,9 +1,9 @@
 /**
  * @file
- * Tests for the parallel sweep infrastructure (src/exec): thread-pool
- * lifecycle and failure behaviour, the spec-hash seeding scheme, the
- * on-disk memoization cache, bit-identical results for any --jobs
- * value, and the determinism audit — experiment results must be a
+ * Tests for the parallel sweep infrastructure (src/exec): the spec-hash
+ * seeding scheme, the on-disk memoization cache, bit-identical results
+ * for any --jobs value, failure propagation out of the worker threads,
+ * and the determinism audit — experiment results must be a
  * function of the spec alone, never of iteration order or of earlier
  * runs in the same process.
  */
@@ -25,7 +25,6 @@
 #include "exec/experiment_spec.hh"
 #include "exec/result_cache.hh"
 #include "exec/sweep_runner.hh"
-#include "exec/thread_pool.hh"
 #include "obs/run_ledger.hh"
 #include "sim/experiment.hh"
 #include "workload/catalog.hh"
@@ -36,86 +35,6 @@ namespace
 {
 
 constexpr double kTestScale = 0.02;
-
-// ---------------------------------------------------------------- pool
-
-TEST(ThreadPool, StartsAndStopsIdle)
-{
-    ThreadPool pool(4);
-    EXPECT_EQ(pool.workerCount(), 4u);
-    // Destructor must not hang with zero submitted tasks.
-}
-
-TEST(ThreadPool, WaitOnEmptyPoolReturnsImmediately)
-{
-    ThreadPool pool(2);
-    pool.wait();
-    pool.wait(); // idempotent
-}
-
-TEST(ThreadPool, RunsEveryTaskExactlyOnce)
-{
-    ThreadPool pool(4);
-    std::atomic<int> count{0};
-    for (int i = 0; i < 1000; ++i)
-        pool.submit([&count] { ++count; });
-    pool.wait();
-    EXPECT_EQ(count.load(), 1000);
-}
-
-TEST(ThreadPool, HugeBatchDoesNotDeadlock)
-{
-    // Far more tasks than workers, tiny bodies: exercises the
-    // steal/sleep/wake paths under contention.
-    ThreadPool pool(8);
-    std::atomic<std::uint64_t> sum{0};
-    constexpr int kTasks = 20000;
-    for (int i = 0; i < kTasks; ++i)
-        pool.submit([&sum, i] { sum += static_cast<std::uint64_t>(i); });
-    pool.wait();
-    EXPECT_EQ(sum.load(),
-              static_cast<std::uint64_t>(kTasks) * (kTasks - 1) / 2);
-}
-
-TEST(ThreadPool, PropagatesFirstExceptionAndStaysUsable)
-{
-    ThreadPool pool(2);
-    pool.submit([] { throw std::runtime_error("boom"); });
-    EXPECT_THROW(pool.wait(), std::runtime_error);
-
-    // The failure must not poison the pool.
-    std::atomic<int> count{0};
-    for (int i = 0; i < 10; ++i)
-        pool.submit([&count] { ++count; });
-    pool.wait();
-    EXPECT_EQ(count.load(), 10);
-}
-
-TEST(ThreadPool, ExceptionInOneTaskDoesNotCancelOthers)
-{
-    ThreadPool pool(4);
-    std::atomic<int> count{0};
-    for (int i = 0; i < 100; ++i) {
-        if (i == 50)
-            pool.submit([] { throw std::runtime_error("mid-batch"); });
-        else
-            pool.submit([&count] { ++count; });
-    }
-    EXPECT_THROW(pool.wait(), std::runtime_error);
-    EXPECT_EQ(count.load(), 99);
-}
-
-TEST(ThreadPool, DestructorDrainsOutstandingWork)
-{
-    std::atomic<int> count{0};
-    {
-        ThreadPool pool(2);
-        for (int i = 0; i < 100; ++i)
-            pool.submit([&count] { ++count; });
-        // No wait(): the destructor must drain before joining.
-    }
-    EXPECT_EQ(count.load(), 100);
-}
 
 // ------------------------------------------------------------- seeding
 
@@ -475,6 +394,33 @@ TEST(SweepRunner, ProgressReachesTotal)
     SweepRunner(o).run(specs);
     EXPECT_EQ(last_done, 2u);
     EXPECT_EQ(last_total, 2u);
+}
+
+TEST(SweepRunner, ThrowingProgressIsRethrownByRun)
+{
+    // A failure on a worker thread must surface from run() at any job
+    // count, and stop further points from starting.
+    const std::vector<ExperimentSpec> specs = {
+        soloSpec("ferret", 4, 12, kTestScale),
+        soloSpec("dedup", 4, 12, kTestScale),
+        soloSpec("canneal", 4, 12, kTestScale),
+        soloSpec("429.mcf", 4, 12, kTestScale),
+        soloSpec("x264", 4, 12, kTestScale),
+    };
+    for (const unsigned jobs : {1u, 4u}) {
+        std::atomic<int> calls{0};
+        SweepRunnerOptions o;
+        o.jobs = jobs;
+        o.progress = [&](std::size_t, std::size_t) {
+            ++calls;
+            throw std::runtime_error("progress failed");
+        };
+        EXPECT_THROW(SweepRunner(o).run(specs), std::runtime_error)
+            << "--jobs=" << jobs;
+        EXPECT_GE(calls.load(), 1) << "--jobs=" << jobs;
+        EXPECT_LE(calls.load(), static_cast<int>(jobs))
+            << "--jobs=" << jobs << ": points kept starting after a failure";
+    }
 }
 
 TEST(SweepRunner, CacheSkipsCompletedPointsBitExactly)

@@ -470,7 +470,8 @@ TEST(TraceStitch, FileVariantReplacesAtomically)
 
 obs::RunRecord
 shardRec(unsigned shard, double wall_ms, double done, double cached,
-         double retries, double quarantined, double kills, double crashes)
+         double retries, double spawns, double quarantined, double kills,
+         double crashes)
 {
     obs::RunRecord r;
     r.kind = "shard";
@@ -484,7 +485,7 @@ shardRec(unsigned shard, double wall_ms, double done, double cached,
                  {"points_from_cache", cached},
                  {"points_quarantined", quarantined},
                  {"retries", retries},
-                 {"spawns", retries + 1},
+                 {"spawns", spawns},
                  {"timeout_kills", kills},
                  {"crashes", crashes}};
     return r;
@@ -503,8 +504,8 @@ TEST(ReportShards, GroupedAndRenderedAsTheShardTable)
     p.metrics = {{"time_s", 1.0}};
     records.push_back(p);
     // Deliberately out of shard order: the table must sort by index.
-    records.push_back(shardRec(1, 2500.0, 3, 1, 2, 1, 1, 2));
-    records.push_back(shardRec(0, 1500.0, 4, 2, 0, 0, 0, 0));
+    records.push_back(shardRec(1, 2500.0, 3, 1, 2, 4, 1, 1, 2));
+    records.push_back(shardRec(0, 1500.0, 4, 2, 0, 1, 0, 0, 0));
 
     const auto groups = report::groupRuns(records);
     ASSERT_EQ(groups.size(), 1u);
@@ -515,30 +516,18 @@ TEST(ReportShards, GroupedAndRenderedAsTheShardTable)
     report::writeMarkdown(os, groups, nullptr, report::GateOptions{});
     const std::string md = os.str();
     EXPECT_NE(md.find("### Shards"), std::string::npos);
+    EXPECT_NE(md.find("| retries | spawns | quarantined |"),
+              std::string::npos)
+        << md;
     // shard 0: 4 done of which 2 cached → 2 computed, 1.50 s wall.
     const std::size_t row0 =
-        md.find("| run-a | 0 | 1.50 | 2 | 2 | 0 | 0 | 0 | 0 |");
+        md.find("| run-a | 0 | 1.50 | 2 | 2 | 0 | 1 | 0 | 0 | 0 |");
+    // shard 1: 2 retries over 4 spawns (crashes respawn the worker).
     const std::size_t row1 =
-        md.find("| run-a | 1 | 2.50 | 2 | 1 | 2 | 1 | 1 | 2 |");
+        md.find("| run-a | 1 | 2.50 | 2 | 1 | 2 | 4 | 1 | 1 | 2 |");
     EXPECT_NE(row0, std::string::npos) << md;
     EXPECT_NE(row1, std::string::npos) << md;
     EXPECT_LT(row0, row1); // sorted by shard index
-}
-
-TEST(ReportShards, StatusSnapshotRendersAsMarkdown)
-{
-    std::ostringstream os;
-    report::writeStatusMarkdown(os, sampleStatus());
-    const std::string md = os.str();
-    EXPECT_NE(md.find("## Sweep status"), std::string::npos);
-    EXPECT_NE(md.find("**running**"), std::string::npos);
-    EXPECT_NE(md.find("6/10 points done"), std::string::npos);
-    EXPECT_NE(md.find("| 0 | running | 3/5 | 1 | 0 | 2 | 3 | 1 | 1 |"),
-              std::string::npos)
-        << md;
-    EXPECT_NE(md.find("| 1 | settled | 3/5 | 1 | 1 | 1 | 1 | 0 | 0 |"),
-              std::string::npos)
-        << md;
 }
 
 } // namespace

@@ -412,19 +412,6 @@ TEST(ObsMetrics, JsonExportParsesAndRoundTripsValues)
     EXPECT_EQ(bucket_total, 2u) << "bucket counts must sum to count";
 }
 
-TEST(ObsMetrics, CsvExportHasOneRowPerStat)
-{
-    obs::MetricsRegistry reg;
-    reg.counter("a.b").inc(5);
-    reg.gauge("c").set(2.5);
-
-    std::ostringstream os;
-    reg.writeCsv(os);
-    const std::string csv = os.str();
-    EXPECT_NE(csv.find("counter,a.b,value,5"), std::string::npos) << csv;
-    EXPECT_NE(csv.find("gauge,c,value,2.5"), std::string::npos) << csv;
-}
-
 TEST(ObsMetrics, ConcurrentIncrementsCountExactly)
 {
     obs::MetricsRegistry reg;
@@ -523,11 +510,6 @@ TEST(ObsMetrics, ExportsIncludePercentiles)
     EXPECT_LE(h.at("p50").num, h.at("p90").num);
     EXPECT_LE(h.at("p90").num, h.at("p99").num);
     EXPECT_GT(h.at("p99").num, 255.0) << "p99 must reflect the slow tail";
-
-    std::ostringstream csv;
-    reg.writeCsv(csv);
-    EXPECT_NE(csv.str().find("histogram,lat,p50,"), std::string::npos);
-    EXPECT_NE(csv.str().find("histogram,lat,p99,"), std::string::npos);
 }
 
 TEST(ObsMetrics, CounterSnapshotListsAllCounters)

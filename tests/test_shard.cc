@@ -693,7 +693,6 @@ TEST(ShardStatus, ChaosArmedSweepMatchesLedgerAndStaysBitExact)
     SweepRunnerOptions o = supervisorOptions(dir);
     o.shards = 4;
     o.obsDir = dir + "/obs";
-    o.statusPeriodS = 0.05;
     obs::RunLedger canonical(dir + "/canonical.jsonl");
     o.ledger = &canonical;
     const std::vector<SweepResult> got = SweepRunner(o).run(specs);
