@@ -297,10 +297,11 @@ parseArgs(int argc, char **argv, double default_scale,
                         "  --obs-dir=D  write this run's obs files under "
                         "D: metrics.json,\n"
                         "               trace.json (Perfetto), log.jsonl, "
-                        "attr/ and, with\n"
-                        "               --shards, status.json and "
-                        "metrics.prom (see\n"
-                        "               bench_status, bench_dashboard)\n"
+                        "attr/ (per-point\n"
+                        "               samples and decisions) and, with "
+                        "--shards,\n"
+                        "               status.json (see bench_status, "
+                        "bench_dashboard)\n"
                         "  --obs-sample-period=N  snapshot per-owner "
                         "attribution (LLC ways,\n"
                         "               stalls, energy, DRAM channels) "

@@ -81,10 +81,10 @@ struct BenchOptions
  * `metrics.json` (the metrics registry) and `trace.json` (a Chrome
  * trace) at exit, `log.jsonl` (the structured log, see
  * common/logging.hh), and `attr/` — one attribution side file per
- * computed sweep point (the point's ledger record links it, and the
- * partitioner's decisions are ledgered), plus one for samples a bench
- * recorded outside any sweep. --obs-sample-period=N arms the
- * per-owner sampling those files carry, every N quanta.
+ * computed sweep point (the point's ledger record links it; it is the
+ * only record of the point's partitioner decisions), plus one for
+ * samples a bench recorded outside any sweep. --obs-sample-period=N
+ * arms the per-owner sampling those files carry, every N quanta.
  * `bench_dashboard --ledger=F --obs-dir=D` renders the HTML dashboard.
  *
  * Robustness flags: --shards=N runs sweeps process-isolated — N
@@ -97,13 +97,11 @@ struct BenchOptions
  * supervisor keeps a live, atomically replaced D/status.json fresh
  * (per-shard pids, progress, retries, quarantines, heartbeat ages;
  * sweep throughput / ETA / cache-hit rate — watch it with
- * `bench_status --watch D/status.json`) and a Prometheus exposition
- * D/metrics.prom on the same cadence, and gives worker k
+ * `bench_status --watch D/status.json`), and gives worker k
  * `--obs-dir=D/shard-<k>`. A worker writes its metrics, trace and log
  * there and never the ledger (the supervisor merges its segment);
- * the supervisor folds the workers' counters into metrics.prom and
- * stitches their traces with its own into D/trace.json (see
- * src/obs/trace_stitch.hh).
+ * the supervisor stitches their traces with its own into
+ * D/trace.json (see src/obs/trace_stitch.hh).
  *
  * parseArgs also arms SIGTERM/SIGINT handling: the signals are blocked
  * process-wide and consumed by a dedicated watcher thread (sigwait),

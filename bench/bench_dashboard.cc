@@ -1,7 +1,7 @@
 /**
  * @file
- * bench_dashboard: join a run ledger, a bench's obs directory (its
- * attribution side files), and the decision journal into one
+ * bench_dashboard: join a run ledger and a bench's obs directory (its
+ * attribution side files, which carry the decision journal) into one
  * self-contained HTML dashboard — the only renderer.
  *
  * Typical usage:

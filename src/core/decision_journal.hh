@@ -14,8 +14,9 @@
  *
  * holds for every journaled window (tests/test_attribution.cc asserts
  * it end to end on a fig13 run). Records are emitted as flat
- * name->number @ref obs::JournalEntry fields so they append to the run
- * ledger unchanged and survive a JSON round trip.
+ * name->number @ref obs::JournalEntry fields; a sweep point's journal
+ * is written once, to its attribution side file, and survives that
+ * JSON round trip.
  */
 
 #ifndef CAPART_CORE_DECISION_JOURNAL_HH
@@ -44,7 +45,7 @@ enum class DecisionRule
     ResumeProbe    //!< dynamic control resumed; re-probe from the top
 };
 
-/** Stable wire name of @p rule (the journal/ledger encoding). */
+/** Stable wire name of @p rule (the journal encoding). */
 const char *decisionRuleName(DecisionRule rule);
 
 /** Inverse of decisionRuleName; false on an unknown name. */

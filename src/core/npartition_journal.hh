@@ -16,8 +16,9 @@
  * holds for every journaled decision of every policy — shared, fair,
  * biased, dynamic (the initial static split; per-window dynamic
  * control stays on the Algorithm 6.2 journal), UCP, and LFOC — after
- * a full JSON round trip through the run ledger
- * (tests/test_napp_obs.cc asserts it end to end).
+ * a full JSON round trip through the point's attribution side file,
+ * the journal's only copy (tests/test_napp_obs.cc asserts it end to
+ * end).
  *
  * Records flatten to name->number @ref obs::JournalEntry fields with
  * kind "npartition_decision" and rule = npolicyName(policy):

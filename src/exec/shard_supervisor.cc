@@ -45,7 +45,7 @@ namespace
 
 using Clock = std::chrono::steady_clock;
 
-/** Interval between refreshes of the live status.json and metrics.prom. */
+/** Interval between refreshes of the live status.json. */
 constexpr std::chrono::milliseconds kStatusPeriod{500};
 
 std::uintmax_t
@@ -143,8 +143,8 @@ backoffBaseMs()
 
 /**
  * End a shard worker, first writing its metrics and trace into its obs
- * directory — the one place a worker writes either: the supervisor
- * folds the counters into its exposition and stitches the trace.
+ * directory — the one place a worker writes either: its counters stay
+ * in that metrics.json, and the supervisor stitches the trace.
  */
 [[noreturn]] void
 exitWorker(const SweepRunnerOptions &opts, int code)
@@ -365,13 +365,8 @@ runShardedSweep(const SweepRunnerOptions &opts,
     const double sweepStartTsMs = unixMillisNow();
     const Clock::time_point sweepStart = Clock::now();
     std::vector<SegmentState> segCache(shards);
-    std::vector<std::pair<std::string, unsigned>> workerMetrics;
-    if (statusOn) {
+    if (statusOn)
         std::filesystem::create_directories(opts.obsDir, ec);
-        for (unsigned k = 0; k < shards; ++k)
-            workerMetrics.emplace_back(
-                shardObsDir(opts.obsDir, k) + "/metrics.json", k);
-    }
 
     const auto shardStatusOf = [&](const ShardState &s) {
         obs::ShardStatus sh;
@@ -450,8 +445,6 @@ runShardedSweep(const SweepRunnerOptions &opts,
             ss.cacheHitRate = static_cast<double>(ss.pointsFromCache) /
                               static_cast<double>(ss.pointsDone);
         obs::writeStatusFile(opts.obsDir + "/status.json", ss);
-        obs::writePromFile(opts.obsDir + "/metrics.prom", obs::metrics(), &ss,
-                           workerMetrics);
     };
 
     if (!opts.resumeShards) {

@@ -294,38 +294,15 @@ pointLabel(const ExperimentSpec &spec)
     return label;
 }
 
-/** One control-plane journal entry as a ledger record, keeping the
- *  entry's own kind ("decision" or "npartition_decision"). */
-obs::RunRecord
-decisionRecord(const SweepRunnerOptions &opts, const ExperimentSpec &spec,
-               const obs::JournalEntry &e)
-{
-    obs::RunRecord rec;
-    rec.kind = e.kind;
-    rec.bench = opts.benchName;
-    rec.run = opts.runId;
-    rec.spec = spec.canonical();
-    rec.specHash = spec.hash();
-    rec.seed = opts.baseSeed;
-    rec.tsMs = unixMillisNow();
-    rec.rule = e.rule;
-    // Simulated time first, then the decision's own fields: together
-    // they are the complete replay input (see core/decision_journal.hh).
-    rec.metrics.emplace_back("t_us", e.tUs);
-    for (const auto &field : e.fields)
-        rec.metrics.push_back(field);
-    return rec;
-}
-
 /**
  * Drain the calling worker's attribution scope for the point it just
- * computed: write the side file and ledger the partitioner decisions.
- * Returns the side-file path ("" when nothing was recorded or the
- * write failed).
+ * computed and write it as the point's side file, which holds the
+ * point's only copy of its partitioner decisions. Returns the
+ * side-file path ("" when nothing was recorded or the write failed).
  */
 std::string
 exportPointAttribution(const SweepRunnerOptions &opts,
-                       const ExperimentSpec &spec, obs::RunLedger *ledger)
+                       const ExperimentSpec &spec)
 {
     obs::AttributionBatch batch = obs::timeseries().drainScope();
     if (batch.samples.empty() && batch.journal.empty())
@@ -344,12 +321,6 @@ exportPointAttribution(const SweepRunnerOptions &opts,
                          "capart: cannot write attribution file %s\n",
                          batch.attrFile.c_str());
             batch.attrFile.clear();
-        }
-    }
-    if (ledger) {
-        for (const obs::JournalEntry &e : batch.journal) {
-            if (e.kind == "decision" || e.kind == "npartition_decision")
-                ledger->append(decisionRecord(opts, spec, e));
         }
     }
     return batch.attrFile;
@@ -376,7 +347,7 @@ computePoint(const SweepRunnerOptions &opts, const ExperimentSpec &spec,
         cache->store(specCacheKey(spec, opts.baseSeed), r);
     std::string attr_file;
     if (!opts.attrDir.empty() && obs::enabled())
-        attr_file = exportPointAttribution(opts, spec, ledger);
+        attr_file = exportPointAttribution(opts, spec);
     if (ledger) {
         obs::RunRecord rec = pointRecord(opts, spec, r, wall_ms);
         rec.attrFile = attr_file;

@@ -154,9 +154,9 @@ struct SweepRunnerOptions
      * journal its worker thread accumulated — is drained after the
      * point finishes and written to
      * `<attrDir>/<bench>-<runId>-<spec hash>.json`. The point's
-     * ledger record then carries the path in `attr_file` and the
-     * point's partitioner decisions are appended to the ledger as
-     * `decision` records; bench_dashboard renders from those files.
+     * ledger record then carries the path in `attr_file`; the side
+     * file's journal is the only record of the point's partitioner
+     * decisions. bench_dashboard renders from those files.
      * Cache hits skip all of this: a replayed point executes nothing,
      * so there is nothing to attribute. The directory must already
      * exist.
@@ -166,8 +166,8 @@ struct SweepRunnerOptions
      * This invocation's obs directory (`--obs-dir`); empty disables.
      * Output-only, written only while observability is armed. A
      * sharded sweep's supervisor refreshes `status.json` (see
-     * src/obs/status.hh) and `metrics.prom` there every 0.5 s and once
-     * more after the merge, and gives worker k the obs directory
+     * src/obs/status.hh) there every 0.5 s and once more after the
+     * merge, and gives worker k the obs directory
      * shardObsDir(obsDir, k), where the worker writes its metrics and
      * trace on exit (writeObsFiles).
      */

@@ -3,7 +3,6 @@
 #include <ostream>
 
 #include "common/json.hh"
-#include "obs/status.hh"
 
 namespace capart::obs
 {
@@ -162,31 +161,6 @@ MetricsRegistry::writeJson(std::ostream &os) const
         },
         first_section);
     os << "\n}\n";
-}
-
-void
-MetricsRegistry::writeProm(std::ostream &os) const
-{
-    std::lock_guard<std::mutex> lock(mutex_);
-    for (const auto &[name, c] : counters_) {
-        const std::string n = "capart_" + promSanitize(name) + "_total";
-        os << "# TYPE " << n << " counter\n";
-        os << n << ' ' << c->value() << '\n';
-    }
-    for (const auto &[name, g] : gauges_) {
-        const std::string n = "capart_" + promSanitize(name);
-        os << "# TYPE " << n << " gauge\n";
-        os << n << ' ' << g->value() << '\n';
-    }
-    for (const auto &[name, h] : histograms_) {
-        const std::string n = "capart_" + promSanitize(name);
-        os << "# TYPE " << n << " summary\n";
-        os << n << "{quantile=\"0.5\"} " << h->percentile(0.50) << '\n';
-        os << n << "{quantile=\"0.9\"} " << h->percentile(0.90) << '\n';
-        os << n << "{quantile=\"0.99\"} " << h->percentile(0.99) << '\n';
-        os << n << "_sum " << h->sum() << '\n';
-        os << n << "_count " << h->count() << '\n';
-    }
 }
 
 std::vector<std::pair<std::string, double>>

@@ -1,7 +1,7 @@
 /**
  * @file
  * MetricsRegistry: named counters, gauges, and histograms with
- * lock-free hot-path updates, JSON export and Prometheus text.
+ * lock-free hot-path updates and JSON export.
  *
  * Registration (looking a metric up by name) takes a mutex; the
  * returned reference is stable for the registry's lifetime, so hot
@@ -172,15 +172,6 @@ class MetricsRegistry
      * the log2 buckets.
      */
     void writeJson(std::ostream &os) const;
-
-    /**
-     * Prometheus text exposition: counters as `capart_<name>_total`,
-     * gauges as `capart_<name>`, histograms as summaries (quantile
-     * samples at 0.5/0.9/0.99 plus `_sum` and `_count`). Names are
-     * sanitized to the exposition charset; each family is preceded by
-     * a `# TYPE` line. Consumed by obs::writePromFile (metrics.prom).
-     */
-    void writeProm(std::ostream &os) const;
 
     /**
      * Snapshot of every counter as (name, value) in export order —

@@ -143,6 +143,8 @@ RunLedger::decode(const std::string &line, RunRecord *out)
     rec.rule = doc->at("rule").asStr();
     readPairs(doc->at("metrics"), &rec.metrics);
     readPairs(doc->at("counters"), &rec.counters);
+    // "decision" and "npartition_decision" are retired but still read,
+    // so older ledgers load with nothing skipped.
     if (rec.kind != "point" && rec.kind != "bench" &&
         rec.kind != "decision" && rec.kind != "npartition_decision" &&
         rec.kind != "point_start" && rec.kind != "point_failed" &&
@@ -183,11 +185,9 @@ kindRank(const std::string &kind)
         return 0;
     if (kind == "point_failed")
         return 1;
-    if (kind == "decision" || kind == "npartition_decision")
-        return 2;
     if (kind == "bench")
-        return 3;
-    return 4; // run_interrupted and anything future
+        return 2;
+    return 3; // run_interrupted and anything future
 }
 
 /** "a supersedes b" for two same-spec point records: later timestamp
@@ -203,19 +203,6 @@ supersedes(const RunRecord &a, const RunRecord &b)
     return RunLedger::encode(a) > RunLedger::encode(b);
 }
 
-/** Content key of a decision record with the timestamp zeroed:
- *  re-journaled duplicates from retried (deterministic) points differ
- *  only in ts_ms and must collapse to one. */
-std::string
-decisionKey(const RunRecord &rec)
-{
-    RunRecord copy = rec;
-    copy.tsMs = 0.0;
-    copy.wallMs = 0.0;
-    copy.run.clear(); // a resumed run re-journals under a new run id
-    return RunLedger::encode(copy);
-}
-
 } // namespace
 
 MergeResult
@@ -226,7 +213,6 @@ mergeLedgerSegments(const std::vector<std::string> &segment_paths,
 
     std::unordered_map<std::uint64_t, RunRecord> points;
     std::unordered_map<std::uint64_t, RunRecord> failed;
-    std::unordered_map<std::string, RunRecord> decisions;
     std::vector<RunRecord> other;
 
     std::unordered_set<std::uint64_t> keep;
@@ -244,9 +230,7 @@ mergeLedgerSegments(const std::vector<std::string> &segment_paths,
         for (RunRecord &rec : seg.records) {
             const bool spec_bound = rec.kind == "point" ||
                                     rec.kind == "point_start" ||
-                                    rec.kind == "point_failed" ||
-                                    rec.kind == "decision" ||
-                                    rec.kind == "npartition_decision";
+                                    rec.kind == "point_failed";
             if (spec_bound) {
                 if (opts.filterSeed && rec.seed != opts.expectedSeed) {
                     ++out.duplicatesDropped;
@@ -279,15 +263,6 @@ mergeLedgerSegments(const std::vector<std::string> &segment_paths,
                          supersedes(rec, it->second)))
                         it->second = std::move(rec);
                 }
-            } else if (rec.kind == "decision" ||
-                       rec.kind == "npartition_decision") {
-                auto [it, inserted] =
-                    decisions.emplace(decisionKey(rec), rec);
-                if (!inserted) {
-                    ++out.duplicatesDropped;
-                    if (supersedes(rec, it->second))
-                        it->second = std::move(rec);
-                }
             } else {
                 other.push_back(std::move(rec));
             }
@@ -302,15 +277,6 @@ mergeLedgerSegments(const std::vector<std::string> &segment_paths,
         ++out.quarantined;
         out.records.push_back(std::move(rec));
     }
-    for (auto &[key, rec] : decisions) {
-        // A decision only makes sense for a point that exists in the
-        // merged output (a crashed attempt's partial journal would
-        // otherwise leak records for a quarantined point).
-        if (points.count(rec.specHash) != 0)
-            out.records.push_back(std::move(rec));
-        else
-            ++out.duplicatesDropped;
-    }
     for (RunRecord &rec : other)
         out.records.push_back(std::move(rec));
 
@@ -322,10 +288,6 @@ mergeLedgerSegments(const std::vector<std::string> &segment_paths,
                       return ra < rb;
                   if (a.specHash != b.specHash)
                       return a.specHash < b.specHash;
-                  const double ta = a.metric("t_us");
-                  const double tb = b.metric("t_us");
-                  if (ta != tb)
-                      return ta < tb;
                   return RunLedger::encode(a) < RunLedger::encode(b);
               });
     return out;

@@ -3,26 +3,18 @@
  * Append-only JSONL run ledger: the durable record every experiment
  * run leaves behind.
  *
- * One ledger is one file of newline-delimited JSON records. Eight
- * kinds of record exist:
+ * One ledger is one file of newline-delimited JSON records. Six kinds
+ * of record are written:
  *
  *  - `point`  — one @ref capart::exec::SweepRunner sweep point: the
  *    spec's canonical encoding and hash, the base seed, host wall time,
  *    simulated time, cache provenance, and the point's headline figures
  *    (FG slowdown, BG throughput, energy deltas) as a flat name→value
  *    metric map; when attribution sampling was on, also a pointer to
- *    the point's attribution side file (`attr_file`);
+ *    the point's attribution side file (`attr_file`), which holds the
+ *    point's partitioner decision journal;
  *  - `bench`  — one bench-binary invocation: total wall time plus a
  *    snapshot of the observability counters at exit;
- *  - `decision` — one dynamic-partitioner control decision taken while
- *    computing a point: the complete decision inputs and outputs as
- *    the metric map, the fired rule in `rule`, so the decision can be
- *    replayed deterministically from the record alone;
- *  - `npartition_decision` — one N-app Partitioner decision (shared /
- *    fair / biased / dynamic / ucp / lfoc), same replay contract as
- *    `decision`: per-app observations, miss curves, and LFOC bounce
- *    state in the metric map, the policy name in `rule`
- *    (core/npartition_journal rebuilds and re-decides from it);
  *  - `point_start` — a shard worker is about to compute a point
  *    (attempt number in the metric map). Dangling starts — a start
  *    with no later `point` for the same spec hash — are how the shard
@@ -39,6 +31,11 @@
  *    quarantined, retries, spawns, timeout kills, crashes) in the
  *    metric map. The report layer renders these as the per-shard
  *    table.
+ *
+ * Two retired kinds are still read, never written: `decision` and
+ * `npartition_decision`, per-decision copies of the side-file journal
+ * that older ledgers hold. decode() accepts them so such ledgers load
+ * with nothing skipped; the report layer ignores them.
  *
  * Records carry a `run` id (bench + seed + start timestamp) so a single
  * growing ledger holds the full trajectory of repeated runs; the report
@@ -70,12 +67,12 @@ namespace capart::obs
 /** One ledger line; plain data, serializable both ways. */
 struct RunRecord
 {
-    /** "point" (sweep point), "bench" (binary invocation), "decision"
-     *  (one partitioner control decision), "npartition_decision" (one
-     *  N-app Partitioner decision), "point_start" (shard worker
-     *  liveness), "point_failed" (quarantined point),
-     *  "run_interrupted" (signal-terminated run), or "shard" (one
-     *  supervised shard's lifetime summary). */
+    /** "point" (sweep point), "bench" (binary invocation),
+     *  "point_start" (shard worker liveness), "point_failed"
+     *  (quarantined point), "run_interrupted" (signal-terminated run),
+     *  or "shard" (one supervised shard's lifetime summary); older
+     *  ledgers also hold the retired "decision" and
+     *  "npartition_decision". */
     std::string kind = "point";
     /** Bench the record belongs to (e.g. "fig13_dynamic"). */
     std::string bench;
@@ -101,7 +98,8 @@ struct RunRecord
     std::vector<std::pair<std::string, double>> counters;
     /** Path of the point's attribution sample file ("" = none). */
     std::string attrFile;
-    /** Decision records: the rule that fired ("" otherwise). */
+    /** The rule or reason a record names: a quarantine's cause, an
+     *  interruption's signal ("" otherwise). */
     std::string rule;
 
     /** Value of metric @p name, or @p fallback when absent. */
@@ -179,8 +177,9 @@ struct MergeResult
     std::uint64_t missingSegments = 0;
     /** Unparsable lines skipped across all segments (torn tails). */
     std::uint64_t tornLines = 0;
-    /** Superseded duplicates dropped (retried points, re-journaled
-     *  decisions): last-complete-wins keyed by spec hash. */
+    /** Superseded duplicates dropped (retried points) and records
+     *  filtered out by seed or spec: last-complete-wins keyed by spec
+     *  hash. */
     std::uint64_t duplicatesDropped = 0;
     /** `point_failed` records surviving in the output (no complete
      *  point ever landed for that spec). */
@@ -196,13 +195,10 @@ struct MergeResult
  * Per spec hash, the last complete `point` record wins — "last" judged
  * by (ts_ms, wall_ms, encoding), so the choice is deterministic and
  * independent of the order segments are listed or records appear.
- * `point_start` records are dropped (worker-internal), `point_failed`
- * survives only while no complete point exists for its spec, and
- * duplicate `decision` records (identical but for timestamp, as
- * re-runs of a deterministic point re-journal identical decisions)
- * collapse to one. The output is sorted by (kind rank, spec hash,
- * simulated time, encoding): permuting @p segment_paths cannot change
- * a single output byte.
+ * `point_start` records are dropped (worker-internal), and
+ * `point_failed` survives only while no complete point exists for its
+ * spec. The output is sorted by (kind rank, spec hash, encoding):
+ * permuting @p segment_paths cannot change a single output byte.
  */
 MergeResult mergeLedgerSegments(const std::vector<std::string> &segment_paths,
                                 const MergeOptions &opts = MergeOptions{});

@@ -2,12 +2,9 @@
 
 #include <cstdio>
 #include <fstream>
-#include <ostream>
-#include <sstream>
 
 #include "common/json.hh"
 #include "common/util.hh"
-#include "obs/metrics.hh"
 
 namespace capart::obs
 {
@@ -186,141 +183,6 @@ readStatusFile(const std::string &path, SweepStatus *out)
 {
     std::string text;
     return readFile(path, &text) && decodeStatus(text, out);
-}
-
-std::string
-promSanitize(const std::string &name)
-{
-    std::string out;
-    out.reserve(name.size());
-    for (const char c : name) {
-        const bool ok = (c >= 'a' && c <= 'z') || (c >= 'A' && c <= 'Z') ||
-                        (c >= '0' && c <= '9') || c == '_' || c == ':';
-        out += ok ? c : '_';
-    }
-    if (!out.empty() && out[0] >= '0' && out[0] <= '9')
-        out.insert(out.begin(), '_');
-    return out;
-}
-
-namespace
-{
-
-void
-promSample(std::ostream &os, const std::string &name, double v,
-           const std::string &labels = "")
-{
-    os << name << labels << ' ';
-    jsonWriteNumber(os, v);
-    os << '\n';
-}
-
-std::string
-shardLabel(unsigned shard)
-{
-    return "{shard=\"" + std::to_string(shard) + "\"}";
-}
-
-void
-writeStatusProm(std::ostream &os, const SweepStatus &s)
-{
-    os << "# TYPE capart_sweep_points gauge\n";
-    promSample(os, "capart_sweep_points_total",
-               static_cast<double>(s.pointsTotal));
-    promSample(os, "capart_sweep_points_done",
-               static_cast<double>(s.pointsDone));
-    promSample(os, "capart_sweep_points_from_cache",
-               static_cast<double>(s.pointsFromCache));
-    promSample(os, "capart_sweep_points_quarantined",
-               static_cast<double>(s.pointsQuarantined));
-    promSample(os, "capart_sweep_retries_total",
-               static_cast<double>(s.retries));
-    os << "# TYPE capart_sweep_running gauge\n";
-    promSample(os, "capart_sweep_running", s.state == "running" ? 1 : 0);
-    os << "# TYPE capart_sweep_shards gauge\n";
-    promSample(os, "capart_sweep_shards", static_cast<double>(s.shards));
-    os << "# TYPE capart_sweep_throughput_points_per_min gauge\n";
-    promSample(os, "capart_sweep_throughput_points_per_min",
-               s.throughputPointsPerMin);
-    os << "# TYPE capart_sweep_eta_seconds gauge\n";
-    promSample(os, "capart_sweep_eta_seconds", s.etaS);
-    os << "# TYPE capart_sweep_cache_hit_rate gauge\n";
-    promSample(os, "capart_sweep_cache_hit_rate", s.cacheHitRate);
-    os << "# TYPE capart_shard gauge\n";
-    for (const ShardStatus &sh : s.shardStates) {
-        const std::string l = shardLabel(sh.shard);
-        promSample(os, "capart_shard_up",
-                   sh.state == "running" ? 1 : 0, l);
-        promSample(os, "capart_shard_points_assigned",
-                   static_cast<double>(sh.pointsAssigned), l);
-        promSample(os, "capart_shard_points_done",
-                   static_cast<double>(sh.pointsDone), l);
-        promSample(os, "capart_shard_points_from_cache",
-                   static_cast<double>(sh.pointsFromCache), l);
-        promSample(os, "capart_shard_points_quarantined",
-                   static_cast<double>(sh.pointsQuarantined), l);
-        promSample(os, "capart_shard_retries_total",
-                   static_cast<double>(sh.retries), l);
-        promSample(os, "capart_shard_spawns_total",
-                   static_cast<double>(sh.spawns), l);
-        promSample(os, "capart_shard_timeout_kills_total",
-                   static_cast<double>(sh.timeoutKills), l);
-        promSample(os, "capart_shard_crashes_total",
-                   static_cast<double>(sh.crashes), l);
-        promSample(os, "capart_shard_last_beat_age_seconds",
-                   sh.lastBeatAgeS, l);
-        promSample(os, "capart_shard_current_point_elapsed_seconds",
-                   sh.currentElapsedS, l);
-    }
-}
-
-} // namespace
-
-void
-writePromText(std::ostream &os, const MetricsRegistry &registry,
-              const SweepStatus *status)
-{
-    registry.writeProm(os);
-    if (status != nullptr)
-        writeStatusProm(os, *status);
-}
-
-bool
-appendWorkerCounters(std::ostream &os, const std::string &metrics_json_path,
-                     unsigned shard)
-{
-    std::string text;
-    if (!readFile(metrics_json_path, &text))
-        return false;
-    const auto doc = Json::parse(text);
-    if (!doc || !doc->isObj())
-        return false;
-    const Json &counters = doc->at("counters");
-    if (!counters.isObj())
-        return false;
-    const std::string l = shardLabel(shard);
-    for (const auto &[name, value] : counters.obj) {
-        if (value.kind != Json::Kind::Num)
-            continue;
-        promSample(os, "capart_worker_" + promSanitize(name), value.num, l);
-    }
-    return true;
-}
-
-bool
-writePromFile(const std::string &path, const MetricsRegistry &registry,
-              const SweepStatus *status,
-              const std::vector<std::pair<std::string, unsigned>>
-                  &worker_metrics_paths)
-{
-    std::ostringstream os;
-    writePromText(os, registry, status);
-    if (!worker_metrics_paths.empty()) {
-        os << "# TYPE capart_worker counter\n";
-        for (const auto &[p, shard] : worker_metrics_paths)
-            appendWorkerCounters(os, p, shard);
-    }
-    return writeFileAtomic(path, os.str());
 }
 
 } // namespace capart::obs

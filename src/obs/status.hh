@@ -1,38 +1,33 @@
 /**
  * @file
  * Live sweep status plane: the supervisor-maintained `status.json`
- * snapshot and the Prometheus-style text exposition file.
+ * snapshot, a sharded sweep's only live fleet file.
  *
  * While a sharded sweep runs with an obs directory (`--obs-dir=D`),
- * the supervisor keeps two side files in D fresh on every heartbeat
- * tick:
+ * the supervisor keeps `D/status.json` fresh on every heartbeat tick:
+ * a single JSON document (@ref SweepStatus) describing the whole
+ * fleet — per shard the worker pid, lifecycle state, point counts
+ * (done / from-cache / quarantined), retries, last-heartbeat age, and
+ * the point currently being computed with its elapsed time;
+ * sweep-wide the throughput in points/min, the ETA, and the cache-hit
+ * rate. The file is *atomically replaced* (write `<F>.tmp`, then
+ * rename), so a concurrent reader — the `bench_status` CLI, a scraper,
+ * `cat` in a loop — always sees a complete document, never a torn
+ * one. Counters live in the supervisor's `D/metrics.json` and each
+ * worker's `D/shard-<k>/metrics.json`, written on exit.
  *
- *  - `status.json` — a single JSON document (@ref SweepStatus)
- *    describing the whole fleet: per shard the worker pid, lifecycle
- *    state, point counts (done / from-cache / quarantined), retries,
- *    last-heartbeat age, and the point currently being computed with
- *    its elapsed time; sweep-wide the throughput in points/min, the
- *    ETA, and the cache-hit rate. The file is *atomically replaced*
- *    (write `<F>.tmp`, then rename), so a concurrent reader — the
- *    `bench_status` CLI, a scraper, `cat` in a loop — always sees a
- *    complete document, never a torn one.
- *  - `metrics.prom` — the metrics registry plus the sweep/shard gauges
- *    in Prometheus text exposition format (counters, gauges, histogram
- *    quantiles as summaries), also atomically replaced, so an external
- *    scraper can watch a long sweep with nothing but a file mount.
- *
- * Everything here is observability *output*: nothing reads these files
+ * Everything here is observability *output*: nothing reads the file
  * back into the simulation, so the plane cannot perturb results — the
  * same contract as the rest of src/obs, and the property
  * tests/test_shard.cc locks down bit-for-bit. Under CAPART_OBS=OFF the
- * supervisor's write sites are dead code and neither file is created.
+ * supervisor's write sites are dead code and the file is never
+ * created.
  */
 
 #ifndef CAPART_OBS_STATUS_HH
 #define CAPART_OBS_STATUS_HH
 
 #include <cstdint>
-#include <iosfwd>
 #include <string>
 #include <vector>
 
@@ -43,8 +38,6 @@ struct Json;
 
 namespace capart::obs
 {
-
-class MetricsRegistry;
 
 /** One supervised shard's live state inside a @ref SweepStatus. After
  *  the merge the supervisor also ledgers each shard's final counts as a
@@ -133,36 +126,6 @@ bool writeStatusFile(const std::string &path, const SweepStatus &status);
 
 /** Load and decode @p path; false when missing or unparsable. */
 bool readStatusFile(const std::string &path, SweepStatus *out);
-
-/**
- * Prometheus text exposition of @p registry: counters and gauges as
- * `capart_<name> value` samples (names sanitized to the exposition
- * charset), histograms as summaries with p50/p90/p99 quantile samples
- * plus `_sum`/`_count`. When @p status is non-null, sweep-level and
- * per-shard (`shard="k"`-labelled) gauges derived from it follow.
- */
-void writePromText(std::ostream &os, const MetricsRegistry &registry,
-                   const SweepStatus *status = nullptr);
-
-/**
- * Append worker-side counters collected from a shard's
- * `metrics.json` side file as `capart_worker_<name>{shard="k"}`
- * samples. Missing or unparsable files are skipped silently (a worker
- * that never exported is not an error). Returns false when skipped.
- */
-bool appendWorkerCounters(std::ostream &os, const std::string &metrics_json_path,
-                          unsigned shard);
-
-/** Atomically write the full exposition (registry + status + any
- *  readable worker counter files in @p worker_metrics_paths). */
-bool writePromFile(const std::string &path, const MetricsRegistry &registry,
-                   const SweepStatus *status = nullptr,
-                   const std::vector<std::pair<std::string, unsigned>>
-                       &worker_metrics_paths = {});
-
-/** Sanitize @p name to the Prometheus metric-name charset
- *  ([a-zA-Z0-9_:], '.' and '-' become '_'). */
-std::string promSanitize(const std::string &name);
 
 } // namespace capart::obs
 

@@ -43,15 +43,6 @@ RunGroup::cachedPoints() const
     return n;
 }
 
-double
-RunGroup::totalWallMs() const
-{
-    double ms = 0.0;
-    for (const obs::RunRecord &r : points)
-        ms += r.wallMs;
-    return ms;
-}
-
 std::vector<RunGroup>
 groupRuns(const std::vector<obs::RunRecord> &records)
 {
@@ -75,9 +66,6 @@ groupRuns(const std::vector<obs::RunRecord> &records)
             g->startTsMs = rec.tsMs;
         if (rec.kind == "bench")
             g->benchRecords.push_back(rec);
-        else if (rec.kind == "decision" ||
-                 rec.kind == "npartition_decision")
-            g->decisions.push_back(rec);
         else if (rec.kind == "point_failed")
             g->failures.push_back(rec);
         else if (rec.kind == "run_interrupted")
@@ -86,8 +74,9 @@ groupRuns(const std::vector<obs::RunRecord> &records)
             g->shards.push_back(rec);
         else if (rec.kind == "point")
             g->points.push_back(rec);
-        // Anything else (point_start, future kinds) is dropped: only
-        // complete points may enter metric pairing.
+        // Anything else (point_start, the retired decision kinds,
+        // future kinds) is dropped: only complete points may enter
+        // metric pairing.
     }
     // Per-shard tables render in shard order whatever the merge order.
     for (RunGroup &g : groups)
@@ -184,7 +173,8 @@ writeBenchJson(std::ostream &os, const std::vector<RunGroup> &groups)
         entry.set("quarantined_points",
                   Json(static_cast<double>(g.failures.size())));
         entry.set("interrupted", Json(!g.interruptions.empty()));
-        entry.set("wall_ms", Json(g.totalWallMs()));
+        if (!g.benchRecords.empty())
+            entry.set("wall_ms", Json(g.benchRecords.back().wallMs));
         Json metrics = Json::object();
         for (const std::string &name : metricNames(g)) {
             const MetricStats s = metricStats(g, name);
@@ -320,8 +310,12 @@ writeMarkdown(std::ostream &os, const std::vector<RunGroup> &groups,
         os << "| " << g.run << " | " << g.bench << " | "
            << g.points.size() << " | " << g.cachedPoints() << " | "
            << g.failures.size() << " | "
-           << formatDouble(g.totalWallMs() / 1000.0, "%.2f") << " | "
-           << (g.interruptions.empty() ? "" : "interrupted") << " |\n";
+           << (g.benchRecords.empty()
+                   ? ""
+                   : formatDouble(g.benchRecords.back().wallMs / 1000.0,
+                                  "%.2f"))
+           << " | " << (g.interruptions.empty() ? "" : "interrupted")
+           << " |\n";
     }
 
     // A quarantined point is a hole in the sweep: say which points and
@@ -411,13 +405,9 @@ writeMarkdown(std::ostream &os, const std::vector<RunGroup> &groups,
     }
 
     // Point every gated metric at the single pair that regressed
-    // hardest, with the attribution timeline when the run recorded one
-    // — the fastest path from "the gate fired" to "who ate the cache".
-    const RunGroup *current_group = nullptr;
-    for (const RunGroup &g : groups) {
-        if (g.run == cmp->currentRun)
-            current_group = &g;
-    }
+    // hardest, with the attribution side file when the run recorded
+    // one — its samples and decision journal are the fastest path
+    // from "the gate fired" to "who ate the cache".
     bool have_worst = false;
     for (const MetricComparison &m : cmp->metrics) {
         if (m.verdict == Verdict::Pass || m.worstSpecHash == 0)
@@ -431,26 +421,6 @@ writeMarkdown(std::ostream &os, const std::vector<RunGroup> &groups,
         os << "- `" << m.name << "`: spec `0x" << hash << "`";
         if (!m.worstAttrFile.empty())
             os << " — attribution timeline `" << m.worstAttrFile << "`";
-        // Journaled decision evidence: how many replayable control
-        // decisions (Algorithm 6.2 and N-app policy) the current run
-        // ledgered for this point.
-        if (current_group) {
-            std::size_t pair_dec = 0;
-            std::size_t napp_dec = 0;
-            for (const obs::RunRecord &d : current_group->decisions) {
-                if (d.specHash != m.worstSpecHash)
-                    continue;
-                if (d.kind == "npartition_decision")
-                    ++napp_dec;
-                else
-                    ++pair_dec;
-            }
-            if (pair_dec > 0)
-                os << " — " << pair_dec << " journaled decision(s)";
-            if (napp_dec > 0)
-                os << " — " << napp_dec
-                   << " journaled N-app policy decision(s)";
-        }
         os << "\n";
     }
 }

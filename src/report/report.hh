@@ -45,12 +45,10 @@ struct RunGroup
     double startTsMs = 0.0;
     /** The run's `point` records, in ledger (completion) order. */
     std::vector<obs::RunRecord> points;
-    /** The run's closing `bench` records (normally one). */
+    /** The run's closing `bench` records (normally one; none when the
+     *  run was killed before exit or wrote only points). The last one
+     *  carries the run's wall time. */
     std::vector<obs::RunRecord> benchRecords;
-    /** Partitioner `decision` and `npartition_decision` records, in
-     *  ledger order. They never enter metric pairing — a decision is
-     *  not a sweep point. */
-    std::vector<obs::RunRecord> decisions;
     /** `point_failed` records: points the shard supervisor quarantined
      *  after exhausting retries. Surfaced in reports (a silent hole in
      *  a sweep is how regressions hide), never paired as points. */
@@ -68,8 +66,6 @@ struct RunGroup
 
     /** Points replayed from the memoization cache. */
     std::size_t cachedPoints() const;
-    /** Total host milliseconds across this run's point records. */
-    double totalWallMs() const;
 };
 
 /**
@@ -105,7 +101,8 @@ MetricStats metricStats(const RunGroup &g, const std::string &name);
 /**
  * Write the BENCH_capart.json document: schema version, generation
  * metadata, and one entry per run group (in time order) with
- * per-metric mean/min/max/n over the group's points.
+ * per-metric mean/min/max/n over the group's points. An entry's
+ * `wall_ms` is its `bench` record's wall time, absent without one.
  */
 void writeBenchJson(std::ostream &os, const std::vector<RunGroup> &groups);
 

@@ -19,7 +19,8 @@
  * The end-to-end test runs the fig13 workload (a Consolidation spec
  * under the Dynamic policy) through a SweepRunner with an attrDir and
  * a ledger, then checks every artifact the pipeline promises: the
- * side file, the ledger pointers, the decision records, and the
+ * side file and its replayable decision journal, the ledger's point
+ * record linking it (and no ledger copy of the decisions), and the
  * dashboard rendered from those files.
  */
 
@@ -587,32 +588,23 @@ TEST(AttributionEndToEnd, SweepRunnerWritesSideFilesAndDecisions)
     ASSERT_TRUE(
         results[0].policy[static_cast<int>(Policy::Dynamic)].present);
 
-    // The ledger holds the point (with its side-file pointer) and the
-    // partitioner's decisions, all stamped with the run id.
+    // The ledger holds the point, stamped with the run id and linking
+    // its side file, and no copy of the partitioner's decisions: the
+    // side file is their only record.
     const obs::RunLedger::LoadResult loaded =
         obs::RunLedger::load(ledger.path());
     EXPECT_EQ(loaded.skipped, 0u);
-    const obs::RunRecord *point = nullptr;
-    unsigned decisions = 0;
-    for (const obs::RunRecord &rec : loaded.records) {
-        EXPECT_EQ(rec.run, ro.runId);
-        EXPECT_EQ(rec.bench, ro.benchName);
-        if (rec.kind == "point")
-            point = &rec;
-        else if (rec.kind == "decision") {
-            ++decisions;
-            EXPECT_FALSE(rec.rule.empty());
-            EXPECT_EQ(rec.specHash, spec.hash());
-        }
-    }
-    ASSERT_NE(point, nullptr);
+    ASSERT_EQ(loaded.records.size(), 1u);
+    const obs::RunRecord *point = &loaded.records[0];
+    EXPECT_EQ(point->kind, "point");
+    EXPECT_EQ(point->run, ro.runId);
+    EXPECT_EQ(point->bench, ro.benchName);
     EXPECT_EQ(point->specHash, spec.hash());
     ASSERT_FALSE(point->attrFile.empty())
         << "the point record must link its attribution side file";
-    EXPECT_GE(decisions, 1u)
-        << "a dynamic run must ledger at least one decision";
 
-    // The side file exists, parses, and its decisions replay.
+    // The side file exists, parses, and every decision it journals
+    // replays.
     std::ifstream in(point->attrFile);
     ASSERT_TRUE(in.good()) << point->attrFile;
     std::ostringstream text;
@@ -623,8 +615,16 @@ TEST(AttributionEndToEnd, SweepRunnerWritesSideFilesAndDecisions)
     EXPECT_EQ(batch.attrFile, point->attrFile);
     EXPECT_GE(batch.samples.size(), 1u)
         << "sampling at period 8 must capture the run";
-    EXPECT_GE(batch.journal.size(), 1u);
-    expectJournalReplays(batch.journal);
+    unsigned decisions = 0;
+    for (const obs::JournalEntry &e : batch.journal) {
+        if (e.kind == "decision") {
+            ++decisions;
+            EXPECT_FALSE(e.rule.empty());
+        }
+    }
+    EXPECT_GE(decisions, 1u)
+        << "a dynamic run must journal at least one decision";
+    EXPECT_GE(expectJournalReplays(batch.journal), 1u);
 
     // The dashboard renders from the ledger and the side file alone.
     dashboard::DashboardData data;

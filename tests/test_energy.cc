@@ -1,13 +1,12 @@
 /**
  * @file
- * Unit tests for the energy model and the quantized meters mirroring
- * RAPL (2^-16 s updates) and the 1 Hz wall meter (§2.2).
+ * Unit tests for the energy model, which integrates socket and wall
+ * energy exactly (no RAPL or wall-meter quantization).
  */
 
 #include <gtest/gtest.h>
 
 #include "energy/energy_model.hh"
-#include "energy/meters.hh"
 
 namespace capart
 {
@@ -75,51 +74,6 @@ TEST(EnergyModel, RaceToHaltArithmetic)
     for (int ht = 0; ht < 8; ++ht)
         fast.addBusy(2.0, true); // whole machine, 2 s
     EXPECT_LT(fast.wallEnergy(2.0), slow.wallEnergy(10.0));
-}
-
-TEST(QuantizedCounter, RaplGranularity)
-{
-    QuantizedEnergyCounter rapl = QuantizedEnergyCounter::rapl();
-    EXPECT_DOUBLE_EQ(rapl.interval(), 1.0 / 65536.0);
-
-    // Feed a linear energy ramp; readings step at update boundaries.
-    rapl.update(0.0, 0.0);
-    EXPECT_DOUBLE_EQ(rapl.read(), 0.0);
-    rapl.update(0.4 / 65536.0, 0.4);
-    EXPECT_DOUBLE_EQ(rapl.read(), 0.0) << "no boundary crossed yet";
-    rapl.update(1.1 / 65536.0, 1.1);
-    EXPECT_DOUBLE_EQ(rapl.read(), 0.4) << "latched at the boundary";
-}
-
-TEST(QuantizedCounter, WallMeterOneSecond)
-{
-    QuantizedEnergyCounter wall = QuantizedEnergyCounter::wallMeter();
-    wall.update(0.0, 0.0);
-    wall.update(0.9, 45.0);
-    EXPECT_DOUBLE_EQ(wall.read(), 0.0);
-    wall.update(1.5, 75.0);
-    EXPECT_DOUBLE_EQ(wall.read(), 45.0);
-    wall.update(2.5, 125.0);
-    EXPECT_DOUBLE_EQ(wall.read(), 75.0);
-}
-
-TEST(PowerTrace, DerivesPowerFromEnergySamples)
-{
-    PowerTrace trace;
-    trace.sample(0.0, 0.0);
-    trace.sample(1.0, 50.0);
-    trace.sample(2.0, 150.0);
-    ASSERT_EQ(trace.samples().size(), 2u);
-    EXPECT_DOUBLE_EQ(trace.samples()[0].power, 50.0);
-    EXPECT_DOUBLE_EQ(trace.samples()[1].power, 100.0);
-}
-
-TEST(PowerTrace, IgnoresNonAdvancingSamples)
-{
-    PowerTrace trace;
-    trace.sample(1.0, 10.0);
-    trace.sample(1.0, 20.0);
-    EXPECT_TRUE(trace.samples().empty());
 }
 
 } // namespace

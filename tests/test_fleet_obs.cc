@@ -1,9 +1,9 @@
 /**
  * @file
  * Tests for the live sweep-fleet observability plane: the status.json
- * schema and its atomic replacement (obs/status.hh), the Prometheus
- * text exposition, cross-process trace stitching (obs/trace_stitch.hh),
- * and the report layer's per-shard rendering.
+ * schema and its atomic replacement (obs/status.hh), cross-process
+ * trace stitching (obs/trace_stitch.hh), and the report layer's
+ * per-shard rendering.
  *
  * Everything here is pure file/string plumbing — none of it depends on
  * the runtime obs switch, so the tests run identically under
@@ -23,7 +23,6 @@
 #include <vector>
 
 #include "common/json.hh"
-#include "obs/metrics.hh"
 #include "obs/run_ledger.hh"
 #include "obs/status.hh"
 #include "obs/trace_stitch.hh"
@@ -229,96 +228,6 @@ TEST(SweepStatus, ConcurrentStatusReaderAlwaysDecodes)
     stop.store(true);
     reader.join();
     EXPECT_EQ(failures.load(), 0);
-    std::filesystem::remove_all(dir);
-}
-
-// --------------------------------------------- prom exposition --
-
-TEST(PromExposition, SanitizesToExpositionCharset)
-{
-    EXPECT_EQ(obs::promSanitize("exec.shard_spawns"),
-              "exec_shard_spawns");
-    EXPECT_EQ(obs::promSanitize("a-b.c:d"), "a_b_c:d");
-    EXPECT_EQ(obs::promSanitize("9lives"), "_9lives");
-}
-
-TEST(PromExposition, RegistryAndStatusRenderAsText)
-{
-    obs::MetricsRegistry reg;
-    reg.counter("exec.points").inc(7);
-    reg.gauge("sim.temp").set(1.5);
-    obs::Histogram &h = reg.histogram("exec.point_ms");
-    for (int i = 0; i < 100; ++i)
-        h.record(static_cast<std::uint64_t>(i));
-
-    const obs::SweepStatus s = sampleStatus();
-    std::ostringstream os;
-    obs::writePromText(os, reg, &s);
-    const std::string text = os.str();
-
-    EXPECT_NE(text.find("# TYPE capart_exec_points_total counter"),
-              std::string::npos);
-    EXPECT_NE(text.find("capart_exec_points_total 7"), std::string::npos);
-    EXPECT_NE(text.find("# TYPE capart_sim_temp gauge"),
-              std::string::npos);
-    EXPECT_NE(text.find("capart_sim_temp 1.5"), std::string::npos);
-    EXPECT_NE(text.find("# TYPE capart_exec_point_ms summary"),
-              std::string::npos);
-    EXPECT_NE(text.find("capart_exec_point_ms{quantile=\"0.5\"}"),
-              std::string::npos);
-    EXPECT_NE(text.find("capart_exec_point_ms_count 100"),
-              std::string::npos);
-    EXPECT_NE(text.find("capart_sweep_points_done 6"), std::string::npos);
-    EXPECT_NE(text.find("capart_sweep_points_total 10"),
-              std::string::npos);
-    EXPECT_NE(text.find("capart_shard_retries_total{shard=\"0\"} 2"),
-              std::string::npos);
-    EXPECT_NE(text.find("capart_shard_up{shard=\"1\"} 0"),
-              std::string::npos);
-
-    // Every non-comment line is `name[{labels}] value`.
-    std::istringstream lines(text);
-    std::string line;
-    while (std::getline(lines, line)) {
-        if (line.empty() || line[0] == '#')
-            continue;
-        const std::size_t sp = line.rfind(' ');
-        ASSERT_NE(sp, std::string::npos) << line;
-        EXPECT_NE(sp, 0u) << line;
-    }
-}
-
-TEST(PromExposition, WorkerCountersFoldInWithShardLabels)
-{
-    const std::string dir = freshDir("capart_prom_workers");
-    {
-        std::ofstream os(dir + "/metrics-2.json");
-        os << "{\"counters\":{\"sim.quanta\":42,\"exec.points\":3},"
-              "\"gauges\":{},\"histograms\":{}}";
-    }
-    std::ostringstream os;
-    EXPECT_TRUE(obs::appendWorkerCounters(os, dir + "/metrics-2.json", 2));
-    const std::string text = os.str();
-    EXPECT_NE(text.find("capart_worker_sim_quanta{shard=\"2\"} 42"),
-              std::string::npos);
-    EXPECT_NE(text.find("capart_worker_exec_points{shard=\"2\"} 3"),
-              std::string::npos);
-
-    // A worker that never exported (killed before its exit) is skipped
-    // silently, never an error.
-    std::ostringstream os2;
-    EXPECT_FALSE(
-        obs::appendWorkerCounters(os2, dir + "/metrics-9.json", 9));
-    EXPECT_TRUE(os2.str().empty());
-
-    obs::MetricsRegistry reg;
-    const obs::SweepStatus s = sampleStatus();
-    ASSERT_TRUE(obs::writePromFile(
-        dir + "/metrics.prom", reg, &s,
-        {{dir + "/metrics-2.json", 2}, {dir + "/metrics-9.json", 9}}));
-    const std::string file = slurp(dir + "/metrics.prom");
-    EXPECT_NE(file.find("capart_worker_sim_quanta{shard=\"2\"} 42"),
-              std::string::npos);
     std::filesystem::remove_all(dir);
 }
 

@@ -3,12 +3,12 @@
  * Tests for N-app policy observability — the PR 5 attribution triad
  * generalized to N owners and the five NPolicy allocators:
  *
- *  1. Replay: every `npartition_decision` record carries the complete
- *     inputs of the Partitioner::decide it journaled (observations,
- *     miss curves, LFOC bounce accumulators, policy configuration),
- *     so `decideNPartition(inputsFromRecord) == recordedMasks` holds
- *     for all five policies — including after a JSON round trip
- *     through the run ledger.
+ *  1. Replay: every `npartition_decision` journal entry carries the
+ *     complete inputs of the Partitioner::decide it journaled
+ *     (observations, miss curves, LFOC bounce accumulators, policy
+ *     configuration), so `decideNPartition(inputsFromRecord) ==
+ *     recordedMasks` holds for all five policies — including after a
+ *     JSON round trip through an attribution side file.
  *  2. Conservation at N: the AttributionSampler's per-owner buckets
  *     still partition the machine totals when N apps own the LLC —
  *     occupancy never exceeds the allocated way count, the five stall
@@ -19,10 +19,10 @@
  *     through accessors; a second decide() would perturb it).
  *
  * The end-to-end test drives a five-policy N-app spec through a
- * SweepRunner twice and checks every promised artifact: side files
- * with `napp_run` segmentation markers, ledgered decision records for
- * every policy, replay from the ledger, and a byte-deterministic
- * dashboard.
+ * SweepRunner twice and checks every promised artifact: a ledger
+ * holding only the point record, its side file with `napp_run`
+ * segmentation markers and journaled decisions for every policy,
+ * replay from that side file, and a byte-deterministic dashboard.
  */
 
 #include <gtest/gtest.h>
@@ -116,49 +116,21 @@ syntheticObservations(std::size_t n, unsigned total_ways)
     return apps;
 }
 
-/** The ledger encoding of a journal entry, as sweep_runner writes it. */
-obs::RunRecord
-entryAsRecord(const obs::JournalEntry &e)
-{
-    obs::RunRecord rec;
-    rec.kind = e.kind;
-    rec.bench = "napp_obs_test";
-    rec.run = "napp_obs_test-1-run";
-    rec.specHash = 0x5eedf00dULL;
-    rec.seed = 1;
-    rec.rule = e.rule;
-    rec.metrics.emplace_back("t_us", e.tUs);
-    for (const auto &field : e.fields)
-        rec.metrics.push_back(field);
-    return rec;
-}
-
-/** Reverse of entryAsRecord: what a replay tool reads back. */
-obs::JournalEntry
-entryFromRecord(const obs::RunRecord &rec)
-{
-    obs::JournalEntry e;
-    e.kind = rec.kind;
-    e.rule = rec.rule;
-    for (const auto &[name, value] : rec.metrics) {
-        if (name == "t_us")
-            e.tUs = value;
-        else
-            e.fields.emplace_back(name, value);
-    }
-    return e;
-}
-
-/** Replay @p entry through the ledger encoding and back; verify the
- *  recorded masks (and LFOC introspection) reproduce exactly. */
+/** Replay @p entry through the attribution side-file encoding and
+ *  back, as a replay tool reads it; verify the recorded masks (and
+ *  LFOC introspection) reproduce exactly. */
 void
 expectEntryReplays(const obs::JournalEntry &entry)
 {
-    const std::string line = obs::RunLedger::encode(entryAsRecord(entry));
-    obs::RunRecord back;
-    ASSERT_TRUE(obs::RunLedger::decode(line, &back)) << line;
-    EXPECT_EQ(back.kind, "npartition_decision");
-    const obs::JournalEntry round = entryFromRecord(back);
+    obs::AttributionBatch batch;
+    batch.journal = {entry};
+    std::ostringstream text;
+    obs::writeAttributionJson(text, batch);
+    obs::AttributionBatch back;
+    ASSERT_TRUE(obs::parseAttributionJson(text.str(), &back));
+    ASSERT_EQ(back.journal.size(), 1u);
+    const obs::JournalEntry &round = back.journal[0];
+    EXPECT_EQ(round.kind, "npartition_decision");
 
     const NPartitionInputs in = npartitionInputsFromEntry(round);
     const NPartitionDecision want = npartitionDecisionFromEntry(round);
@@ -417,37 +389,17 @@ TEST(NAppEndToEnd, LedgersReplayableDecisionsAndDeterministicDashboard)
     const std::string html_a =
         runNAppPoint(base / "a", spec, &records);
 
-    // ---- ledger contents: the point links its side file; every one
-    // ---- of the five policies journaled at least one decision.
-    const obs::RunRecord *point = nullptr;
-    unsigned by_rule[kNumNPolicies] = {};
-    unsigned replayed = 0;
-    for (const obs::RunRecord &rec : records) {
-        EXPECT_EQ(rec.specHash, spec.hash());
-        if (rec.kind == "point")
-            point = &rec;
-        if (rec.kind != "npartition_decision")
-            continue;
-        const obs::JournalEntry e = entryFromRecord(rec);
-        const auto policy =
-            static_cast<unsigned>(e.field("policy", -1.0));
-        ASSERT_LT(policy, kNumNPolicies);
-        EXPECT_EQ(rec.rule, npolicyName(static_cast<NPolicy>(policy)));
-        ++by_rule[policy];
-        expectEntryReplays(e);
-        ++replayed;
-    }
-    ASSERT_NE(point, nullptr);
+    // ---- ledger contents: the point alone, linking its side file;
+    // ---- no ledger copy of any decision.
+    ASSERT_EQ(records.size(), 1u);
+    const obs::RunRecord *point = &records[0];
+    EXPECT_EQ(point->kind, "point");
+    EXPECT_EQ(point->specHash, spec.hash());
     ASSERT_FALSE(point->attrFile.empty())
         << "the N-app point must link its attribution side file";
-    for (const NPolicy p : {NPolicy::Shared, NPolicy::Fair, NPolicy::Ucp,
-                            NPolicy::Lfoc, NPolicy::Dynamic})
-        EXPECT_GE(by_rule[static_cast<unsigned>(p)], 1u)
-            << npolicyName(p) << " journaled no decision";
-    EXPECT_GE(replayed, 5u);
 
-    // ---- the side file parses and carries the napp_run segmentation
-    // ---- markers, one per System run, policies in run order.
+    // ---- the side file parses; every one of the five policies
+    // ---- journaled at least one decision there, and each replays.
     std::ifstream in(point->attrFile);
     ASSERT_TRUE(in.good()) << point->attrFile;
     std::ostringstream text;
@@ -456,6 +408,27 @@ TEST(NAppEndToEnd, LedgersReplayableDecisionsAndDeterministicDashboard)
     ASSERT_TRUE(obs::parseAttributionJson(text.str(), &batch));
     EXPECT_EQ(batch.specHash, spec.hash());
     EXPECT_GE(batch.samples.size(), 1u);
+    unsigned by_rule[kNumNPolicies] = {};
+    unsigned replayed = 0;
+    for (const obs::JournalEntry &e : batch.journal) {
+        if (e.kind != "npartition_decision")
+            continue;
+        const auto policy =
+            static_cast<unsigned>(e.field("policy", -1.0));
+        ASSERT_LT(policy, kNumNPolicies);
+        EXPECT_EQ(e.rule, npolicyName(static_cast<NPolicy>(policy)));
+        ++by_rule[policy];
+        expectEntryReplays(e);
+        ++replayed;
+    }
+    for (const NPolicy p : {NPolicy::Shared, NPolicy::Fair, NPolicy::Ucp,
+                            NPolicy::Lfoc, NPolicy::Dynamic})
+        EXPECT_GE(by_rule[static_cast<unsigned>(p)], 1u)
+            << npolicyName(p) << " journaled no decision";
+    EXPECT_GE(replayed, 5u);
+
+    // ---- the side file carries the napp_run segmentation markers,
+    // ---- one per System run, policies in run order.
     std::vector<std::string> run_order;
     for (const obs::JournalEntry &e : batch.journal) {
         if (e.kind == "napp_run")

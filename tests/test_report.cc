@@ -155,6 +155,69 @@ TEST(RunLedger, MissingFileLoadsAsEmpty)
     EXPECT_EQ(loaded.skipped, 0u);
 }
 
+TEST(RunLedger, RetiredDecisionKindsStillLoadAndJoinNoBucket)
+{
+    // Older builds ledgered a copy of every journaled decision. A
+    // fig13 `decision` line as they wrote it, and a fig09n
+    // `npartition_decision` line with its metric map shortened: both
+    // must still load, never counted as skipped, and no report bucket
+    // may take them.
+    const std::string pair_decision =
+        R"({"v":1,"kind":"decision","bench":"fig13_dynamic","run":"fig13_dy)"
+        R"(namic-12345-1792233977320","spec_hash":"0x21887a25e9301883","see)"
+        R"(d":"12345","ts_ms":1792233979455,"wall_ms":0,"sim_s":0,"cached":)"
+        R"(false,"spec":"capart-spec-v1|kind=consol|fg=429.mcf|bg=429.mcf|t)"
+        R"(hreads=4|ways=12|prefetch=1|bgcont=1|fgmask=0|policies=13|scale=)"
+        R"(0x1.26e978d4fdf3bp-6|window=0x1.f75104d551d69p-17","rule":"probe)"
+        R"(_shrink","metrics":{"t_us":32.761470588235298,"raw_mpki":0,"smoo)"
+        R"(thed_mpki":0,"last_mpki":0,"have_last":0,"phase":0,"probing":1,")"
+        R"(retry_pending":0,"retry_ways":0,"fg_ways":11,"thr3":0.1000000000)"
+        R"(0000001,"min_denominator":0.5,"min_fg_ways":2,"max_fg_ways":11,")"
+        R"(cand_hold_mask":2047,"cand_shrink_mask":1023,"cand_grow_mask":20)"
+        R"(47,"cand_max_mask":2047,"target_fg_ways":10,"probing_after":1,"d)"
+        R"(elta":0,"chosen_fg_mask":1023,"chosen_bg_mask":3072,"applied":1,)"
+        R"("installed_fg_ways":10,"total_ways":12},"counters":{}})";
+    const std::string napp_decision =
+        R"({"v":1,"kind":"npartition_decision","bench":"fig09n_napp_policie)"
+        R"(s","run":"fig09n_napp_policies-12345-1792234000077","spec_hash":)"
+        R"("0x80d39543f11420db","seed":"12345","ts_ms":1792234002870,"wall_)"
+        R"(ms":0,"sim_s":0,"cached":false,"spec":"capart-spec-v1|kind=napp|)"
+        R"(fg=|bg=|threads=2|ways=12|prefetch=1|bgcont=1|fgmask=0|policies=)"
+        R"(0|scale=0x1.89374bc6a7efap-7|window=0x0p+0|napps=429.mcf,470.lbm)"
+        R"(,ferret,fop,462.libquantum,batik,471.omnetpp,459.GemsFDTD|cores=)"
+        R"(16|llcways=20|npolicies=59","rule":"shared","metrics":{"t_us":0,)"
+        R"("policy":0,"num_apps":8,"total_ways":20,"seq":0,"applied":1},"co)"
+        R"(unters":{}})";
+    const std::string path = tempPath("retired.jsonl");
+    obs::RunRecord point = makeRecord();
+    point.run = "fig13_dynamic-12345-1792233977320";
+    {
+        std::ofstream out(path, std::ios::trunc);
+        out << obs::RunLedger::encode(point) << '\n'
+            << pair_decision << '\n'
+            << napp_decision << '\n';
+    }
+    const auto loaded = obs::RunLedger::load(path);
+    std::remove(path.c_str());
+    EXPECT_EQ(loaded.skipped, 0u);
+    ASSERT_EQ(loaded.records.size(), 3u);
+    EXPECT_EQ(loaded.records[1].kind, "decision");
+    EXPECT_EQ(loaded.records[1].rule, "probe_shrink");
+    EXPECT_EQ(loaded.records[2].kind, "npartition_decision");
+    EXPECT_EQ(loaded.records[2].rule, "shared");
+
+    std::size_t bucketed = 0;
+    for (const report::RunGroup &g : report::groupRuns(loaded.records)) {
+        bucketed += g.points.size() + g.benchRecords.size() +
+                    g.failures.size() + g.interruptions.size() +
+                    g.shards.size();
+        if (g.run == point.run) {
+            EXPECT_EQ(g.points.size(), 1u);
+        }
+    }
+    EXPECT_EQ(bucketed, 1u) << "only the point may land in a bucket";
+}
+
 // ---------------------------------------------------------- grouping --
 
 TEST(Report, GroupsByRunIdAndSortsByStartTime)
@@ -184,6 +247,70 @@ TEST(Report, GroupsByRunIdAndSortsByStartTime)
         << "start is the earliest record, not the first seen";
     EXPECT_EQ(groups[1].run, "run-b");
     EXPECT_EQ(groups[1].points.size(), 2u);
+}
+
+TEST(Report, RunWallTimeComesFromTheBenchRecord)
+{
+    // Four points of 1 s host time each, run on parallel workers: the
+    // run took 1.25 s, not the 4 s the points sum to. A run with no
+    // bench record (killed before exit, or points only) shows none.
+    std::vector<obs::RunRecord> records;
+    for (unsigned i = 0; i < 4; ++i) {
+        obs::RunRecord p = makeRecord();
+        p.run = "run-a";
+        p.specHash = 0x100 + i;
+        p.tsMs = 1000.0 + i;
+        p.wallMs = 1000.0;
+        records.push_back(p);
+    }
+    obs::RunRecord b = makeRecord();
+    b.kind = "bench";
+    b.run = "run-a";
+    b.tsMs = 2000.0;
+    b.wallMs = 1250.0;
+    records.push_back(b);
+    obs::RunRecord orphan = makeRecord();
+    orphan.run = "run-b";
+    orphan.tsMs = 3000.0;
+    orphan.wallMs = 1000.0;
+    records.push_back(orphan);
+    const auto groups = report::groupRuns(records);
+    ASSERT_EQ(groups.size(), 2u);
+
+    std::ostringstream js;
+    report::writeBenchJson(js, groups);
+    const auto doc = Json::parse(js.str());
+    ASSERT_TRUE(doc.has_value());
+    const Json &runs = doc->at("runs");
+    ASSERT_EQ(runs.arr.size(), 2u);
+    EXPECT_DOUBLE_EQ(runs.arr[0].at("wall_ms").asNum(), 1250.0);
+    EXPECT_FALSE(runs.arr[1].has("wall_ms"));
+
+    std::ostringstream md;
+    report::writeMarkdown(md, groups, nullptr, report::GateOptions{});
+    EXPECT_NE(md.str().find("| run-a | fig13_dynamic | 4 | 4 | 0 | 1.25 |  |"),
+              std::string::npos)
+        << md.str();
+    EXPECT_NE(md.str().find("| run-b | fig13_dynamic | 1 | 1 | 0 |  |  |"),
+              std::string::npos)
+        << md.str();
+}
+
+TEST(Report, WorstPairLinksItsSideFile)
+{
+    const auto base = syntheticRun("base", 1000.0, 8, 1.01, 3e9);
+    auto cur = syntheticRun("cur", 2000.0, 8, 1.01 * 1.20, 3e9);
+    cur.points[3].metrics[0].second = 1.01 * 1.50;
+    cur.points[3].attrFile = "obs/attr/cur-0000000000001003.json";
+    const auto cmp = report::compareRuns(base, cur);
+    std::ostringstream os;
+    report::writeMarkdown(os, {base, cur}, &cmp, report::GateOptions{});
+    EXPECT_NE(os.str().find("### Worst pairs\n\n- `dynamic.fg_slowdown`: "
+                            "spec `0x0000000000001003` — attribution "
+                            "timeline `obs/attr/cur-0000000000001003.json`"
+                            "\n"),
+              std::string::npos)
+        << os.str();
 }
 
 TEST(Report, MetricDirections)

@@ -202,17 +202,6 @@ failedRec(std::uint64_t hash, const std::string &run, double ts_ms,
     return r;
 }
 
-obs::RunRecord
-decisionRec(std::uint64_t hash, const std::string &run, double ts_ms,
-            double t_us)
-{
-    obs::RunRecord r = pointRec(hash, run, ts_ms, 0.0);
-    r.kind = "decision";
-    r.rule = "grow_fg";
-    r.metrics = {{"t_us", t_us}, {"fg_ways", 8.0}};
-    return r;
-}
-
 void
 writeSegment(const std::string &path,
              const std::vector<obs::RunRecord> &records)
@@ -252,19 +241,16 @@ TEST(MergeLedger, LastCompleteWinsAcrossDuplicateSpecHashes)
 TEST(MergeLedger, OutputIndependentOfSegmentOrder)
 {
     const std::string dir = freshDir("capart_merge_order");
-    // Duplicates, interleaved run ids, a quarantine, and decisions
-    // spread across three segments.
+    // Duplicates, interleaved run ids, and a quarantine spread across
+    // three segments.
     writeSegment(dir + "/a.jsonl",
                  {startRec(0x1, "run-a", 10, 0),
-                  pointRec(0x1, "run-a", 11, 1.5),
-                  decisionRec(0x1, "run-a", 12, 100.0)});
+                  pointRec(0x1, "run-a", 11, 1.5)});
     writeSegment(dir + "/b.jsonl",
                  {pointRec(0x1, "run-b", 20, 1.5),
                   startRec(0x2, "run-b", 21, 0),
                   failedRec(0x2, "run-b", 22, 3)});
-    writeSegment(dir + "/c.jsonl",
-                 {pointRec(0x3, "run-a", 5, 9.0),
-                  decisionRec(0x1, "run-b", 30, 100.0)});
+    writeSegment(dir + "/c.jsonl", {pointRec(0x3, "run-a", 5, 9.0)});
 
     const std::vector<std::string> fwd = {
         dir + "/a.jsonl", dir + "/b.jsonl", dir + "/c.jsonl"};
@@ -323,30 +309,6 @@ TEST(MergeLedger, QuarantineSurvivesOnlyWithoutCompletePoint)
     }
     EXPECT_TRUE(saw_point1);
     EXPECT_TRUE(saw_failed2);
-    std::filesystem::remove_all(dir);
-}
-
-TEST(MergeLedger, IdenticalDecisionsFromRetriesCollapse)
-{
-    const std::string dir = freshDir("capart_merge_dec");
-    // A retried deterministic point re-journals the same decisions,
-    // differing only in wall timestamps — one copy must survive. A
-    // decision whose point never completed must not leak through.
-    writeSegment(dir + "/a.jsonl",
-                 {pointRec(0x1, "run-a", 10, 1.0),
-                  decisionRec(0x1, "run-a", 11, 250.0),
-                  decisionRec(0x1, "run-b", 99, 250.0),
-                  decisionRec(0x2, "run-a", 12, 300.0)});
-
-    const obs::MergeResult m =
-        obs::mergeLedgerSegments({dir + "/a.jsonl"});
-    std::size_t decisions = 0;
-    for (const obs::RunRecord &r : m.records)
-        if (r.kind == "decision") {
-            ++decisions;
-            EXPECT_EQ(r.specHash, 0x1u);
-        }
-    EXPECT_EQ(decisions, 1u);
     std::filesystem::remove_all(dir);
 }
 
@@ -725,22 +687,21 @@ TEST(ShardStatus, ChaosArmedSweepMatchesLedgerAndStaysBitExact)
     }
     EXPECT_EQ(per_shard_done, specs.size());
 
-    // The prom exposition was refreshed on the same cadence, and its
-    // final refresh folded in the counters each worker wrote to its
-    // own obs directory on exit.
-    {
-        std::ifstream is(o.obsDir + "/metrics.prom");
-        ASSERT_TRUE(is.good());
+    // status.json is the only live fleet file: no Prometheus copy of
+    // it, and each worker's counters stay in the metrics.json it wrote
+    // to its own obs directory on exit.
+    EXPECT_FALSE(std::filesystem::exists(o.obsDir + "/metrics.prom"));
+    double worker_points = 0.0;
+    for (unsigned k = 0; k < 4; ++k) {
+        std::ifstream is(shardObsDir(o.obsDir, k) + "/metrics.json");
         std::ostringstream text;
         text << is.rdbuf();
-        EXPECT_NE(text.str().find("capart_sweep_points_done 6"),
-                  std::string::npos)
-            << text.str();
-        EXPECT_NE(text.str().find("capart_shard_points_done{shard=\"0\"}"),
-                  std::string::npos);
-        EXPECT_NE(text.str().find("capart_worker_exec_points_computed{"),
-                  std::string::npos);
+        const auto doc = Json::parse(text.str());
+        if (doc && doc->isObj())
+            worker_points +=
+                doc->at("counters").at("exec.points_computed").asNum(0.0);
     }
+    EXPECT_GT(worker_points, 0.0);
 
     // The canonical ledger carries one `shard` summary record per
     // shard, agreeing with the status plane.
