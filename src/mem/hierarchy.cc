@@ -19,35 +19,28 @@ CacheHierarchy::CacheHierarchy(const HierarchyConfig &cfg,
 }
 
 void
-CacheHierarchy::writebackToLlc(CoreId core, unsigned slot, Addr line,
-                               HierarchyOutcome &out)
+CacheHierarchy::writebackToLlc(CoreId core, Addr line)
 {
-    // A dirty L2 victim normally hits in the inclusive LLC; if the LLC
-    // already dropped the line (it back-invalidates on its own evictions,
-    // so this means the writeback raced a remask), re-install it. The
-    // line may survive in the core's L1 (non-inclusive L2), so the
-    // directory keeps the core marked.
-    if (llc_->markDirty(line)) {
-        llc_->noteInnerPresence(line, core);
-        return;
-    }
-    const CacheAccessResult res = llc_->fill(line, true, slot);
-    llc_->noteInnerPresenceAt(res.set, res.way, core);
-    if (res.evicted)
-        handleLlcEviction(res, out);
+    // Every LLC eviction back-invalidates all holders, so a dirty L2
+    // victim is always LLC-resident: the writeback only marks it dirty
+    // and never fills, and so never evicts. The line may survive in the
+    // core's L1 (non-inclusive L2), so the directory keeps the core
+    // marked.
+    const int way = llc_->markDirty(line);
+    capart_assert(way >= 0);
+    llc_->noteInnerPresenceAt(llc_->setIndex(line), way, core);
 }
 
 void
-CacheHierarchy::writebackToL2(CoreId core, unsigned slot, Addr line,
-                              HierarchyOutcome &out)
+CacheHierarchy::writebackToL2(CoreId core, Addr line)
 {
     // Non-inclusive L2: the line may or may not be resident. Allocate on
     // writeback (victim cache behaviour), cascading any dirty L2 victim.
-    if (l2_[core]->markDirty(line))
+    if (l2_[core]->markDirty(line) >= 0)
         return;
     const CacheAccessResult res = l2_[core]->fill(line, true, 0);
     if (res.evicted && res.victimDirty)
-        writebackToLlc(core, slot, res.victimLine, out);
+        writebackToLlc(core, res.victimLine);
 }
 
 void
@@ -90,19 +83,12 @@ CacheHierarchy::access(CoreId core, unsigned slot, Addr byte_addr,
         out.servedBy = ServiceLevel::L1;
         return out;
     }
-    if (r1.evicted && r1.victimDirty) {
-        // The writeback below may cascade into an LLC fill whose victim
-        // is `line` itself; the directory must already know this core
-        // holds the fresh L1 copy so back-invalidation reaches it.
-        llc_->noteInnerPresence(line, core);
-        writebackToL2(core, slot, r1.victimLine, out);
-    }
+    if (r1.evicted && r1.victimDirty)
+        writebackToL2(core, r1.victimLine);
 
     const CacheAccessResult r2 = l2_[core]->access(line, false, 0);
-    if (r2.evicted && r2.victimDirty) {
-        llc_->noteInnerPresence(line, core); // same race as above
-        writebackToLlc(core, slot, r2.victimLine, out);
-    }
+    if (r2.evicted && r2.victimDirty)
+        writebackToLlc(core, r2.victimLine);
     if (r2.hit) {
         out.servedBy = ServiceLevel::L2;
         return out;
@@ -127,7 +113,7 @@ void
 CacheHierarchy::ensureInLlc(CoreId core, unsigned slot, Addr line,
                             HierarchyOutcome &out)
 {
-    const int touched = llc_->touchLineWay(line);
+    const int touched = llc_->touchLine(line);
     if (touched >= 0) {
         // Already resident; refreshed recency so the prefetched line is
         // not the next victim.
@@ -155,7 +141,7 @@ CacheHierarchy::prefetchIntoL1(CoreId core, unsigned slot, Addr line)
 
     const CacheAccessResult r1 = l1_[core]->fill(line, false, 0);
     if (r1.evicted && r1.victimDirty)
-        writebackToL2(core, slot, r1.victimLine, out);
+        writebackToL2(core, r1.victimLine);
     return out;
 }
 
@@ -171,7 +157,7 @@ CacheHierarchy::prefetchIntoL2(CoreId core, unsigned slot, Addr line)
 
     const CacheAccessResult r2 = l2_[core]->fill(line, false, 0);
     if (r2.evicted && r2.victimDirty)
-        writebackToLlc(core, slot, r2.victimLine, out);
+        writebackToLlc(core, r2.victimLine);
     return out;
 }
 

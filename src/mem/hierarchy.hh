@@ -81,12 +81,10 @@ class CacheHierarchy
 
   private:
     /** Writeback a dirty line from an L1 into its L2 (cascades outward). */
-    void writebackToL2(CoreId core, unsigned slot, Addr line,
-                       HierarchyOutcome &out);
+    void writebackToL2(CoreId core, Addr line);
 
     /** Writeback a dirty line from @p core's L2 into the LLC. */
-    void writebackToLlc(CoreId core, unsigned slot, Addr line,
-                        HierarchyOutcome &out);
+    void writebackToLlc(CoreId core, Addr line);
 
     /** Handle an LLC eviction: back-invalidate inner copies, count WBs. */
     void handleLlcEviction(const CacheAccessResult &res,

@@ -67,16 +67,16 @@ SetAssocCache::ownerOf(Addr line) const
     return owner_[set * ways_ + static_cast<unsigned>(way)];
 }
 
-bool
+int
 SetAssocCache::markDirty(Addr line)
 {
     const std::uint64_t set = setIndex(line);
     const int way = findWay(set, line);
-    if (way < 0)
-        return false;
-    dirty_[set] |= (1u << way);
-    replTouch(set, static_cast<unsigned>(way));
-    return true;
+    if (way >= 0) {
+        dirty_[set] |= (1u << way);
+        replTouch(set, static_cast<unsigned>(way));
+    }
+    return way;
 }
 
 InvalidateResult

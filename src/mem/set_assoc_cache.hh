@@ -11,17 +11,18 @@
  * layout") — tags, inserter/owner ids, and per-policy replacement
  * bits — and replacement dispatches with a switch on a member enum, so
  * the entire access path inlines into callers with no virtual calls.
- * Tree-PLRU victims descend precomputed per-mask traversal tables
- * (mem/plru_tables.hh) branch-free. tests/test_mem_differential.cc
- * checks every policy against a naive reference model.
+ * Tag matches, LRU victims and Tree-PLRU descents over precomputed
+ * per-mask tables (mem/plru_tables.hh) are all branch-free.
+ * tests/test_mem_differential.cc checks every policy against a naive
+ * reference model.
  */
 
 #ifndef CAPART_MEM_SET_ASSOC_CACHE_HH
 #define CAPART_MEM_SET_ASSOC_CACHE_HH
 
+#include <algorithm>
 #include <bit>
 #include <cstdint>
-#include <limits>
 #include <vector>
 
 #include "common/logging.hh"
@@ -136,26 +137,12 @@ class SetAssocCache
 
     /**
      * Directory upkeep for inclusive caches: record that core @p core's
-     * private caches may now hold @p line (no-op if the line is absent
-     * or presence is untracked). The mask is sticky until the entry is
-     * evicted or invalidated, so it stays a superset of true holders —
-     * exactly the core-valid bits an inclusive LLC keeps in hardware.
-     */
-    void
-    noteInnerPresence(Addr line, unsigned core)
-    {
-        if (inner_.empty() || core >= 64)
-            return;
-        const std::uint64_t set = setIndex(line);
-        const int way = findWay(set, line);
-        if (way >= 0)
-            inner_[set * ways_ + way] |= 1ull << core;
-    }
-
-    /**
-     * O(1) directory upkeep when the caller already knows where the
-     * line sits (from the CacheAccessResult of the access/fill that
-     * located it) — skips the tag lookup noteInnerPresence() pays.
+     * private caches may now hold the line in (@p set, @p way), which
+     * the caller knows from the access, fill or markDirty() that
+     * located it (no-op if presence is untracked). The mask is sticky
+     * until the entry is evicted or invalidated, so it stays a superset
+     * of true holders — exactly the core-valid bits an inclusive LLC
+     * keeps in hardware.
      */
     void
     noteInnerPresenceAt(std::uint64_t set, std::int32_t way, unsigned core)
@@ -168,14 +155,17 @@ class SetAssocCache
     /** Inner-presence directory allocated (inclusive caches only). */
     bool tracksInnerPresence() const { return !inner_.empty(); }
 
-    /** Mark a resident line dirty (inner writeback hit); no-op if absent. */
-    bool markDirty(Addr line);
+    /**
+     * Mark a resident line dirty and refresh its recency (inner
+     * writeback hit); returns its way, or -1 (no-op) if absent.
+     */
+    int markDirty(Addr line);
 
-    /** Refresh replacement recency of a resident line; no-op if absent. */
-    bool touchLine(Addr line) { return touchLineWay(line) >= 0; }
-
-    /** As touchLine, but returns the way touched (-1 if absent). */
-    int touchLineWay(Addr line);
+    /**
+     * Refresh replacement recency of a resident line; returns its way,
+     * or -1 (no-op) if absent.
+     */
+    int touchLine(Addr line);
 
     /** Remove @p line if present (back-invalidation). */
     InvalidateResult invalidate(Addr line);
@@ -226,20 +216,22 @@ class SetAssocCache
     }
 
   private:
-    /** Way of @p line within @p set, or -1. */
+    /**
+     * Way of @p line within @p set, or -1. Compares every way's tag in
+     * a fixed-trip loop that builds a hit mask, because an early exit
+     * at a random way mispredicts. Invalid ways hold tag 0 and a live
+     * tag is line + 1 >= 1, so no valid mask is needed and at most one
+     * way matches.
+     */
     int
     findWay(std::uint64_t set, Addr line) const
     {
         const std::uint64_t tag = line + 1;
-        const std::uint64_t base = set * ways_;
-        std::uint32_t v = valid_[set];
-        while (v) {
-            const unsigned w = static_cast<unsigned>(std::countr_zero(v));
-            if (tags_[base + w] == tag)
-                return static_cast<int>(w);
-            v &= v - 1;
-        }
-        return -1;
+        const std::uint64_t *row = tags_.data() + set * ways_;
+        std::uint32_t hit = 0;
+        for (unsigned w = 0; w < ways_; ++w)
+            hit |= static_cast<std::uint32_t>(row[w] == tag) << w;
+        return hit ? std::countr_zero(hit) : -1;
     }
 
     /** Record a use (hit or fill) of @p way in @p set. */
@@ -291,23 +283,20 @@ class SetAssocCache
 
         switch (policy_) {
           case ReplPolicy::LRU: {
-            const std::uint64_t base = set * ways_;
-            unsigned best = 0;
-            std::uint32_t best_age =
-                std::numeric_limits<std::uint32_t>::max();
-            bool found = false;
+            // Oldest allowed way, chosen with selects, not branches on
+            // random ages: the key puts the age above the way index, so
+            // the minimum breaks ties toward the lowest way, and a
+            // disallowed way's all-ones key never wins.
+            capart_assert(allowed != 0);
+            const std::uint32_t *age = age_.data() + set * ways_;
+            std::uint64_t best = ~std::uint64_t{0};
             for (unsigned w = 0; w < ways_; ++w) {
-                if (!((allowed >> w) & 1u))
-                    continue;
-                const std::uint32_t a = age_[base + w];
-                if (!found || a < best_age) {
-                    best = w;
-                    best_age = a;
-                    found = true;
-                }
+                const std::uint64_t barred =
+                    0 - std::uint64_t{((allowed >> w) & 1u) ^ 1u};
+                const std::uint64_t key = (std::uint64_t{age[w]} << 5) | w;
+                best = std::min(best, key | barred);
             }
-            capart_assert(found);
-            return best;
+            return static_cast<unsigned>(best & 31u);
           }
           case ReplPolicy::BitPLRU: {
             const std::uint32_t clear = allowed & ~rbits_[set];
@@ -358,6 +347,7 @@ class SetAssocCache
     {
         CacheAccessResult res;
         res.set = set;
+        capart_assert(line + 1 != 0); // tag 0 marks an invalid way
         capart_assert(!masks_[slot].empty());
         const unsigned victim = replVictim(set, slot);
         capart_assert(victim < ways_);
@@ -453,13 +443,12 @@ SetAssocCache::fill(Addr line, bool dirty, unsigned slot)
 }
 
 inline int
-SetAssocCache::touchLineWay(Addr line)
+SetAssocCache::touchLine(Addr line)
 {
     const std::uint64_t set = setIndex(line);
     const int way = findWay(set, line);
-    if (way < 0)
-        return -1;
-    replTouch(set, static_cast<unsigned>(way));
+    if (way >= 0)
+        replTouch(set, static_cast<unsigned>(way));
     return way;
 }
 

@@ -200,8 +200,9 @@ TEST(StaticPolicies, BiasedSearchImplementsThePaperCriterion)
         best_time = std::min(best_time, pt.fgTime);
     EXPECT_LE(r.fgTime, best_time * (1.0 + kBiasedTolerance) + 1e-12);
     for (const auto &pt : r.sweep) {
-        if (pt.fgTime <= best_time * (1.0 + kBiasedTolerance))
+        if (pt.fgTime <= best_time * (1.0 + kBiasedTolerance)) {
             EXPECT_GE(r.bgThroughput, pt.bgThroughput);
+        }
     }
 }
 
@@ -403,8 +404,9 @@ TEST(DynamicPartitioner, WatchdogFallsBackOnDeadFgTelemetry)
                                 HealthEventKind::FallbackEntered),
               1u);
     for (const HealthEvent &ev : ctrl.healthLog()) {
-        if (ev.kind == HealthEventKind::FallbackEntered)
+        if (ev.kind == HealthEventKind::FallbackEntered) {
             EXPECT_LE(ev.count, 10u) << "settled too slowly";
+        }
     }
 }
 

@@ -55,8 +55,9 @@ TEST(FaultInjector, SameSeedSameDecisions)
         EXPECT_EQ(ka, kb) << "i=" << i;
         if (ka && kb) {
             EXPECT_EQ(std::isnan(wa.mpki), std::isnan(wb.mpki));
-            if (!std::isnan(wa.mpki))
+            if (!std::isnan(wa.mpki)) {
                 EXPECT_EQ(wa.mpki, wb.mpki);
+            }
         }
         if (ka != kc || (ka && kc && wa.mpki != wc.mpki &&
                          !(std::isnan(wa.mpki) && std::isnan(wc.mpki))))

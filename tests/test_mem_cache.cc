@@ -222,16 +222,23 @@ TEST(SetAssocCache, FillDoesNotCountDemandStats)
 TEST(SetAssocCache, MarkDirtyAndTouch)
 {
     SetAssocCache c(smallCache());
-    EXPECT_FALSE(c.markDirty(lineInSet(0, 0)));
-    EXPECT_FALSE(c.touchLine(lineInSet(0, 0)));
-    c.access(lineInSet(0, 0), false, 0);
-    EXPECT_TRUE(c.markDirty(lineInSet(0, 0)));
-    EXPECT_TRUE(c.touchLine(lineInSet(0, 0)));
-    // Dirty mark shows up when the line is eventually evicted.
-    for (unsigned k = 1; k < 5; ++k)
-        c.access(lineInSet(0, k), false, 0);
-    // Line 0 was LRU (markDirty touched it, then 4 newer lines came).
+    EXPECT_EQ(c.markDirty(lineInSet(0, 0)), -1);
+    EXPECT_EQ(c.touchLine(lineInSet(0, 0)), -1);
+    c.access(lineInSet(0, 1), false, 0);
+    const CacheAccessResult fill = c.access(lineInSet(0, 0), false, 0);
+    ASSERT_EQ(fill.way, 1);
+    // Both return the way that holds the line.
+    EXPECT_EQ(c.markDirty(lineInSet(0, 0)), fill.way);
+    EXPECT_EQ(c.touchLine(lineInSet(0, 0)), fill.way);
+    // Four newer lines fill ways 2 and 3, then evict line 1 (the
+    // oldest) and line 0: the last eviction carries the dirty mark.
+    CacheAccessResult last;
+    for (unsigned k = 2; k < 6; ++k)
+        last = c.access(lineInSet(0, k), false, 0);
     EXPECT_FALSE(c.probe(lineInSet(0, 0)));
+    ASSERT_TRUE(last.evicted);
+    EXPECT_EQ(last.victimLine, lineInSet(0, 0));
+    EXPECT_TRUE(last.victimDirty);
 }
 
 TEST(SetAssocCache, ResidentLinesCount)

@@ -5,11 +5,12 @@
  * The production @ref capart::SetAssocCache is optimised (packed tag
  * arrays, per-set valid/dirty bitmasks, policy state machines); this
  * test replays long random access streams — with random way-mask
- * changes, fills, and back-invalidations mixed in — against a naive
- * reference model written for obviousness, and checks after every
- * operation that both agree on:
+ * changes, fills, dirty marks, touches and back-invalidations mixed
+ * in — against a naive reference model written for obviousness, and
+ * checks after every operation that both agree on:
  *
  *  - hit/miss outcome, eviction outcome, victim line, victim dirtiness;
+ *  - the way markDirty() and touchLine() report;
  *  - the exact way each line resides in (so a victim chosen for a slot
  *    provably lay inside that slot's mask at eviction time);
  *  - full tag-array contents (periodically);
@@ -101,6 +102,30 @@ class RefCache
             return CacheAccessResult{.hit = true};
         }
         return insert(set, line, dirty, slot);
+    }
+
+    /** Mark a resident line dirty and touch it; its way, or -1. */
+    int
+    markDirty(Addr line)
+    {
+        const std::uint64_t set = hw_->setIndex(line);
+        const int way = findWay(set, line);
+        if (way >= 0) {
+            dirty_[at(set, way)] = 1;
+            touch(set, static_cast<unsigned>(way));
+        }
+        return way;
+    }
+
+    /** Touch a resident line; its way, or -1. */
+    int
+    touchLine(Addr line)
+    {
+        const std::uint64_t set = hw_->setIndex(line);
+        const int way = findWay(set, line);
+        if (way >= 0)
+            touch(set, static_cast<unsigned>(way));
+        return way;
     }
 
     InvalidateResult
@@ -400,7 +425,7 @@ runDifferential(ReplPolicy repl, IndexFn index, std::uint64_t seed,
         if (rng.chance(0.005)) {
             const unsigned slot = static_cast<unsigned>(rng.below(kSlots));
             const auto bits = static_cast<std::uint32_t>(
-                rng.below((1u << kWays) - 1) + 1);
+                rng.below(WayMask::all(kWays).bits()) + 1);
             hw.setPartitionMask(slot, WayMask(bits));
             ref.setMask(slot, WayMask(bits));
         }
@@ -414,6 +439,13 @@ runDifferential(ReplPolicy repl, IndexFn index, std::uint64_t seed,
             const InvalidateResult r = ref.invalidate(line);
             ASSERT_EQ(h.wasPresent, r.wasPresent) << "op " << op;
             ASSERT_EQ(h.wasDirty, r.wasDirty) << "op " << op;
+            continue;
+        }
+        if (rng.chance(0.04)) { // inner writeback hit or prefetch touch
+            const bool dirty = rng.chance(0.5);
+            const int h = dirty ? hw.markDirty(line) : hw.touchLine(line);
+            const int r = dirty ? ref.markDirty(line) : ref.touchLine(line);
+            ASSERT_EQ(h, r) << "op " << op << " line " << line;
             continue;
         }
 
@@ -516,6 +548,12 @@ TEST(MemDifferential, WideAssociativityAndModuloIndexing)
                     /*ways=*/20, /*sets=*/64, /*slots=*/4, /*ops=*/100000);
     runDifferential(ReplPolicy::LRU, IndexFn::Modulo, 910,
                     /*ways=*/16, /*sets=*/128, /*slots=*/4, /*ops=*/60000);
+    // 32 ways is the widest associativity the constructor accepts: the
+    // all-ways mask is ~0u and the LRU victim key's way field is full.
+    runDifferential(ReplPolicy::LRU, IndexFn::Modulo, 3201,
+                    /*ways=*/32, /*sets=*/64);
+    runDifferential(ReplPolicy::BitPLRU, IndexFn::Modulo, 3202,
+                    /*ways=*/32, /*sets=*/64);
 }
 
 TEST(MemDifferential, SecondSeedSweep)

@@ -7,6 +7,8 @@
 
 #include <gtest/gtest.h>
 
+#include <vector>
+
 #include "common/rng.hh"
 #include "common/units.hh"
 #include "mem/hierarchy.hh"
@@ -101,6 +103,45 @@ TEST(Hierarchy, InclusionInvariantUnderRandomTraffic)
             checkInclusion(h, lines);
     }
     checkInclusion(h, lines);
+}
+
+TEST(Hierarchy, InclusionHoldsAfterEveryOperationOfEveryEntryPoint)
+{
+    // Four cores draw from one pool larger than the LLC, so LLC
+    // evictions back-invalidate other cores' copies. Demand accesses
+    // (30 % writes) dirty lines whose L1 and L2 victims cascade
+    // outward, and both prefetch fills mix in; a remask halfway
+    // through confines each core to its own ways. Every writeback that
+    // reaches the LLC must find its line there (writebackToLlc asserts
+    // it), and no private cache may ever hold a line the LLC lacks.
+    constexpr unsigned kCores = 4;
+    CacheHierarchy h(tinyHierarchy(), kCores);
+    Rng rng(2020);
+    std::vector<Addr> pool;
+    for (unsigned k = 0; k < 1024; ++k)
+        pool.push_back(rng.below(1u << 20));
+
+    unsigned dram_writes = 0;
+    for (unsigned op = 0; op < 6000; ++op) {
+        if (op == 3000) {
+            for (unsigned c = 0; c < kCores; ++c)
+                h.setLlcPartition(c, WayMask::range(3 * c, 3));
+        }
+        const CoreId core = static_cast<CoreId>(rng.below(kCores));
+        const Addr line = pool[rng.below(pool.size())];
+        const double kind = rng.uniform();
+        HierarchyOutcome out;
+        if (kind < 0.6)
+            out = h.access(core, core, line * kLineBytes, rng.chance(0.3));
+        else if (kind < 0.8)
+            out = h.prefetchIntoL1(core, core, line);
+        else
+            out = h.prefetchIntoL2(core, core, line);
+        dram_writes += out.dramWrites;
+        checkInclusion(h, pool);
+        ASSERT_FALSE(HasFailure()) << "after op " << op;
+    }
+    EXPECT_GT(dram_writes, 0u) << "no dirty line ever left the chip";
 }
 
 TEST(Hierarchy, InclusionHoldsWithPartitioningAndRemask)
