@@ -1,6 +1,7 @@
 #include "bench_common.hh"
 
 #include <algorithm>
+#include <atomic>
 #include <chrono>
 #include <csignal>
 #include <cstdio>
@@ -13,7 +14,6 @@
 #include <thread>
 
 #include <pthread.h>
-#include <unistd.h>
 
 #include "common/logging.hh"
 #include "common/util.hh"
@@ -31,18 +31,12 @@ namespace
 constexpr const char *kDefaultCacheDir = ".capart-cache";
 
 /**
- * The --obs-dir of this invocation, exported from an atexit handler so
- * every bench binary gets it without touching its main(). Empty for
- * shard workers: their sweep loop writes their files (see
- * exec::runShardWorker). Failures go to stderr: the figure on stdout
- * must never change shape because a side file was unwritable.
+ * The --obs-dir of this invocation, exported from an exit hook so
+ * every bench binary gets it without touching its main(). Failures go
+ * to stderr: the figure on stdout must never change shape because a
+ * side file was unwritable.
  */
 std::string gObsDir; // NOLINT(cert-err58-cpp)
-
-/** Supervisor only (> 1): shard count of this invocation's sweeps.
- *  Tells the atexit exporter to stitch the per-shard worker traces
- *  with the supervisor's own. */
-unsigned gShards = 0;
 
 /** Ledger state of this invocation (one run id across all records). */
 std::unique_ptr<obs::RunLedger> gLedger;     // NOLINT(cert-err58-cpp)
@@ -51,28 +45,21 @@ std::string gRunId;                          // NOLINT(cert-err58-cpp)
 std::uint64_t gSeed = 0;
 std::chrono::steady_clock::time_point gWallStart;
 
-/** Re-exec command of this invocation (shard supervisors spawn it). */
-std::vector<std::string> gWorkerCmd; // NOLINT(cert-err58-cpp)
-
-/** Signal received (0 = none); polled by shard supervisors/workers.
- *  Written by the signal watcher thread, read by the sweep loops; a
- *  plain aligned int store/load on every supported target. */
-volatile std::sig_atomic_t gStopSignal = 0;
-/** True when a shard supervisor or worker owns shutdown: the watcher
- *  only sets the flag and the sweep loop exits at a point boundary. */
-bool gCooperativeShutdown = false;
+/** Signal that ended the run (0 = none), set by the signal watcher. */
+std::atomic<int> gStopSignal{0};
 
 /**
- * Arm SIGTERM/SIGINT handling, once per process: block both
- * signals process-wide (worker threads created later inherit the
- * mask) and consume them on a dedicated watcher thread via sigwait,
- * so shutdown runs in normal thread context — no async-signal-safety
- * constraints. In cooperative mode (shard supervisor or worker) the
- * watcher only sets the flag and the sweep loop merges/flushes and
- * exits at the next point boundary; otherwise the watcher calls
- * std::exit itself, flushing ledger/metrics/trace through the atexit
- * exporters (safe here: the obs sinks are already thread-safe). A
- * second signal always aborts immediately.
+ * Arm SIGTERM/SIGINT handling, once per process: block both signals
+ * process-wide (worker threads created later inherit the mask) and
+ * consume them on a dedicated watcher thread via sigwait, so shutdown
+ * runs in normal thread context — no async-signal-safety constraints.
+ * The first signal exits through std::quick_exit on a fresh thread:
+ * the at_quick_exit exporters flush the ledger, metrics and trace, and
+ * no static destructor runs, so sweep workers still computing a point
+ * keep appending to live objects until the process ends. Everything
+ * they append (ledger, result cache, log) is flushed line by line, so
+ * a resumed run loses at most the points in flight. A second signal
+ * aborts at once.
  */
 void
 installSignalHandlers()
@@ -94,23 +81,11 @@ installSignalHandlers()
             if (gStopSignal != 0)
                 std::_Exit(128 + sig); // second signal
             gStopSignal = sig;
-            if (!gCooperativeShutdown)
-                std::exit(128 + sig);
+            // Exit from another thread, so this one stays free to
+            // catch a second signal while the exporters run.
+            std::thread([sig] { std::quick_exit(128 + sig); }).detach();
         }
     }).detach();
-}
-
-/** Path of the running binary (re-exec target for shard workers). */
-std::string
-selfExePath(const char *argv0)
-{
-    char buf[4096];
-    const ssize_t n = readlink("/proc/self/exe", buf, sizeof(buf) - 1);
-    if (n > 0) {
-        buf[n] = '\0';
-        return buf;
-    }
-    return argv0 ? argv0 : "";
 }
 
 /** argv[0] basename with any "bench_" prefix stripped. */
@@ -127,16 +102,25 @@ benchNameFromArgv0(const char *argv0)
 void
 exportObsFiles()
 {
+    const int stop = gStopSignal;
     if (gLedger) {
-        // One `bench` record closes the invocation: total wall time
-        // plus the final counter snapshot, so the ledger alone shows
-        // what the run did and what it cost.
         obs::RunRecord rec;
-        rec.kind = "bench";
         rec.bench = gBenchName;
         rec.run = gRunId;
         rec.seed = gSeed;
         rec.tsMs = unixMillisNow();
+        if (stop != 0) {
+            // The run is partial: say so before the closing record, so
+            // bench_report never shows it as complete.
+            obs::RunRecord cut = rec;
+            cut.kind = "run_interrupted";
+            cut.rule = stop == SIGINT ? "SIGINT" : "SIGTERM";
+            gLedger->append(cut);
+        }
+        // One `bench` record closes the invocation: total wall time
+        // plus the final counter snapshot, so the ledger alone shows
+        // what the run did and what it cost.
+        rec.kind = "bench";
         rec.wallMs = std::chrono::duration<double, std::milli>(
                          std::chrono::steady_clock::now() - gWallStart)
                          .count();
@@ -145,12 +129,20 @@ exportObsFiles()
     }
     if (gObsDir.empty())
         return;
-    exec::writeObsFiles(gObsDir, gShards);
+    std::ofstream metrics_out(gObsDir + "/metrics.json");
+    std::ofstream trace_out(gObsDir + "/trace.json");
+    if (!metrics_out || !trace_out) {
+        std::fprintf(stderr, "capart: cannot write to %s\n",
+                     gObsDir.c_str());
+        return;
+    }
+    obs::metrics().writeJson(metrics_out);
+    obs::tracer().writeChromeTrace(trace_out);
     // Sweep points wrote their attribution as they finished; what a
     // bench driving System directly (Fig. 12) recorded becomes one
     // more side file. Not after a signal: the main thread may still be
     // recording into its scope.
-    if (gStopSignal != 0)
+    if (stop != 0)
         return;
     obs::AttributionBatch rest = obs::timeseries().drainAll();
     if (rest.samples.empty() && rest.journal.empty())
@@ -179,6 +171,7 @@ enableObsExport()
         obs::tracer();
         obs::timeseries();
         std::atexit(exportObsFiles);
+        std::at_quick_exit(exportObsFiles);
     }
     if (!obs::kCompiledIn) {
         std::fprintf(stderr,
@@ -203,19 +196,6 @@ parseArgs(int argc, char **argv, double default_scale,
     opts.scale = default_scale;
     gWallStart = std::chrono::steady_clock::now();
     installSignalHandlers();
-    // Re-exec command for shard workers: the resolved binary plus every
-    // flag as given, less the ones the supervisor assigns per worker.
-    // It appends --shards/--shard-worker/--ledger-dir (and --obs-dir
-    // with observability armed), which override because later flags
-    // win here.
-    gWorkerCmd.clear();
-    gWorkerCmd.push_back(selfExePath(argv[0]));
-    for (int i = 1; i < argc; ++i) {
-        const std::string arg = argv[i];
-        if (arg.rfind("--shard-worker=", 0) != 0 &&
-            arg.rfind("--obs-dir=", 0) != 0)
-            gWorkerCmd.push_back(arg);
-    }
     for (int i = 1; i < argc; ++i) {
         const std::string arg = argv[i];
         if (arg.rfind("--scale=", 0) == 0) {
@@ -249,21 +229,6 @@ parseArgs(int argc, char **argv, double default_scale,
                 std::strtoull(arg.c_str() + 20, nullptr, 10);
             enableObsExport();
             obs::timeseries().setPeriod(opts.obsSamplePeriod);
-        } else if (arg.rfind("--shards=", 0) == 0) {
-            opts.shards = static_cast<unsigned>(
-                std::strtoul(arg.c_str() + 9, nullptr, 10));
-            if (opts.shards == 0)
-                opts.shards = std::thread::hardware_concurrency();
-        } else if (arg.rfind("--shard-worker=", 0) == 0) {
-            opts.shardWorker = static_cast<int>(
-                std::strtol(arg.c_str() + 15, nullptr, 10));
-        } else if (arg.rfind("--ledger-dir=", 0) == 0) {
-            opts.ledgerDir = arg.substr(13);
-        } else if (arg.rfind("--point-timeout=", 0) == 0) {
-            opts.pointTimeoutS = std::atof(arg.c_str() + 16);
-        } else if (arg.rfind("--max-retries=", 0) == 0) {
-            opts.maxRetries = static_cast<unsigned>(
-                std::strtoul(arg.c_str() + 14, nullptr, 10));
         } else if (arg.rfind("--log-level=", 0) == 0) {
             LogLevel lvl;
             if (!parseLogLevel(arg.substr(12), &lvl)) {
@@ -298,33 +263,14 @@ parseArgs(int argc, char **argv, double default_scale,
                         "D: metrics.json,\n"
                         "               trace.json (Perfetto), log.jsonl, "
                         "attr/ (per-point\n"
-                        "               samples and decisions) and, with "
-                        "--shards,\n"
-                        "               status.json (see bench_status, "
+                        "               samples and decisions; see "
                         "bench_dashboard)\n"
                         "  --obs-sample-period=N  snapshot per-owner "
                         "attribution (LLC ways,\n"
                         "               stalls, energy, DRAM channels) "
                         "every N quanta\n"
                         "  --log-level=L  drop structured events below L "
-                        "(debug|info|warn|error)\n"
-                        "  --shards=N   run sweeps across N supervised "
-                        "worker processes\n"
-                        "               (crash/hang isolation; 0 = all "
-                        "host cores);\n"
-                        "               merged output is bit-identical "
-                        "to --jobs=1\n"
-                        "  --ledger-dir=D shard segment/results/log "
-                        "files under D\n"
-                        "               (default <cache-dir>/shards)\n"
-                        "  --point-timeout=S  kill a shard stuck on one "
-                        "point for S s\n"
-                        "               (default 0 = off; enable only "
-                        "when S exceeds\n"
-                        "               the slowest legitimate point)\n"
-                        "  --max-retries=N  retries before a failing "
-                        "point is quarantined\n"
-                        "               (default 2)\n",
+                        "(debug|info|warn|error)\n",
                         description, argv[0], default_scale,
                         kDefaultCacheDir);
             std::exit(arg == "--help" ? 0 : 1);
@@ -336,28 +282,11 @@ parseArgs(int argc, char **argv, double default_scale,
     }
     if (opts.cacheDir.empty())
         opts.cacheDir = kDefaultCacheDir;
-    if (opts.shardWorker >= 0) {
-        // Shard worker: its records go to its own ledger segment (a
-        // worker ledger record would double-count once segments
-        // merge), and its sweep loop writes its obs files into the
-        // `<obs-dir>/shard-<k>` the supervisor passed.
-        opts.ledgerOut.clear();
-    } else if (opts.shards > 1) {
-        gShards = opts.shards;
-    }
     if (!opts.obsDir.empty()) {
         std::filesystem::create_directories(opts.obsDir + "/attr");
         setLogSink(opts.obsDir + "/log.jsonl");
         gBenchName = benchNameFromArgv0(argv[0]);
-        if (opts.shardWorker < 0)
-            gObsDir = opts.obsDir;
-    }
-    if (opts.shards > 1 || opts.shardWorker >= 0) {
-        if (opts.ledgerDir.empty())
-            opts.ledgerDir = opts.cacheDir + "/shards";
-        // The sweep loop owns shutdown: the handler only sets the flag
-        // and the supervisor/worker exits at a point boundary.
-        gCooperativeShutdown = true;
+        gObsDir = opts.obsDir;
     }
     if (!opts.ledgerOut.empty()) {
         // Built after the loop so the id reflects the final --seed no
@@ -394,25 +323,8 @@ makeRunner(const BenchOptions &opts, const std::string &bench_name)
         ro.ledger = gLedger.get();
         ro.runId = gRunId;
     }
-    if (!opts.obsDir.empty()) {
-        ro.obsDir = opts.obsDir;
+    if (!opts.obsDir.empty())
         ro.attrDir = opts.obsDir + "/attr";
-    }
-    // Process-isolated shard mode (see exec/shard_supervisor.hh).
-    ro.shards = opts.shards;
-    ro.shardWorker = opts.shardWorker;
-    ro.ledgerDir = opts.ledgerDir;
-    ro.resumeShards = opts.resume;
-    ro.pointTimeoutS = opts.pointTimeoutS;
-    ro.maxRetries = opts.maxRetries;
-    ro.workerCmd = gWorkerCmd;
-    ro.stopFlag = &gStopSignal;
-    if ((ro.shards > 1 || ro.shardWorker >= 0) && ro.runId.empty()) {
-        // Segment records need a run id even without --ledger.
-        ro.runId = bench_name + "-" + std::to_string(opts.seed) + "-" +
-                   std::to_string(
-                       static_cast<std::uint64_t>(unixMillisNow()));
-    }
     return exec::SweepRunner(ro);
 }
 

@@ -45,31 +45,20 @@ struct BenchOptions
     std::uint64_t obsSamplePeriod = 0;
     /** This invocation's obs directory ("" = off); see parseArgs. */
     std::string obsDir;
-    /** Process-isolated shard workers (--shards=N; 0-1 = in-process
-     *  --jobs threads). See exec/shard_supervisor.hh. */
-    unsigned shards = 0;
-    /** >= 0: this process is shard worker k (internal; the supervisor
-     *  passes it when re-executing the binary). */
-    int shardWorker = -1;
-    /** Directory for shard ledger segments / results / logs
-     *  (default `<cacheDir>/shards`). */
-    std::string ledgerDir;
-    /** Seconds a shard may go without completing a point before it is
-     *  presumed hung and killed (--point-timeout=S). 0 — the default —
-     *  disables: liveness ticks only at point boundaries, so hang
-     *  detection is opt-in for sweeps whose slowest point is bounded. */
-    double pointTimeoutS = 0.0;
-    /** Retries a failing point gets before quarantine. */
-    unsigned maxRetries = 2;
 };
 
 /**
  * Parse --scale=X, --csv, --quick, --seed=N, --jobs=N, --resume,
- * --cache-dir=D, --ledger=F, --obs-dir=D, --obs-sample-period=N,
- * --log-level=L and the shard flags below; prints usage and exits on
- * --help or unknown arguments. @p default_scale seeds opts.scale.
- * stdout (the table/CSV) is never touched by any obs flag, so golden
- * outputs stay byte-identical.
+ * --cache-dir=D, --ledger=F, --obs-dir=D, --obs-sample-period=N and
+ * --log-level=L; prints usage and exits on --help or unknown
+ * arguments. @p default_scale seeds opts.scale. stdout (the table/CSV)
+ * is never touched by any obs flag, so golden outputs stay
+ * byte-identical.
+ *
+ * --resume (or --cache-dir=D) memoizes every finished sweep point in a
+ * checksummed cache file, so a killed sweep, run again with the same
+ * flags, computes only the points it had not finished and prints
+ * byte-identical output.
  *
  * --ledger=F appends one record per sweep point to F, the append-only
  * record many invocations share; it stamps a run id
@@ -87,29 +76,13 @@ struct BenchOptions
  * arms the per-owner sampling those files carry, every N quanta.
  * `bench_dashboard --ledger=F --obs-dir=D` renders the HTML dashboard.
  *
- * Robustness flags: --shards=N runs sweeps process-isolated — N
- * supervised worker processes, per-point timeouts (--point-timeout=S),
- * bounded retries (--max-retries=N), quarantine, and a crash-safe
- * ledger merge from segment files under --ledger-dir=D (see
- * exec/shard_supervisor.hh). With --resume the supervisor keeps
- * existing segments and fast-forwards past finished points, so a
- * killed sweep continues where it stopped. With --obs-dir=D the
- * supervisor keeps a live, atomically replaced D/status.json fresh
- * (per-shard pids, progress, retries, quarantines, heartbeat ages;
- * sweep throughput / ETA / cache-hit rate — watch it with
- * `bench_status --watch D/status.json`), and gives worker k
- * `--obs-dir=D/shard-<k>`. A worker writes its metrics, trace and log
- * there and never the ledger (the supervisor merges its segment);
- * the supervisor stitches their traces with its own into
- * D/trace.json (see src/obs/trace_stitch.hh).
- *
  * parseArgs also arms SIGTERM/SIGINT handling: the signals are blocked
  * process-wide and consumed by a dedicated watcher thread (sigwait),
- * so shutdown always runs in normal thread context — an interrupted
- * run flushes its ledger, metrics, and trace through the normal atexit
- * exporters before exiting 128+signal (a second signal aborts
- * immediately). Shard supervisors and workers instead observe the
- * signal cooperatively at the next point boundary.
+ * so shutdown always runs in normal thread context. An interrupted run
+ * exits 128+signal through std::quick_exit: its exporters append a
+ * `run_interrupted` record before the closing `bench` record and write
+ * the metrics and trace, while no static destructor runs under sweep
+ * workers still computing. A second signal aborts immediately.
  */
 BenchOptions parseArgs(int argc, char **argv, double default_scale,
                        const char *description);

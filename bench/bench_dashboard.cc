@@ -12,10 +12,9 @@
  *         --out=dashboard.html
  *
  * The newest run in the ledger (or --run=ID) supplies the point
- * records and, for a sharded sweep, the `shard` records the fleet
- * section draws; every point that carries an `attr_file` pointer has
- * its attribution document loaded and embedded. --obs-dir=D adds the
- * side files under D that no ledger point links (a bench driving
+ * records; every point that carries an `attr_file` pointer has its
+ * attribution document loaded and embedded. --obs-dir=D adds the side
+ * files under D/attr that no ledger point links (a bench driving
  * System directly, such as Fig. 12). The output opens offline — all
  * data and drawing code are inline.
  */

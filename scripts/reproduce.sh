@@ -45,7 +45,7 @@ for b in build/bench/*; do
     [ -f "$b" ] && [ -x "$b" ] || continue
     name="$(basename "$b")"
     case "$name" in
-    bench_report | bench_dashboard | bench_status) continue ;; # readers
+    bench_report | bench_dashboard) continue ;; # readers
     esac
     echo "### $b"
     OBS_FLAGS=(--ledger="$LEDGER" --obs-dir="$OBS/$name")

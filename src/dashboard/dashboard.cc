@@ -105,7 +105,6 @@ by policy (shared / fair / ucp / lfoc / dynamic).</p>
 <div id="decisions"></div>
 <h2>Sweep points</h2>
 <div id="points"></div>
-<div id="fleet"></div>
 <script>
 )HTML";
 
@@ -781,43 +780,6 @@ function pointsTable(parent) {
     }
 }
 
-// Fleet section of a sharded sweep: the run's `shard` ledger records,
-// one row per shard.
-function fleetSection(parent) {
-    const shards = data.shards || [];
-    if (!shards.length) return;
-    const total = {};
-    for (const sh of shards)
-        for (const k in sh.metrics)
-            total[k] = (total[k] || 0) + sh.metrics[k];
-    html('h2', '', parent, 'Fleet');
-    html('p', 'sub', parent,
-         (total.points_done || 0) + '/' + (total.points_assigned || 0) +
-         ' points done, ' + (total.points_from_cache || 0) +
-         ' from cache, ' + (total.points_quarantined || 0) +
-         ' quarantined, ' + (total.retries || 0) + ' retries across ' +
-         shards.length + ' shard(s).');
-    const tbl = html('table', '', parent);
-    const hdr = html('tr', '', tbl);
-    for (const h of ['shard', 'wall (s)', 'done', 'cached', 'quarantined',
-                     'retries', 'spawns', 'timeout kills', 'crashes'])
-        html('th', '', hdr, h);
-    for (const sh of shards) {
-        const m = sh.metrics || {};
-        const tr = html('tr', '', tbl);
-        html('td', '', tr, fmt(m.shard, 0));
-        html('td', '', tr, fmt((sh.wall_ms || 0) / 1000, 2));
-        html('td', '', tr, fmt(m.points_done, 0) + '/' +
-                           fmt(m.points_assigned, 0));
-        html('td', '', tr, fmt(m.points_from_cache, 0));
-        html('td', '', tr, fmt(m.points_quarantined, 0));
-        html('td', '', tr, fmt(m.retries, 0));
-        html('td', '', tr, fmt(m.spawns, 0));
-        html('td', '', tr, fmt(m.timeout_kills, 0));
-        html('td', '', tr, fmt(m.crashes, 0));
-    }
-}
-
 // ---- page assembly ----------------------------------------------------
 
 function drawBatch(idx) {
@@ -883,7 +845,6 @@ if (batches.length > 1) {
 }
 drawBatch(0);
 pointsTable(document.getElementById('points'));
-fleetSection(document.getElementById('fleet'));
 })();
 )JS";
 
@@ -938,20 +899,13 @@ dashboardJson(const DashboardData &data)
             os << ',';
         os << batchJson(data.batches[i]);
     }
-    os << ']';
-    const auto ledger_array = [&os](const char *key,
-                                    const std::vector<obs::RunRecord> &recs) {
-        os << ",\"" << key << "\":[";
-        for (std::size_t i = 0; i < recs.size(); ++i) {
-            if (i)
-                os << ',';
-            os << obs::RunLedger::encode(recs[i]);
-        }
-        os << ']';
-    };
-    ledger_array("points", data.points);
-    ledger_array("shards", data.shards);
-    os << '}';
+    os << "],\"points\":[";
+    for (std::size_t i = 0; i < data.points.size(); ++i) {
+        if (i)
+            os << ',';
+        os << obs::RunLedger::encode(data.points[i]);
+    }
+    os << "]}";
     return scriptSafe(os.str());
 }
 
@@ -997,22 +951,21 @@ loadDashboardData(const std::vector<std::string> &ledgers,
     std::vector<std::string> files;
     if (group) {
         out->points = group->points;
-        out->shards = group->shards;
         for (const obs::RunRecord &p : group->points) {
             if (!p.attrFile.empty())
                 files.push_back(p.attrFile);
         }
     }
-    // Then every side file under the obs directory's attr/ folders (its
-    // own and each shard's) that no point links, in a stable order.
+    // Then every side file in the obs directory's attr/ that no point
+    // links, in a stable order.
     std::error_code ec;
     std::vector<std::string> found;
-    for (fs::recursive_directory_iterator it(obs_dir, ec), end;
-         !ec && it != end; it.increment(ec)) {
-        const fs::path &p = it->path();
-        if (it.depth() > 0 && p.parent_path().filename() == "attr" &&
-            p.extension() == ".json")
-            found.push_back(p.string());
+    if (!obs_dir.empty()) {
+        for (fs::directory_iterator it(fs::path(obs_dir) / "attr", ec), end;
+             !ec && it != end; it.increment(ec)) {
+            if (it->path().extension() == ".json")
+                found.push_back(it->path().string());
+        }
     }
     std::sort(found.begin(), found.end());
     const std::size_t linked = files.size();

@@ -5,7 +5,7 @@
  * renderDashboardHtml() joins everything the observability layer
  * records about a run — per-owner attribution time series, the
  * partitioner decision journal, SLO evaluations, and the run ledger's
- * point and shard records — into one HTML file with zero external
+ * point records — into one HTML file with zero external
  * dependencies: all data is embedded as a JSON blob and all charts are
  * drawn client-side by inline vanilla JavaScript into inline SVG. The
  * file opens offline from a CI artifact tab or an `open` on a laptop,
@@ -48,10 +48,6 @@ struct DashboardData
     std::vector<obs::AttributionBatch> batches;
     /** Ledger `point` records for the summary table (may be empty). */
     std::vector<obs::RunRecord> points;
-    /** Ledger `shard` records of a sharded sweep, one per shard; when
-     *  present, the page shows the fleet section (per-shard retries,
-     *  spawns, kills, quarantines). */
-    std::vector<obs::RunRecord> shards;
 };
 
 /** Total attribution samples across @p data's batches. */
@@ -68,12 +64,11 @@ void renderDashboardHtml(std::ostream &os, const DashboardData &data);
 
 /**
  * Build one page's data from files alone, as `bench_dashboard
- * --ledger=F --obs-dir=D` does: the `point` and `shard` records of run
- * @p run_id ("" = the newest run in @p ledgers; @p bench, if set, keeps
- * only that bench's runs), the attribution side file each point links,
- * and every other side file in D's `attr/` directories (its own and
- * each `shard-<k>/attr/`; @p obs_dir may be ""). The title names the
- * run. Unreadable side files are skipped with a stderr note. Returns
+ * --ledger=F --obs-dir=D` does: the `point` records of run @p run_id
+ * ("" = the newest run in @p ledgers; @p bench, if set, keeps only that
+ * bench's runs), the attribution side file each point links, and every
+ * other side file in `D/attr/` (@p obs_dir may be ""). The title names
+ * the run. Unreadable side files are skipped with a stderr note. Returns
  * false (after a stderr note) only when @p run_id names no run.
  */
 bool loadDashboardData(const std::vector<std::string> &ledgers,

@@ -262,6 +262,11 @@ ResultCache::ResultCache(std::string path) : path_(std::move(path))
                                    << " corrupt line(s); those points "
                                       "will recompute");
     }
+    // A torn last line has no newline; the first store ends it, or the
+    // record appended after it would fail its checksum too.
+    in.clear();
+    char last = '\n';
+    tornTail_ = in.seekg(-1, std::ios::end) && in.get(last) && last != '\n';
 }
 
 void
@@ -316,6 +321,10 @@ ResultCache::store(std::uint64_t key, const SweepResult &res)
         }
         out.flush();
         return;
+    }
+    if (tornTail_) {
+        out << '\n';
+        tornTail_ = false;
     }
     std::snprintf(keybuf, sizeof(keybuf), "%016" PRIx64, key);
     out << checksumLine(std::string(keybuf) + ' ' + encode(res)) << '\n';

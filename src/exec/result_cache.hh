@@ -77,6 +77,8 @@ class ResultCache
     std::unordered_map<std::uint64_t, SweepResult> entries_;
     /** File had our header (append) vs. absent/foreign (rewrite). */
     bool fileCompatible_ = false;
+    /** The file ended mid-line when loaded (see store()). */
+    bool tornTail_ = false;
 };
 
 } // namespace capart::exec

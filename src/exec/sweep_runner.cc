@@ -6,7 +6,6 @@
 #include <cinttypes>
 #include <cstdio>
 #include <exception>
-#include <filesystem>
 #include <fstream>
 #include <memory>
 #include <mutex>
@@ -19,12 +18,10 @@
 #include "core/napp.hh"
 #include "core/static_policies.hh"
 #include "exec/result_cache.hh"
-#include "exec/shard_supervisor.hh"
 #include "obs/metrics.hh"
 #include "obs/run_ledger.hh"
 #include "obs/timeseries.hh"
 #include "obs/trace.hh"
-#include "obs/trace_stitch.hh"
 #include "sim/experiment.hh"
 #include "workload/catalog.hh"
 
@@ -167,6 +164,13 @@ runSpec(const ExperimentSpec &spec, std::uint64_t base_seed)
     return out;
 }
 
+namespace
+{
+
+/**
+ * Flatten one finished point into a `point` ledger record, the one
+ * encoding of fresh and cache-replayed points alike.
+ */
 obs::RunRecord
 pointRecord(const SweepRunnerOptions &opts, const ExperimentSpec &spec,
             const SweepResult &r, double wall_ms)
@@ -252,9 +256,6 @@ pointRecord(const SweepRunnerOptions &opts, const ExperimentSpec &spec,
     return rec;
 }
 
-namespace
-{
-
 /** Side-file path of one point's attribution batch. */
 std::string
 attrFilePath(const SweepRunnerOptions &opts, const ExperimentSpec &spec)
@@ -326,11 +327,14 @@ exportPointAttribution(const SweepRunnerOptions &opts,
     return batch.attrFile;
 }
 
-} // namespace
-
+/**
+ * Compute one point end to end and record everything about it: trace
+ * span, points-computed counter, optional cache store, attribution
+ * side file and the `point` ledger record.
+ */
 SweepResult
 computePoint(const SweepRunnerOptions &opts, const ExperimentSpec &spec,
-             ResultCache *cache, obs::RunLedger *ledger)
+             ResultCache *cache)
 {
     obs::TraceSpan point_span("sweep.point", "sweep",
                               {{"spec_hash",
@@ -348,47 +352,15 @@ computePoint(const SweepRunnerOptions &opts, const ExperimentSpec &spec,
     std::string attr_file;
     if (!opts.attrDir.empty() && obs::enabled())
         attr_file = exportPointAttribution(opts, spec);
-    if (ledger) {
+    if (opts.ledger) {
         obs::RunRecord rec = pointRecord(opts, spec, r, wall_ms);
         rec.attrFile = attr_file;
-        ledger->append(rec);
+        opts.ledger->append(rec);
     }
     return r;
 }
 
-std::string
-shardObsDir(const std::string &dir, unsigned shard)
-{
-    return dir + "/shard-" + std::to_string(shard);
-}
-
-void
-writeObsFiles(const std::string &dir, unsigned shards)
-{
-    std::error_code ec;
-    std::filesystem::create_directories(dir, ec);
-    const std::string trace = dir + "/trace.json";
-    std::ofstream metrics_out(dir + "/metrics.json");
-    std::ofstream trace_out(trace);
-    if (!metrics_out || !trace_out) {
-        std::fprintf(stderr, "capart: cannot write to %s\n", dir.c_str());
-        return;
-    }
-    obs::metrics().writeJson(metrics_out);
-    obs::tracer().writeChromeTrace(trace_out);
-    trace_out.close();
-    if (shards < 2 || !obs::enabled())
-        return;
-    // A sharded sweep's supervisor: its own timeline (lifecycle
-    // instants) first, then each worker's. Shards that never spawned
-    // (clamped count) or died mid-export are tolerated and counted in
-    // the stitched metadata.
-    std::vector<obs::StitchSource> sources = {{trace, "supervisor"}};
-    for (unsigned k = 0; k < shards; ++k)
-        sources.push_back({shardObsDir(dir, k) + "/trace.json",
-                           "shard " + std::to_string(k)});
-    obs::stitchTraceFiles(sources, trace);
-}
+} // namespace
 
 SweepRunner::SweepRunner(SweepRunnerOptions opts) : opts_(std::move(opts))
 {
@@ -397,13 +369,6 @@ SweepRunner::SweepRunner(SweepRunnerOptions opts) : opts_(std::move(opts))
 std::vector<SweepResult>
 SweepRunner::run(const std::vector<ExperimentSpec> &specs)
 {
-    // Process-isolated paths first: a worker never returns, a
-    // supervisor owns the whole sweep (see shard_supervisor.cc).
-    if (opts_.shardWorker >= 0 && opts_.shards > 0)
-        runShardWorker(opts_, specs); // [[noreturn]]
-    if (opts_.shards > 1 && !opts_.workerCmd.empty() && specs.size() > 1)
-        return runShardedSweep(opts_, specs);
-
     std::vector<SweepResult> results(specs.size());
 
     std::unique_ptr<ResultCache> cache;
@@ -440,8 +405,7 @@ SweepRunner::run(const std::vector<ExperimentSpec> &specs)
     }
 
     const auto compute = [&](std::size_t i) {
-        results[i] = computePoint(opts_, specs[i], cache.get(),
-                                  opts_.ledger);
+        results[i] = computePoint(opts_, specs[i], cache.get());
         std::lock_guard<std::mutex> lock(progress_mutex);
         report();
     };

@@ -10,21 +10,11 @@
  * optional on-disk @ref ResultCache memoizes completed points (keyed by
  * the same derived seed), making interrupted sweeps resumable and
  * repeat runs nearly free.
- *
- * Beyond the in-process threads, the runner has a process-isolated
- * mode (`shards > 1`, see src/exec/shard_supervisor.hh): points are
- * partitioned by spec hash into shard child processes — re-executions
- * of the same binary with `--shard-worker=k` — each appending to its
- * own ledger segment and bit-exact results file, while the parent
- * supervises with per-point timeouts, bounded retries, quarantine, and
- * a deterministic merge. A crashing or hanging point then costs one
- * shard attempt, never the sweep.
  */
 
 #ifndef CAPART_EXEC_SWEEP_RUNNER_HH
 #define CAPART_EXEC_SWEEP_RUNNER_HH
 
-#include <csignal>
 #include <cstdint>
 #include <functional>
 #include <string>
@@ -35,7 +25,6 @@
 namespace capart::obs
 {
 class RunLedger;
-struct RunRecord;
 } // namespace capart::obs
 
 namespace capart::exec
@@ -96,11 +85,6 @@ struct SweepResult
     /** True when this result came from the memoization cache (not
      *  serialized; diagnostic only). */
     bool fromCache = false;
-
-    /** True when the point was quarantined after failing every retry
-     *  in process-isolated mode: the value fields are defaults, and a
-     *  `point_failed` record documents why (not serialized). */
-    bool failed = false;
 };
 
 /**
@@ -114,8 +98,6 @@ SweepResult runSpec(const ExperimentSpec &spec, std::uint64_t base_seed);
 /** Memoization key of (@p base_seed, @p spec): the derived seed. */
 std::uint64_t specCacheKey(const ExperimentSpec &spec,
                            std::uint64_t base_seed);
-
-class ResultCache;
 
 /** Configuration of a @ref SweepRunner. */
 struct SweepRunnerOptions
@@ -162,100 +144,7 @@ struct SweepRunnerOptions
      * exist.
      */
     std::string attrDir;
-    /**
-     * This invocation's obs directory (`--obs-dir`); empty disables.
-     * Output-only, written only while observability is armed. A
-     * sharded sweep's supervisor refreshes `status.json` (see
-     * src/obs/status.hh) there every 0.5 s and once more after the
-     * merge, and gives worker k the obs directory
-     * shardObsDir(obsDir, k), where the worker writes its metrics and
-     * trace on exit (writeObsFiles).
-     */
-    std::string obsDir;
-
-    // ---- process-isolated shard mode --------------------------------
-
-    /**
-     * Shard child processes; <= 1 keeps the in-process threads.
-     * When > 1 the runner ignores `jobs` (each shard owns a results
-     * file under `ledgerDir` instead) and `run()` supervises `shards`
-     * re-executions of `workerCmd`. A non-empty `cachePath` is still
-     * honoured — each worker reads it through before computing and
-     * stores fresh results back, so a warm user cache replays into
-     * sharded sweeps and vice versa. Concurrent worker appends are
-     * safe: ResultCache lines carry checksums, so a torn or
-     * interleaved write is skipped on read, never misread.
-     */
-    unsigned shards = 0;
-    /** >= 0 marks this process as shard worker k: run() computes only
-     *  points with `spec.hash() % shards == k` serially, records them
-     *  into this shard's segment + results file, and exits — it never
-     *  returns. */
-    int shardWorker = -1;
-    /** Directory holding shard ledger segments and results files. */
-    std::string ledgerDir;
-    /** Keep existing segments/results (resume an interrupted sweep)
-     *  instead of starting fresh. */
-    bool resumeShards = false;
-    /** Wall-clock seconds a shard may go without appending to its
-     *  segment before it is presumed hung and SIGKILLed; 0 (the
-     *  default) disables. Liveness is observed only at point
-     *  boundaries, so enable this only with a bound on single-point
-     *  duration in hand — a timeout below the slowest legitimate
-     *  point kills and quarantines valid work as "timeout". */
-    double pointTimeoutS = 0.0;
-    /** Retries a failing point gets before quarantine (initial attempt
-     *  not counted: maxRetries == 2 allows three tries). */
-    unsigned maxRetries = 2;
-    /**
-     * Parent mode: the argv to re-execute for workers — the current
-     * binary and flags. The supervisor appends `--shards=N`,
-     * `--shard-worker=k`, `--ledger-dir=D`, and with observability
-     * armed `--obs-dir=<obsDir>/shard-<k>` (later flags override
-     * earlier ones in parseArgs). Empty disables shard mode.
-     */
-    std::vector<std::string> workerCmd;
-    /** Signal flag polled for graceful shutdown (SIGTERM/SIGINT); the
-     *  supervisor terminates shards, merges what completed, marks the
-     *  run interrupted, and exits. nullptr disables. */
-    const volatile std::sig_atomic_t *stopFlag = nullptr;
 };
-
-/** `<dir>/shard-<k>`: shard worker k's obs directory under a sharded
- *  sweep's obs directory @p dir. */
-std::string shardObsDir(const std::string &dir, unsigned shard);
-
-/**
- * Write this process's metrics registry to `<dir>/metrics.json` and its
- * Chrome trace to `<dir>/trace.json` (creating @p dir): the one writer
- * of both, for benches and shard workers alike. With @p shards > 1 and
- * observability armed (a sharded sweep's supervisor), trace.json then
- * stitches in every `shardObsDir(dir, k)/trace.json` (see
- * src/obs/trace_stitch.hh). Failures go to stderr.
- */
-void writeObsFiles(const std::string &dir, unsigned shards = 0);
-
-/**
- * Compute one point end to end and record everything about it: trace
- * span, points-computed counter, optional cache store, attribution
- * side-file export, and the `point` ledger record (to @p ledger, which
- * overrides opts.ledger so shard workers can target their segment).
- * The single execution path shared by the in-process runner and the
- * shard worker loop — both therefore produce bit-identical records.
- */
-SweepResult computePoint(const SweepRunnerOptions &opts,
-                         const ExperimentSpec &spec, ResultCache *cache,
-                         obs::RunLedger *ledger);
-
-/**
- * Flatten one finished point into a `point` ledger record — the
- * canonical encoding shared by the in-process runner and the shard
- * worker, so a cache replay and a fresh computation of the same spec
- * yield byte-comparable records.
- */
-obs::RunRecord pointRecord(const SweepRunnerOptions &opts,
-                           const ExperimentSpec &spec,
-                           const SweepResult &r, double wall_ms);
 
 /** Fans specs across worker threads; results in submission order. */
 class SweepRunner
@@ -268,11 +157,6 @@ class SweepRunner
      * are returned without re-execution (marked fromCache); newly
      * computed points are appended to the cache as they complete, so
      * an interrupted sweep resumes where it stopped.
-     *
-     * With opts.shards > 1 the sweep instead runs process-isolated
-     * (see shard_supervisor.hh); with opts.shardWorker >= 0 this
-     * process IS a shard worker and run() never returns — it exits
-     * after computing its subset.
      */
     std::vector<SweepResult> run(const std::vector<ExperimentSpec> &specs);
 

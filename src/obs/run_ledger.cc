@@ -1,10 +1,7 @@
 #include "obs/run_ledger.hh"
 
-#include <algorithm>
 #include <cstdio>
 #include <sstream>
-#include <unordered_map>
-#include <unordered_set>
 
 #include "common/json.hh"
 #include "common/util.hh"
@@ -143,8 +140,9 @@ RunLedger::decode(const std::string &line, RunRecord *out)
     rec.rule = doc->at("rule").asStr();
     readPairs(doc->at("metrics"), &rec.metrics);
     readPairs(doc->at("counters"), &rec.counters);
-    // "decision" and "npartition_decision" are retired but still read,
-    // so older ledgers load with nothing skipped.
+    // "decision", "npartition_decision", "point_start", "point_failed"
+    // and "shard" are retired but still read, so older ledgers load
+    // with nothing skipped.
     if (rec.kind != "point" && rec.kind != "bench" &&
         rec.kind != "decision" && rec.kind != "npartition_decision" &&
         rec.kind != "point_start" && rec.kind != "point_failed" &&
@@ -172,125 +170,6 @@ RunLedger::load(const std::string &path)
             ++result.skipped;
     }
     return result;
-}
-
-namespace
-{
-
-/** Sort rank of a record kind inside the merged output. */
-int
-kindRank(const std::string &kind)
-{
-    if (kind == "point")
-        return 0;
-    if (kind == "point_failed")
-        return 1;
-    if (kind == "bench")
-        return 2;
-    return 3; // run_interrupted and anything future
-}
-
-/** "a supersedes b" for two same-spec point records: later timestamp
- *  wins, ties broken by wall time then by encoding, so the winner is a
- *  pure function of record content. */
-bool
-supersedes(const RunRecord &a, const RunRecord &b)
-{
-    if (a.tsMs != b.tsMs)
-        return a.tsMs > b.tsMs;
-    if (a.wallMs != b.wallMs)
-        return a.wallMs > b.wallMs;
-    return RunLedger::encode(a) > RunLedger::encode(b);
-}
-
-} // namespace
-
-MergeResult
-mergeLedgerSegments(const std::vector<std::string> &segment_paths,
-                    const MergeOptions &opts)
-{
-    MergeResult out;
-
-    std::unordered_map<std::uint64_t, RunRecord> points;
-    std::unordered_map<std::uint64_t, RunRecord> failed;
-    std::vector<RunRecord> other;
-
-    std::unordered_set<std::uint64_t> keep;
-    keep.insert(opts.specFilter.begin(), opts.specFilter.end());
-
-    for (const std::string &path : segment_paths) {
-        std::ifstream probe(path);
-        if (!probe) {
-            ++out.missingSegments;
-            continue;
-        }
-        probe.close();
-        RunLedger::LoadResult seg = RunLedger::load(path);
-        out.tornLines += seg.skipped;
-        for (RunRecord &rec : seg.records) {
-            const bool spec_bound = rec.kind == "point" ||
-                                    rec.kind == "point_start" ||
-                                    rec.kind == "point_failed";
-            if (spec_bound) {
-                if (opts.filterSeed && rec.seed != opts.expectedSeed) {
-                    ++out.duplicatesDropped;
-                    continue;
-                }
-                if (!keep.empty() && keep.count(rec.specHash) == 0) {
-                    ++out.duplicatesDropped;
-                    continue;
-                }
-            }
-            if (rec.kind == "point_start") {
-                continue; // worker-internal liveness bookkeeping
-            } else if (rec.kind == "point") {
-                auto [it, inserted] =
-                    points.emplace(rec.specHash, rec);
-                if (!inserted) {
-                    ++out.duplicatesDropped;
-                    if (supersedes(rec, it->second))
-                        it->second = std::move(rec);
-                }
-            } else if (rec.kind == "point_failed") {
-                auto [it, inserted] =
-                    failed.emplace(rec.specHash, rec);
-                if (!inserted) {
-                    ++out.duplicatesDropped;
-                    if (rec.metric("attempts") >
-                            it->second.metric("attempts") ||
-                        (rec.metric("attempts") ==
-                             it->second.metric("attempts") &&
-                         supersedes(rec, it->second)))
-                        it->second = std::move(rec);
-                }
-            } else {
-                other.push_back(std::move(rec));
-            }
-        }
-    }
-
-    for (auto &[hash, rec] : points)
-        out.records.push_back(std::move(rec));
-    for (auto &[hash, rec] : failed) {
-        if (points.count(hash) != 0)
-            continue; // a retry eventually completed the point
-        ++out.quarantined;
-        out.records.push_back(std::move(rec));
-    }
-    for (RunRecord &rec : other)
-        out.records.push_back(std::move(rec));
-
-    std::sort(out.records.begin(), out.records.end(),
-              [](const RunRecord &a, const RunRecord &b) {
-                  const int ra = kindRank(a.kind);
-                  const int rb = kindRank(b.kind);
-                  if (ra != rb)
-                      return ra < rb;
-                  if (a.specHash != b.specHash)
-                      return a.specHash < b.specHash;
-                  return RunLedger::encode(a) < RunLedger::encode(b);
-              });
-    return out;
 }
 
 } // namespace capart::obs

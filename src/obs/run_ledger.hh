@@ -3,7 +3,7 @@
  * Append-only JSONL run ledger: the durable record every experiment
  * run leaves behind.
  *
- * One ledger is one file of newline-delimited JSON records. Six kinds
+ * One ledger is one file of newline-delimited JSON records. Three kinds
  * of record are written:
  *
  *  - `point`  — one @ref capart::exec::SweepRunner sweep point: the
@@ -13,29 +13,16 @@
  *    metric map; when attribution sampling was on, also a pointer to
  *    the point's attribution side file (`attr_file`), which holds the
  *    point's partitioner decision journal;
- *  - `bench`  — one bench-binary invocation: total wall time plus a
- *    snapshot of the observability counters at exit;
- *  - `point_start` — a shard worker is about to compute a point
- *    (attempt number in the metric map). Dangling starts — a start
- *    with no later `point` for the same spec hash — are how the shard
- *    supervisor identifies the point a crashed or hung worker died on.
- *    Worker-internal bookkeeping: mergeLedgerSegments() drops them;
- *  - `point_failed` — the supervisor quarantined a point that failed
- *    every retry; `rule` carries the reason ("crash", "timeout",
- *    "shard_failed"), the metric map the attempt count;
  *  - `run_interrupted` — the run was stopped by SIGTERM/SIGINT after
  *    flushing everything completed so far; `rule` names the signal;
- *  - `shard` — one supervised shard's lifetime summary, appended by
- *    the shard supervisor after the segment merge: shard index, wall
- *    time, and the fleet counters (points done / from-cache /
- *    quarantined, retries, spawns, timeout kills, crashes) in the
- *    metric map. The report layer renders these as the per-shard
- *    table.
+ *  - `bench`  — one bench-binary invocation: total wall time plus a
+ *    snapshot of the observability counters at exit.
  *
- * Two retired kinds are still read, never written: `decision` and
- * `npartition_decision`, per-decision copies of the side-file journal
- * that older ledgers hold. decode() accepts them so such ledgers load
- * with nothing skipped; the report layer ignores them.
+ * Five retired kinds are still read, never written: `decision` and
+ * `npartition_decision`, per-decision copies of the side-file journal,
+ * and `point_start`, `point_failed` and `shard`, the bookkeeping of the
+ * deleted process-sharded sweep. decode() accepts them so older ledgers
+ * load with nothing skipped; the report layer ignores them.
  *
  * Records carry a `run` id (bench + seed + start timestamp) so a single
  * growing ledger holds the full trajectory of repeated runs; the report
@@ -67,12 +54,9 @@ namespace capart::obs
 /** One ledger line; plain data, serializable both ways. */
 struct RunRecord
 {
-    /** "point" (sweep point), "bench" (binary invocation),
-     *  "point_start" (shard worker liveness), "point_failed"
-     *  (quarantined point), "run_interrupted" (signal-terminated run),
-     *  or "shard" (one supervised shard's lifetime summary); older
-     *  ledgers also hold the retired "decision" and
-     *  "npartition_decision". */
+    /** "point" (sweep point), "bench" (binary invocation) or
+     *  "run_interrupted" (signal-terminated run); older ledgers also
+     *  hold the retired kinds listed in the file comment. */
     std::string kind = "point";
     /** Bench the record belongs to (e.g. "fig13_dynamic"). */
     std::string bench;
@@ -98,8 +82,8 @@ struct RunRecord
     std::vector<std::pair<std::string, double>> counters;
     /** Path of the point's attribution sample file ("" = none). */
     std::string attrFile;
-    /** The rule or reason a record names: a quarantine's cause, an
-     *  interruption's signal ("" otherwise). */
+    /** The rule a record names: an interruption's signal ("" for
+     *  points and bench records). */
     std::string rule;
 
     /** Value of metric @p name, or @p fallback when absent. */
@@ -151,57 +135,6 @@ class RunLedger
     bool ok_ = false;
     std::uint64_t appended_ = 0;
 };
-
-// ------------------------------------------------- segment merging --
-
-/** Knobs of @ref mergeLedgerSegments. */
-struct MergeOptions
-{
-    /** When true, drop spec-carrying records whose seed differs from
-     *  expectedSeed (stale segments from an earlier run with another
-     *  seed must not poison a resumed sweep). */
-    bool filterSeed = false;
-    std::uint64_t expectedSeed = 0;
-    /** When non-empty, keep only spec-carrying records whose hash is
-     *  in this set (the sweep the supervisor actually scheduled). */
-    std::vector<std::uint64_t> specFilter;
-};
-
-/** Outcome of folding shard segments into one canonical record set. */
-struct MergeResult
-{
-    /** The merged records, in a deterministic order that depends only
-     *  on record content — never on segment order or file position. */
-    std::vector<RunRecord> records;
-    /** Segment paths that did not exist (killed before first write). */
-    std::uint64_t missingSegments = 0;
-    /** Unparsable lines skipped across all segments (torn tails). */
-    std::uint64_t tornLines = 0;
-    /** Superseded duplicates dropped (retried points) and records
-     *  filtered out by seed or spec: last-complete-wins keyed by spec
-     *  hash. */
-    std::uint64_t duplicatesDropped = 0;
-    /** `point_failed` records surviving in the output (no complete
-     *  point ever landed for that spec). */
-    std::uint64_t quarantined = 0;
-};
-
-/**
- * Fold shard ledger segments into the canonical record set.
- *
- * Tolerates torn tails (skipped, counted), empty and missing segments,
- * duplicate records from retried points, and records interleaved from
- * several run ids (a sweep interrupted and resumed under a new id).
- * Per spec hash, the last complete `point` record wins — "last" judged
- * by (ts_ms, wall_ms, encoding), so the choice is deterministic and
- * independent of the order segments are listed or records appear.
- * `point_start` records are dropped (worker-internal), and
- * `point_failed` survives only while no complete point exists for its
- * spec. The output is sorted by (kind rank, spec hash, encoding):
- * permuting @p segment_paths cannot change a single output byte.
- */
-MergeResult mergeLedgerSegments(const std::vector<std::string> &segment_paths,
-                                const MergeOptions &opts = MergeOptions{});
 
 } // namespace capart::obs
 

@@ -66,25 +66,13 @@ groupRuns(const std::vector<obs::RunRecord> &records)
             g->startTsMs = rec.tsMs;
         if (rec.kind == "bench")
             g->benchRecords.push_back(rec);
-        else if (rec.kind == "point_failed")
-            g->failures.push_back(rec);
         else if (rec.kind == "run_interrupted")
             g->interruptions.push_back(rec);
-        else if (rec.kind == "shard")
-            g->shards.push_back(rec);
         else if (rec.kind == "point")
             g->points.push_back(rec);
-        // Anything else (point_start, the retired decision kinds,
-        // future kinds) is dropped: only complete points may enter
-        // metric pairing.
+        // Anything else (the retired kinds, future kinds) is dropped:
+        // only complete points may enter metric pairing.
     }
-    // Per-shard tables render in shard order whatever the merge order.
-    for (RunGroup &g : groups)
-        std::stable_sort(g.shards.begin(), g.shards.end(),
-                         [](const obs::RunRecord &a,
-                            const obs::RunRecord &b) {
-                             return a.metric("shard") < b.metric("shard");
-                         });
     std::sort(groups.begin(), groups.end(),
               [](const RunGroup &a, const RunGroup &b) {
                   if (a.startTsMs != b.startTsMs)
@@ -170,8 +158,6 @@ writeBenchJson(std::ostream &os, const std::vector<RunGroup> &groups)
         entry.set("points", Json(static_cast<double>(g.points.size())));
         entry.set("cached_points",
                   Json(static_cast<double>(g.cachedPoints())));
-        entry.set("quarantined_points",
-                  Json(static_cast<double>(g.failures.size())));
         entry.set("interrupted", Json(!g.interruptions.empty()));
         if (!g.benchRecords.empty())
             entry.set("wall_ms", Json(g.benchRecords.back().wallMs));
@@ -304,77 +290,17 @@ writeMarkdown(std::ostream &os, const std::vector<RunGroup> &groups,
         os << "_No runs in the ledger._\n";
         return;
     }
-    os << "| run | bench | points | cached | failed | wall (s) | |\n";
-    os << "|---|---|---:|---:|---:|---:|---|\n";
+    os << "| run | bench | points | cached | wall (s) | |\n";
+    os << "|---|---|---:|---:|---:|---|\n";
     for (const RunGroup &g : groups) {
         os << "| " << g.run << " | " << g.bench << " | "
            << g.points.size() << " | " << g.cachedPoints() << " | "
-           << g.failures.size() << " | "
            << (g.benchRecords.empty()
                    ? ""
                    : formatDouble(g.benchRecords.back().wallMs / 1000.0,
                                   "%.2f"))
            << " | " << (g.interruptions.empty() ? "" : "interrupted")
            << " |\n";
-    }
-
-    // A quarantined point is a hole in the sweep: say which points and
-    // why, or a regression can hide inside the gap.
-    bool have_failures = false;
-    for (const RunGroup &g : groups) {
-        for (const obs::RunRecord &rec : g.failures) {
-            if (!have_failures) {
-                have_failures = true;
-                os << "\n### Quarantined points\n\n";
-                os << "| run | spec | reason | attempts |\n";
-                os << "|---|---|---|---:|\n";
-            }
-            char hash[24];
-            std::snprintf(hash, sizeof(hash), "%016" PRIx64,
-                          rec.specHash);
-            os << "| " << g.run << " | `0x" << hash << "` | "
-               << rec.rule << " | "
-               << static_cast<unsigned>(rec.metric("attempts"))
-               << " |\n";
-        }
-    }
-
-    // A sharded sweep's per-shard summary: where the wall time went,
-    // which shard burned retries or ate SIGKILLs.
-    bool have_shards = false;
-    for (const RunGroup &g : groups) {
-        for (const obs::RunRecord &rec : g.shards) {
-            if (!have_shards) {
-                have_shards = true;
-                os << "\n### Shards\n\n";
-                os << "| run | shard | wall (s) | computed | cached | "
-                      "retries | spawns | quarantined | timeout kills | "
-                      "crashes |\n";
-                os << "|---|---:|---:|---:|---:|---:|---:|---:|---:|---:"
-                      "|\n";
-            }
-            const std::uint64_t done =
-                static_cast<std::uint64_t>(rec.metric("points_done"));
-            const std::uint64_t cached = static_cast<std::uint64_t>(
-                rec.metric("points_from_cache"));
-            os << "| " << g.run << " | "
-               << static_cast<unsigned>(rec.metric("shard")) << " | "
-               << formatDouble(rec.wallMs / 1000.0, "%.2f") << " | "
-               << (done - std::min(done, cached)) << " | " << cached
-               << " | "
-               << static_cast<std::uint64_t>(rec.metric("retries"))
-               << " | "
-               << static_cast<std::uint64_t>(rec.metric("spawns"))
-               << " | "
-               << static_cast<std::uint64_t>(
-                      rec.metric("points_quarantined"))
-               << " | "
-               << static_cast<std::uint64_t>(
-                      rec.metric("timeout_kills"))
-               << " | "
-               << static_cast<std::uint64_t>(rec.metric("crashes"))
-               << " |\n";
-        }
     }
 
     if (!cmp)

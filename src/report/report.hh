@@ -49,29 +49,18 @@ struct RunGroup
      *  run was killed before exit or wrote only points). The last one
      *  carries the run's wall time. */
     std::vector<obs::RunRecord> benchRecords;
-    /** `point_failed` records: points the shard supervisor quarantined
-     *  after exhausting retries. Surfaced in reports (a silent hole in
-     *  a sweep is how regressions hide), never paired as points. */
-    std::vector<obs::RunRecord> failures;
     /** `run_interrupted` records: the run was stopped by a signal
      *  after flushing what completed. Flags the run as partial. */
     std::vector<obs::RunRecord> interruptions;
-    /** `shard` records: one per supervised shard of a --shards sweep,
-     *  carrying the shard's wall time and fleet counters (points done
-     *  / from-cache / quarantined, retries, spawns, timeout kills,
-     *  crashes), sorted by shard index. Rendered as the per-shard
-     *  markdown table and the dashboard's fleet section; never paired
-     *  as points. */
-    std::vector<obs::RunRecord> shards;
 
     /** Points replayed from the memoization cache. */
     std::size_t cachedPoints() const;
 };
 
 /**
- * Group @p records by run id, each group's records in input order
- * (`shard` records in shard order), groups sorted by start timestamp
- * (ties broken by run id so output is deterministic).
+ * Group @p records by run id, each group's records in input order,
+ * groups sorted by start timestamp (ties broken by run id so output is
+ * deterministic). Retired record kinds join no bucket.
  */
 std::vector<RunGroup> groupRuns(const std::vector<obs::RunRecord> &records);
 

@@ -750,39 +750,17 @@ TEST(Dashboard, EmptyDataRendersZeroSamples)
         << "CI's obs-off proof greps for exactly this";
 }
 
-/** A `shard` ledger record of run @p run, as the supervisor writes it. */
-obs::RunRecord
-shardRecord(const std::string &run, unsigned shard, double done,
-            double spawns)
-{
-    obs::RunRecord r;
-    r.kind = "shard";
-    r.bench = "fig13_dynamic";
-    r.run = run;
-    r.tsMs = 2.0;
-    r.wallMs = 1500.0;
-    r.metrics = {{"shard", static_cast<double>(shard)},
-                 {"points_assigned", done},
-                 {"points_done", done},
-                 {"points_from_cache", 0.0},
-                 {"points_quarantined", 0.0},
-                 {"retries", spawns - 1.0},
-                 {"spawns", spawns},
-                 {"timeout_kills", 0.0},
-                 {"crashes", spawns - 1.0}};
-    return r;
-}
-
 TEST(Dashboard, LedgerPlusObsDirRendersTheFleetSection)
 {
-    // bench_dashboard --ledger=F --obs-dir=D: the run's points and
-    // `shard` records come from the ledger; the side files under D's
-    // attr/ directories (a shard worker's included) come from D. The
-    // shard records are what the fleet section draws.
+    // bench_dashboard --ledger=F --obs-dir=D: the run's points come
+    // from the ledger, and a side file in D/attr/ that no point links
+    // (a bench driving System directly) comes from D. Side files
+    // anywhere else under D are not read.
     const fs::path dir =
         fs::path(testing::TempDir()) / "capart_dash_obs_dir";
     fs::remove_all(dir);
-    fs::create_directories(dir / "shard-1" / "attr");
+    fs::create_directories(dir / "attr");
+    fs::create_directories(dir / "stale" / "attr");
     const std::string ledger_path = (dir / "runs.jsonl").string();
     {
         obs::RunLedger ledger(ledger_path);
@@ -793,11 +771,10 @@ TEST(Dashboard, LedgerPlusObsDirRendersTheFleetSection)
         p.specHash = 0x1234;
         p.tsMs = 1.0;
         ledger.append(p);
-        ledger.append(shardRecord(p.run, 0, 1.0, 1.0));
-        ledger.append(shardRecord(p.run, 1, 0.0, 1.0));
     }
-    {
-        std::ofstream out(dir / "shard-1" / "attr" / "worker.json");
+    for (const fs::path &side : {dir / "attr" / "fig12-main.json",
+                                 dir / "stale" / "attr" / "x.json"}) {
+        std::ofstream out(side);
         obs::writeAttributionJson(out, syntheticBatch());
     }
 
@@ -807,69 +784,21 @@ TEST(Dashboard, LedgerPlusObsDirRendersTheFleetSection)
     EXPECT_EQ(data.title, "capart fig13_dynamic — fig13_dynamic-1-test");
     ASSERT_EQ(data.points.size(), 1u);
     ASSERT_EQ(data.batches.size(), 1u);
+    EXPECT_EQ(data.batches[0].attrFile,
+              (dir / "attr" / "fig12-main.json").string());
     EXPECT_EQ(dashboard::sampleTotal(data), 2u);
-    ASSERT_EQ(data.shards.size(), 2u);
 
     std::ostringstream html;
     dashboard::renderDashboardHtml(html, data);
     const Json doc = embeddedBlob(html.str());
-    ASSERT_TRUE(doc.at("shards").isArr())
-        << "the fleet section needs the embedded shard records";
-    ASSERT_EQ(doc.at("shards").arr.size(), 2u);
-    EXPECT_EQ(doc.at("shards").arr[0].at("kind").asStr(), "shard");
+    ASSERT_EQ(doc.at("points").arr.size(), 1u);
+    ASSERT_EQ(doc.at("batches").arr.size(), 1u);
+    EXPECT_FALSE(doc.at("shards").isArr()) << "no shard records remain";
 
     // A --run that names no run is an error, not an empty page.
     dashboard::DashboardData none;
     EXPECT_FALSE(dashboard::loadDashboardData({ledger_path}, dir.string(),
                                               "no-such-run", "", &none));
-    fs::remove_all(dir);
-}
-
-TEST(Dashboard, FleetSectionComesFromTheRunsShardRecords)
-{
-    // No obs directory and no status.json anywhere: the ledger alone
-    // carries the fleet record. Only the shown run's `shard` records
-    // are embedded, in shard order whatever the ledger order.
-    const fs::path dir =
-        fs::path(testing::TempDir()) / "capart_dash_fleet_ledger";
-    fs::remove_all(dir);
-    fs::create_directories(dir);
-    const std::string ledger_path = (dir / "runs.jsonl").string();
-    {
-        obs::RunLedger ledger(ledger_path);
-        obs::RunRecord older = shardRecord("run-old", 0, 9.0, 1.0);
-        older.tsMs = 1.0;
-        ledger.append(older);
-        ledger.append(shardRecord("run-new", 2, 3.0, 1.0));
-        ledger.append(shardRecord("run-new", 0, 4.0, 3.0));
-        ledger.append(shardRecord("run-new", 1, 5.0, 1.0));
-    }
-    ASSERT_FALSE(fs::exists(dir / "status.json"));
-
-    dashboard::DashboardData data;
-    ASSERT_TRUE(
-        dashboard::loadDashboardData({ledger_path}, "", "", "", &data));
-    std::ostringstream html;
-    dashboard::renderDashboardHtml(html, data);
-    EXPECT_NE(html.str().find("function fleetSection"), std::string::npos);
-    const Json doc = embeddedBlob(html.str());
-    const Json &shards = doc.at("shards");
-    ASSERT_TRUE(shards.isArr());
-    ASSERT_EQ(shards.arr.size(), 3u);
-    for (std::size_t k = 0; k < 3; ++k) {
-        EXPECT_EQ(shards.arr[k].at("run").asStr(), "run-new");
-        EXPECT_EQ(shards.arr[k].at("metrics").at("shard").asNum(),
-                  static_cast<double>(k));
-    }
-    EXPECT_EQ(shards.arr[0].at("metrics").at("spawns").asNum(), 3.0);
-    EXPECT_EQ(shards.arr[0].at("wall_ms").asNum(), 1500.0);
-
-    // --run picks that run's fleet record.
-    dashboard::DashboardData old_run;
-    ASSERT_TRUE(dashboard::loadDashboardData({ledger_path}, "", "run-old",
-                                             "", &old_run));
-    ASSERT_EQ(old_run.shards.size(), 1u);
-    EXPECT_EQ(old_run.shards[0].metric("points_done"), 9.0);
     fs::remove_all(dir);
 }
 

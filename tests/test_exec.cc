@@ -3,9 +3,9 @@
  * Tests for the parallel sweep infrastructure (src/exec): the spec-hash
  * seeding scheme, the on-disk memoization cache, bit-identical results
  * for any --jobs value, failure propagation out of the worker threads,
- * and the determinism audit — experiment results must be a
- * function of the spec alone, never of iteration order or of earlier
- * runs in the same process.
+ * resuming an interrupted sweep, and the determinism audit —
+ * experiment results must be a function of the spec alone, never of
+ * iteration order or of earlier runs in the same process.
  */
 
 #include <gtest/gtest.h>
@@ -20,11 +20,16 @@
 #include <string>
 #include <vector>
 
+#include <sys/wait.h>
+#include <unistd.h>
+
 #include "common/rng.hh"
 #include "core/partitioner.hh"
 #include "exec/experiment_spec.hh"
 #include "exec/result_cache.hh"
 #include "exec/sweep_runner.hh"
+#include "obs/metrics.hh"
+#include "obs/obs.hh"
 #include "obs/run_ledger.hh"
 #include "sim/experiment.hh"
 #include "workload/catalog.hh"
@@ -331,6 +336,60 @@ TEST(ResultCache, IncompatibleHeaderIgnoredWholesaleThenRewritten)
     std::remove(path.c_str());
 }
 
+TEST(ResultCache, TwoProcessesAppendToOneFileIntact)
+{
+    // Two processes appending to one pre-initialized cache file: every
+    // line either lands whole or is rejected by its checksum, and with
+    // one write per line none may be rejected.
+    const std::string path =
+        (std::filesystem::temp_directory_path() / "capart_cache_2proc")
+            .string();
+    std::remove(path.c_str());
+    ResultCache::initializeFile(path);
+    constexpr std::uint64_t kPerChild = 300;
+    pid_t children[2];
+    for (std::uint64_t c = 0; c < 2; ++c) {
+        children[c] = fork();
+        ASSERT_GE(children[c], 0);
+        if (children[c] == 0) {
+            ResultCache cache(path);
+            for (std::uint64_t i = 0; i < kPerChild; ++i) {
+                SweepResult r;
+                r.time = static_cast<double>(i) + 0.5;
+                r.napp[c].present = true;
+                r.napp[c].stp = static_cast<double>(c);
+                cache.store((c + 1) << 32 | i, r);
+            }
+            _exit(0);
+        }
+    }
+    for (const pid_t pid : children) {
+        int status = 0;
+        ASSERT_EQ(waitpid(pid, &status, 0), pid);
+        ASSERT_TRUE(WIFEXITED(status) && WEXITSTATUS(status) == 0);
+    }
+
+    const bool was_enabled = obs::enabled();
+    obs::setEnabled(true);
+    obs::Counter &corrupt = obs::metrics().counter("cache.corrupt");
+    const std::uint64_t corrupt_before = corrupt.value();
+    const ResultCache cache(path);
+    EXPECT_EQ(corrupt.value(), corrupt_before);
+    obs::setEnabled(was_enabled);
+    EXPECT_EQ(cache.size(), 2 * kPerChild);
+    for (std::uint64_t c = 0; c < 2; ++c) {
+        for (std::uint64_t i = 0; i < kPerChild; ++i) {
+            SweepResult out;
+            ASSERT_TRUE(cache.lookup((c + 1) << 32 | i, &out))
+                << "child " << c << " entry " << i;
+            EXPECT_EQ(out.time, static_cast<double>(i) + 0.5);
+            EXPECT_TRUE(out.napp[c].present);
+            EXPECT_EQ(out.napp[c].stp, static_cast<double>(c));
+        }
+    }
+    std::remove(path.c_str());
+}
+
 // -------------------------------------------------- runner determinism
 
 std::vector<ExperimentSpec>
@@ -450,6 +509,57 @@ TEST(SweepRunner, CacheSkipsCompletedPointsBitExactly)
     const std::vector<SweepResult> reseeded =
         SweepRunner(other).run(specs);
     EXPECT_FALSE(reseeded[0].fromCache);
+    std::remove(path.c_str());
+}
+
+TEST(SweepRunner, InterruptedSweepResumesBitExactly)
+{
+    // A sweep stopped after k points (a throwing progress callback
+    // stands in for the kill), with a torn half line left at the end
+    // of its cache, resumes by computing only the points it had not
+    // stored, and its results equal a clean run's.
+    const std::string path =
+        (std::filesystem::temp_directory_path() / "capart_resume_cache")
+            .string();
+    const std::vector<ExperimentSpec> specs = representativePairSweep();
+    const std::vector<SweepResult> clean =
+        SweepRunner(SweepRunnerOptions{}).run(specs);
+    constexpr std::size_t k = 5;
+    for (const unsigned jobs : {1u, 4u}) {
+        std::remove(path.c_str());
+        SweepRunnerOptions o;
+        o.jobs = jobs;
+        o.cachePath = path;
+        SweepRunnerOptions stopped = o;
+        stopped.progress = [](std::size_t done, std::size_t) {
+            if (done >= k)
+                throw std::runtime_error("interrupted");
+        };
+        EXPECT_THROW(SweepRunner(stopped).run(specs), std::runtime_error);
+        {
+            std::ifstream in(path);
+            std::string header, line;
+            ASSERT_TRUE(std::getline(in, header) && std::getline(in, line));
+            std::ofstream(path, std::ios::app)
+                << line.substr(0, line.size() / 2);
+        }
+        const std::size_t stored = ResultCache(path).size();
+        EXPECT_GE(stored, k) << "--jobs=" << jobs;
+        EXPECT_LT(stored, k + jobs) << "--jobs=" << jobs;
+
+        const std::vector<SweepResult> resumed = SweepRunner(o).run(specs);
+        ASSERT_EQ(resumed.size(), specs.size());
+        std::size_t replayed = 0;
+        for (std::size_t i = 0; i < specs.size(); ++i) {
+            replayed += resumed[i].fromCache;
+            EXPECT_TRUE(sameResult(resumed[i], clean[i]))
+                << "--jobs=" << jobs << " spec " << i;
+        }
+        EXPECT_EQ(replayed, stored) << "--jobs=" << jobs;
+        // The torn tail cost nothing more: every point now replays.
+        EXPECT_EQ(ResultCache(path).size(), specs.size())
+            << "--jobs=" << jobs;
+    }
     std::remove(path.c_str());
 }
 

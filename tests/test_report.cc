@@ -188,6 +188,34 @@ TEST(RunLedger, RetiredDecisionKindsStillLoadAndJoinNoBucket)
         R"(16|llcways=20|npolicies=59","rule":"shared","metrics":{"t_us":0,)"
         R"("policy":0,"num_apps":8,"total_ways":20,"seq":0,"applied":1},"co)"
         R"(unters":{}})";
+    // The process-sharded sweep's bookkeeping, verbatim from a
+    // `--shards=2` fig13 run with two points failing every attempt: a
+    // worker's `point_start`, the supervisor's `point_failed` and one
+    // `shard` summary. Same contract.
+    const std::string point_start =
+        R"({"v":1,"kind":"point_start","bench":"fig13_dynamic","run":"fig13)"
+        R"(_dynamic-1-1792292761434","spec_hash":"0xfecb71f87568730c","seed)"
+        R"(":"1","ts_ms":1792292761434,"wall_ms":0,"sim_s":0,"cached":false)"
+        R"(,"spec":"capart-spec-v1|kind=consol|fg=429.mcf|bg=429.mcf|thread)"
+        R"(s=4|ways=12|prefetch=1|bgcont=1|fgmask=0|policies=13|scale=0x1.4)"
+        R"(7ae147ae147bp-6|window=0x1.f75104d551d69p-17","metrics":{"attemp)"
+        R"(t":0,"shard":0},"counters":{}})";
+    const std::string point_failed =
+        R"({"v":1,"kind":"point_failed","bench":"fig13_dynamic","run":"fig1)"
+        R"(3_dynamic-1-1792292761432","spec_hash":"0x0e64251d09e8219c","see)"
+        R"(d":"1","ts_ms":1792292762101,"wall_ms":0,"sim_s":0,"cached":fals)"
+        R"(e,"spec":"capart-spec-v1|kind=consol|fg=429.mcf|bg=fop|threads=4)"
+        R"(|ways=12|prefetch=1|bgcont=1|fgmask=0|policies=13|scale=0x1.47ae)"
+        R"(147ae147bp-6|window=0x1.f75104d551d69p-17","rule":"crash","metri)"
+        R"(cs":{"attempts":2,"shard":0},"counters":{}})";
+    const std::string shard_summary =
+        R"({"v":1,"kind":"shard","bench":"fig13_dynamic","run":"fig13_dynam)"
+        R"(ic-1-1792292761432","spec_hash":"0x0000000000000000","seed":"1",)"
+        R"("ts_ms":1792292775642,"wall_ms":5920.7679699999999,"sim_s":0,"ca)"
+        R"(ched":false,"spec":"","metrics":{"shard":0,"points_assigned":18,)"
+        R"("points_done":16,"points_from_cache":0,"points_quarantined":2,"r)"
+        R"(etries":2,"spawns":5,"timeout_kills":0,"crashes":4},"counters":{)"
+        R"(}})";
     const std::string path = tempPath("retired.jsonl");
     obs::RunRecord point = makeRecord();
     point.run = "fig13_dynamic-12345-1792233977320";
@@ -195,22 +223,29 @@ TEST(RunLedger, RetiredDecisionKindsStillLoadAndJoinNoBucket)
         std::ofstream out(path, std::ios::trunc);
         out << obs::RunLedger::encode(point) << '\n'
             << pair_decision << '\n'
-            << napp_decision << '\n';
+            << napp_decision << '\n'
+            << point_start << '\n'
+            << point_failed << '\n'
+            << shard_summary << '\n';
     }
     const auto loaded = obs::RunLedger::load(path);
     std::remove(path.c_str());
     EXPECT_EQ(loaded.skipped, 0u);
-    ASSERT_EQ(loaded.records.size(), 3u);
+    ASSERT_EQ(loaded.records.size(), 6u);
     EXPECT_EQ(loaded.records[1].kind, "decision");
     EXPECT_EQ(loaded.records[1].rule, "probe_shrink");
     EXPECT_EQ(loaded.records[2].kind, "npartition_decision");
     EXPECT_EQ(loaded.records[2].rule, "shared");
+    EXPECT_EQ(loaded.records[3].kind, "point_start");
+    EXPECT_EQ(loaded.records[4].kind, "point_failed");
+    EXPECT_EQ(loaded.records[4].rule, "crash");
+    EXPECT_EQ(loaded.records[5].kind, "shard");
+    EXPECT_EQ(loaded.records[5].metric("points_quarantined"), 2.0);
 
     std::size_t bucketed = 0;
     for (const report::RunGroup &g : report::groupRuns(loaded.records)) {
         bucketed += g.points.size() + g.benchRecords.size() +
-                    g.failures.size() + g.interruptions.size() +
-                    g.shards.size();
+                    g.interruptions.size();
         if (g.run == point.run) {
             EXPECT_EQ(g.points.size(), 1u);
         }
@@ -288,10 +323,10 @@ TEST(Report, RunWallTimeComesFromTheBenchRecord)
 
     std::ostringstream md;
     report::writeMarkdown(md, groups, nullptr, report::GateOptions{});
-    EXPECT_NE(md.str().find("| run-a | fig13_dynamic | 4 | 4 | 0 | 1.25 |  |"),
+    EXPECT_NE(md.str().find("| run-a | fig13_dynamic | 4 | 4 | 1.25 |  |"),
               std::string::npos)
         << md.str();
-    EXPECT_NE(md.str().find("| run-b | fig13_dynamic | 1 | 1 | 0 |  |  |"),
+    EXPECT_NE(md.str().find("| run-b | fig13_dynamic | 1 | 1 |  |  |"),
               std::string::npos)
         << md.str();
 }
