@@ -30,8 +30,14 @@ main(int argc, char **argv)
         argc, argv, 0.3,
         "Ablation: stack-distance MRC vs measured way sensitivity");
 
+    std::vector<exec::ExperimentSpec> specs;
+    for (const auto &rep : representatives())
+        addWaySweep(specs, rep.name, opts.scale, /*threads=*/1);
+    const std::vector<exec::SweepResult> res = makeRunner(opts).run(specs);
+
     const std::uint64_t sets = HierarchyConfig::sandyBridge().llc.sets();
     Table t({"app", "alloc", "MB", "mrc-miss-ratio", "measured-ms"});
+    std::size_t k = 0;
     for (const auto &rep : representatives()) {
         // Profile the (single-thread) reference stream.
         const AppParams app = rep.scaled(opts.scale);
@@ -50,14 +56,13 @@ main(int argc, char **argv)
             }
         }
 
+        const std::vector<double> measured = takeTimes(res, k, 12);
         for (unsigned ways = 1; ways <= 12; ++ways) {
             const std::uint64_t cap_lines = ways * sets;
-            const SoloResult measured =
-                soloAtWays(rep, ways, opts, /*threads=*/1);
             t.addRow({rep.name, std::to_string(ways) + "w",
                       Table::num(ways * 0.5, 1),
                       Table::num(prof.missRatio(cap_lines), 4),
-                      Table::num(measured.time * 1e3, 3)});
+                      Table::num(measured[ways - 1] * 1e3, 3)});
         }
         std::cerr << rep.name << ": " << prof.accesses()
                   << " refs profiled, " << prof.uniqueLines()

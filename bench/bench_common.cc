@@ -6,17 +6,18 @@
 #include <csignal>
 #include <cstdio>
 #include <cstdlib>
-#include <cstring>
 #include <filesystem>
 #include <fstream>
 #include <iostream>
 #include <memory>
 #include <thread>
+#include <unordered_map>
 
 #include <pthread.h>
 
 #include "common/logging.hh"
 #include "common/util.hh"
+#include "exec/result_cache.hh"
 #include "obs/metrics.hh"
 #include "obs/run_ledger.hh"
 #include "obs/timeseries.hh"
@@ -182,18 +183,13 @@ enableObsExport()
 }
 } // namespace
 
-const std::string &
-runId()
-{
-    return gRunId;
-}
-
 BenchOptions
 parseArgs(int argc, char **argv, double default_scale,
           const char *description)
 {
     BenchOptions opts;
     opts.scale = default_scale;
+    gBenchName = benchNameFromArgv0(argv[0]);
     gWallStart = std::chrono::steady_clock::now();
     installSignalHandlers();
     for (int i = 1; i < argc; ++i) {
@@ -251,10 +247,10 @@ parseArgs(int argc, char **argv, double default_scale,
                         "               output is bit-identical for "
                         "every N\n"
                         "  --resume     memoize finished sweep points in "
-                        "%s/\n"
+                        "%s/sweep.cache\n"
                         "               and skip them on re-runs\n"
-                        "  --cache-dir=D  --resume with cache files "
-                        "under D\n"
+                        "  --cache-dir=D  --resume with the cache in "
+                        "D/sweep.cache\n"
                         "  --ledger=F   append one JSONL run-ledger "
                         "record per sweep point\n"
                         "               plus a closing bench record to F "
@@ -285,13 +281,11 @@ parseArgs(int argc, char **argv, double default_scale,
     if (!opts.obsDir.empty()) {
         std::filesystem::create_directories(opts.obsDir + "/attr");
         setLogSink(opts.obsDir + "/log.jsonl");
-        gBenchName = benchNameFromArgv0(argv[0]);
         gObsDir = opts.obsDir;
     }
     if (!opts.ledgerOut.empty()) {
         // Built after the loop so the id reflects the final --seed no
         // matter the flag order.
-        gBenchName = benchNameFromArgv0(argv[0]);
         gSeed = opts.seed;
         gRunId = gBenchName + "-" + std::to_string(opts.seed) + "-" +
                  std::to_string(static_cast<std::uint64_t>(
@@ -302,14 +296,15 @@ parseArgs(int argc, char **argv, double default_scale,
 }
 
 exec::SweepRunner
-makeRunner(const BenchOptions &opts, const std::string &bench_name)
+makeRunner(const BenchOptions &opts)
 {
     exec::SweepRunnerOptions ro;
     ro.jobs = opts.jobs;
     ro.baseSeed = opts.seed;
     if (opts.resume) {
         std::filesystem::create_directories(opts.cacheDir);
-        ro.cachePath = opts.cacheDir + "/" + bench_name + ".cache";
+        ro.cachePath = opts.cacheDir + "/sweep.cache";
+        exec::ResultCache::initializeFile(ro.cachePath);
     }
     ro.progress = [](std::size_t done, std::size_t total) {
         // Stderr only: stdout (the table/CSV) stays byte-identical
@@ -318,7 +313,7 @@ makeRunner(const BenchOptions &opts, const std::string &bench_name)
         if (done == total)
             std::fputc('\n', stderr);
     };
-    ro.benchName = bench_name;
+    ro.benchName = gBenchName;
     if (gLedger) {
         ro.ledger = gLedger.get();
         ro.runId = gRunId;
@@ -326,6 +321,37 @@ makeRunner(const BenchOptions &opts, const std::string &bench_name)
     if (!opts.obsDir.empty())
         ro.attrDir = opts.obsDir + "/attr";
     return exec::SweepRunner(ro);
+}
+
+std::vector<exec::SweepResult>
+runDistinct(const BenchOptions &opts,
+            const std::vector<exec::ExperimentSpec> &specs)
+{
+    std::unordered_map<std::uint64_t, std::size_t> first;
+    std::vector<exec::ExperimentSpec> distinct;
+    std::vector<std::size_t> at; // specs[i] is distinct[at[i]]
+    for (const exec::ExperimentSpec &spec : specs) {
+        const auto [it, fresh] = first.emplace(spec.hash(), distinct.size());
+        if (fresh)
+            distinct.push_back(spec);
+        at.push_back(it->second);
+    }
+    const std::vector<exec::SweepResult> res =
+        makeRunner(opts).run(distinct);
+    std::vector<exec::SweepResult> out;
+    for (const std::size_t i : at)
+        out.push_back(res[i]);
+    return out;
+}
+
+std::vector<double>
+takeTimes(const std::vector<exec::SweepResult> &res, std::size_t &next,
+          std::size_t n)
+{
+    std::vector<double> t;
+    for (; n > 0; --n)
+        t.push_back(res.at(next++).time);
+    return t;
 }
 
 void
@@ -342,57 +368,37 @@ emit(const BenchOptions &opts, const std::string &title,
     std::cout.flush();
 }
 
-SoloResult
-soloAtThreads(const AppParams &app, unsigned threads,
-              const BenchOptions &opts)
+void
+addThreadSweep(std::vector<exec::ExperimentSpec> &specs,
+               const std::string &app, double scale)
 {
-    SoloOptions o;
-    o.threads = threads;
-    o.scale = opts.scale;
-    o.system.seed = opts.seed;
-    return runSolo(app, o);
-}
-
-SoloResult
-soloAtWays(const AppParams &app, unsigned ways, const BenchOptions &opts,
-           unsigned threads)
-{
-    SoloOptions o;
-    o.threads = threads;
-    o.ways = ways;
-    o.scale = opts.scale;
-    o.system.seed = opts.seed;
-    return runSolo(app, o);
-}
-
-SoloResult
-soloWithPrefetch(const AppParams &app, bool prefetch_on,
-                 const BenchOptions &opts)
-{
-    SoloOptions o;
-    o.threads = 4;
-    o.scale = opts.scale;
-    o.system.seed = opts.seed;
-    o.system.prefetch = PrefetchConfig::allEnabled(prefetch_on);
-    return runSolo(app, o);
-}
-
-std::vector<double>
-scalabilityCurve(const AppParams &app, const BenchOptions &opts)
-{
-    std::vector<double> times;
     for (unsigned n = 1; n <= 8; ++n)
-        times.push_back(soloAtThreads(app, n, opts).time);
-    return times;
+        specs.push_back(exec::soloSpec(app, n, 12, scale));
 }
 
-std::vector<double>
-llcCurve(const AppParams &app, const BenchOptions &opts, unsigned threads)
+void
+addWaySweep(std::vector<exec::ExperimentSpec> &specs,
+            const std::string &app, double scale, unsigned threads)
 {
-    std::vector<double> times;
     for (unsigned w = 1; w <= 12; ++w)
-        times.push_back(soloAtWays(app, w, opts, threads).time);
-    return times;
+        specs.push_back(exec::soloSpec(app, threads, w, scale));
+}
+
+void
+addPrefetchSweep(std::vector<exec::ExperimentSpec> &specs,
+                 const std::string &app, double scale)
+{
+    specs.push_back(exec::soloSpec(app, 4, 12, scale, /*prefetch_all=*/true));
+    specs.push_back(
+        exec::soloSpec(app, 4, 12, scale, /*prefetch_all=*/false));
+}
+
+void
+addHogSweep(std::vector<exec::ExperimentSpec> &specs,
+            const std::string &app, double scale)
+{
+    specs.push_back(exec::pairSpec(app, "stream_uncached", scale));
+    specs.push_back(exec::soloSpec(app, 4, 12, scale));
 }
 
 ScalClass
@@ -435,24 +441,69 @@ classifyUtility(const std::vector<double> &times)
     return UtilClass::Saturated;
 }
 
-double
-bandwidthSlowdown(const AppParams &app, const BenchOptions &opts)
+std::vector<exec::ExperimentSpec>
+fig09Specs(double scale)
 {
-    const SoloResult solo = soloAtThreads(app, 4, opts);
-    PairOptions po;
-    po.scale = opts.scale;
-    po.system.seed = opts.seed;
-    const PairResult pr =
-        runPair(app, Catalog::byName("stream_uncached"), po);
-    return pr.fgTime / solo.time;
+    const auto reps = representatives();
+    std::vector<exec::ExperimentSpec> specs;
+    for (const AppParams &fg : reps)
+        for (const AppParams &bg : reps)
+            specs.push_back(exec::consolidationSpec(
+                fg.name, bg.name,
+                exec::policyBit(Policy::Shared) |
+                    exec::policyBit(Policy::Fair) |
+                    exec::policyBit(Policy::Biased),
+                scale));
+    return specs;
 }
 
-double
-prefetchRatio(const AppParams &app, const BenchOptions &opts)
+std::vector<exec::ExperimentSpec>
+fig13Specs(double scale)
 {
-    const SoloResult on = soloWithPrefetch(app, true, opts);
-    const SoloResult off = soloWithPrefetch(app, false, opts);
-    return on.time / off.time;
+    std::vector<exec::ExperimentSpec> specs = fig09Specs(scale);
+    for (exec::ExperimentSpec &spec : specs) {
+        spec.policies = exec::policyBit(Policy::Shared) |
+                        exec::policyBit(Policy::Biased) |
+                        exec::policyBit(Policy::Dynamic);
+        spec.perfWindow = 15e-6;
+    }
+    return specs;
+}
+
+std::map<Policy, RunningStat>
+emitUnorderedPairs(const BenchOptions &opts, const std::string &title,
+                   double exec::PolicyOutcome::*metric)
+{
+    const auto reps = representatives();
+    const std::vector<exec::ExperimentSpec> ordered = fig09Specs(opts.scale);
+    std::vector<exec::ExperimentSpec> specs; // the pairs with fg <= bg
+    for (std::size_t i = 0; i < reps.size(); ++i)
+        for (std::size_t j = i; j < reps.size(); ++j)
+            specs.push_back(ordered[i * reps.size() + j]);
+    const std::vector<exec::SweepResult> res = makeRunner(opts).run(specs);
+
+    std::map<Policy, RunningStat> stats;
+    Table t({"pair", "fg", "bg", "shared", "fair", "biased"});
+    std::size_t k = 0;
+    for (std::size_t i = 0; i < reps.size(); ++i) {
+        for (std::size_t j = i; j < reps.size(); ++j, ++k) {
+            std::vector<std::string> row = {repLabel(i) + "+" + repLabel(j),
+                                            reps[i].name, reps[j].name};
+            for (const Policy p :
+                 {Policy::Shared, Policy::Fair, Policy::Biased}) {
+                const double v = res[k].policy[static_cast<int>(p)].*metric;
+                stats[p].add(v);
+                row.push_back(Table::num(v, 3));
+            }
+            t.addRow(std::move(row));
+        }
+    }
+    std::vector<std::string> avg = {"Average", "", ""};
+    for (const auto &[p, stat] : stats)
+        avg.push_back(Table::num(stat.mean(), 3));
+    t.addRow(std::move(avg));
+    emit(opts, title, t);
+    return stats;
 }
 
 std::vector<AppParams>
@@ -467,7 +518,7 @@ representatives()
 std::string
 repLabel(std::size_t idx)
 {
-    return "C" + std::to_string(idx + 1);
+    return 'C' + std::to_string(idx + 1);
 }
 
 } // namespace capart::bench

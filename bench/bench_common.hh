@@ -3,19 +3,21 @@
  * Shared infrastructure for the experiment binaries in bench/.
  *
  * Each binary regenerates one table or figure of the paper (see
- * DESIGN.md's per-experiment index). They share command-line handling
- * (--scale, --csv, --quick), the characterization sweeps of §3, and
- * the representative-pair enumeration of §5.
+ * DESIGN.md's per-experiment index). They share command-line handling,
+ * the sweep every figure point runs in, the characterization points of
+ * §3, and the representative-pair specs of §5 and §6.
  */
 
 #ifndef CAPART_BENCH_BENCH_COMMON_HH
 #define CAPART_BENCH_BENCH_COMMON_HH
 
+#include <cstdint>
+#include <map>
 #include <string>
 #include <vector>
 
 #include "exec/sweep_runner.hh"
-#include "sim/experiment.hh"
+#include "stats/summary.hh"
 #include "stats/table.hh"
 #include "workload/app_params.hh"
 
@@ -87,42 +89,51 @@ struct BenchOptions
 BenchOptions parseArgs(int argc, char **argv, double default_scale,
                        const char *description);
 
-/** The --ledger run id of this invocation ("" without --ledger). */
-const std::string &runId();
-
 /**
  * A SweepRunner configured from @p opts: seeded with opts.seed, with
- * opts.jobs workers, progress ticks on stderr, and — when opts.resume
- * is set — an on-disk memoization cache at
- * `<cacheDir>/<bench_name>.cache` (the directory is created).
+ * opts.jobs workers, progress on stderr, ledger records named after
+ * the binary, and — with opts.resume — the cache `<cacheDir>/sweep.cache`
+ * (directory and header created). Every bench shares that file, since
+ * a point's key (`mixSeed(seed, spec hash)`) does not name the bench:
+ * Figs. 10 and 11 replay Fig. 9's points, and benches running at once
+ * only append checksummed lines to it.
  */
-exec::SweepRunner makeRunner(const BenchOptions &opts,
-                             const std::string &bench_name);
+exec::SweepRunner makeRunner(const BenchOptions &opts);
+
+/**
+ * makeRunner(opts).run(specs) for a figure whose measurements share
+ * points: a spec listed more than once runs, caches and ledgers once,
+ * and result i is still that of specs[i].
+ */
+std::vector<exec::SweepResult>
+runDistinct(const BenchOptions &opts,
+            const std::vector<exec::ExperimentSpec> &specs);
+
+/** The times of the @p n results from @p next on; advances @p next. */
+std::vector<double> takeTimes(const std::vector<exec::SweepResult> &res,
+                              std::size_t &next, std::size_t n);
 
 /** Print @p table as text or CSV per @p opts, preceded by a title. */
 void emit(const BenchOptions &opts, const std::string &title,
           const Table &table);
 
-/** Solo execution time with @p threads hyperthreads, full LLC. */
-SoloResult soloAtThreads(const AppParams &app, unsigned threads,
-                         const BenchOptions &opts);
+/** Append §3.1's points of @p app: 1..8 threads on the whole LLC. */
+void addThreadSweep(std::vector<exec::ExperimentSpec> &specs,
+                    const std::string &app, double scale);
 
-/** Solo execution time at 4 threads with a restricted way allocation. */
-SoloResult soloAtWays(const AppParams &app, unsigned ways,
-                      const BenchOptions &opts, unsigned threads = 4);
+/** Append §3.2's points of @p app: 1..12 ways at @p threads. */
+void addWaySweep(std::vector<exec::ExperimentSpec> &specs,
+                 const std::string &app, double scale,
+                 unsigned threads = 4);
 
-/** Solo run with a specific prefetcher configuration. */
-SoloResult soloWithPrefetch(const AppParams &app, bool prefetch_on,
-                            const BenchOptions &opts);
+/** Append Fig. 3's points of @p app: all prefetchers on, then off. */
+void addPrefetchSweep(std::vector<exec::ExperimentSpec> &specs,
+                      const std::string &app, double scale);
 
-/** §3.1 sweep: execution times at 1..8 threads. */
-std::vector<double> scalabilityCurve(const AppParams &app,
-                                     const BenchOptions &opts);
-
-/** §3.2 sweep: execution times at 1..12 ways (4 threads). */
-std::vector<double> llcCurve(const AppParams &app,
-                             const BenchOptions &opts,
-                             unsigned threads = 4);
+/** Append Fig. 4's points of @p app: next to stream_uncached, then
+ *  alone. */
+void addHogSweep(std::vector<exec::ExperimentSpec> &specs,
+                 const std::string &app, double scale);
 
 /** Classify a 1..8-thread time curve into Table 1's classes. */
 ScalClass classifyScalability(const std::vector<double> &times);
@@ -130,11 +141,22 @@ ScalClass classifyScalability(const std::vector<double> &times);
 /** Classify a 1..12-way time curve into Table 2's classes. */
 UtilClass classifyUtility(const std::vector<double> &times);
 
-/** Fig. 4 measurement: slowdown when co-run with stream_uncached. */
-double bandwidthSlowdown(const AppParams &app, const BenchOptions &opts);
+/** Fig. 9's points: each ordered representative pair (fg i, bg j,
+ *  row-major) under shared, fair and biased. */
+std::vector<exec::ExperimentSpec> fig09Specs(double scale);
 
-/** Fig. 3 measurement: time(all prefetchers on) / time(all off). */
-double prefetchRatio(const AppParams &app, const BenchOptions &opts);
+/** Fig. 13's points: each ordered representative pair under shared,
+ *  biased and dynamic, with the controller's 15 us perf window. */
+std::vector<exec::ExperimentSpec> fig13Specs(double scale);
+
+/**
+ * Figs. 10 and 11: sweep Fig. 9's unordered pairs (fg <= bg) and emit
+ * @p metric under shared, fair and biased, plus an Average row, as one
+ * table titled @p title. Returns each policy's statistics.
+ */
+std::map<Policy, RunningStat>
+emitUnorderedPairs(const BenchOptions &opts, const std::string &title,
+                   double exec::PolicyOutcome::*metric);
 
 /** The six Table 3 cluster representatives, in order C1..C6. */
 std::vector<AppParams> representatives();

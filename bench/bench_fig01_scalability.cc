@@ -20,11 +20,17 @@ main(int argc, char **argv)
         argc, argv, 0.2,
         "Fig. 1 / Table 1: thread scalability of all 45 applications");
 
+    std::vector<exec::ExperimentSpec> specs;
+    for (const auto &app : Catalog::all())
+        addThreadSweep(specs, app.name, opts.scale);
+    const std::vector<exec::SweepResult> res = makeRunner(opts).run(specs);
+
     Table fig1({"suite", "app", "s1", "s2", "s3", "s4", "s5", "s6", "s7",
                 "s8", "class(measured)", "class(paper)", "match"});
     unsigned matches = 0, total = 0;
+    std::size_t k = 0;
     for (const auto &app : Catalog::all()) {
-        const std::vector<double> times = scalabilityCurve(app, opts);
+        const std::vector<double> times = takeTimes(res, k, 8);
         std::vector<std::string> row = {suiteName(app.suite), app.name};
         for (const double t : times)
             row.push_back(Table::num(times.front() / t, 2));

@@ -25,22 +25,28 @@ main(int argc, char **argv)
         "Fig. 2 / Table 2: LLC-capacity sensitivity of all applications");
 
     // Fig. 2's three showcase apps at several thread counts.
+    std::vector<std::pair<const char *, unsigned>> showcase;
+    for (const char *name : {"swaptions", "tomcat", "471.omnetpp"})
+        for (const unsigned threads : {1u, 2u, 4u, 8u})
+            if (threads == 1 || Catalog::byName(name).maxThreads > 1)
+                showcase.emplace_back(name, threads);
+
+    std::vector<exec::ExperimentSpec> specs;
+    for (const auto &[app, threads] : showcase)
+        addWaySweep(specs, app, opts.scale, threads);
+    for (const auto &app : Catalog::all())
+        addWaySweep(specs, app.name, opts.scale);
+    // The 4-thread showcase curves are also Table 2's.
+    const std::vector<exec::SweepResult> res = runDistinct(opts, specs);
+
     Table fig2({"app", "threads", "w1", "w2", "w3", "w4", "w5", "w6",
                 "w7", "w8", "w9", "w10", "w11", "w12"});
-    for (const char *name : {"swaptions", "tomcat", "471.omnetpp"}) {
-        const AppParams &app = Catalog::byName(name);
-        const unsigned max_threads = app.maxThreads;
-        for (unsigned threads : {1u, 2u, 4u, 8u}) {
-            if (threads > 1 && max_threads == 1)
-                continue;
-            const std::vector<double> times =
-                llcCurve(app, opts, threads);
-            std::vector<std::string> row = {name,
-                                            std::to_string(threads)};
-            for (const double t : times)
-                row.push_back(Table::num(t * 1e3, 3));
-            fig2.addRow(std::move(row));
-        }
+    std::size_t k = 0;
+    for (const auto &[app, threads] : showcase) {
+        std::vector<std::string> row = {app, std::to_string(threads)};
+        for (const double t : takeTimes(res, k, 12))
+            row.push_back(Table::num(t * 1e3, 3));
+        fig2.addRow(std::move(row));
     }
     emit(opts,
          "Figure 2: execution time (ms) vs LLC ways for representative "
@@ -53,8 +59,8 @@ main(int argc, char **argv)
                   "match"});
     unsigned matches = 0, total = 0;
     for (const auto &app : Catalog::all()) {
-        const std::vector<double> times = llcCurve(app, opts);
-        const SoloResult full = soloAtWays(app, 12, opts);
+        const std::vector<double> times = takeTimes(res, k, 12);
+        const double apki = res[k - 1].apki; // at 12 ways
         const UtilClass measured = classifyUtility(times);
         // stream_uncached bypasses the LLC entirely; no utility class
         // is meaningful for it, so it is excluded from the agreement
@@ -64,8 +70,7 @@ main(int argc, char **argv)
         matches += ok && counted;
         total += counted;
         table2.addRow({suiteName(app.suite), app.name,
-                       Table::num(full.app.apki(), 1),
-                       full.app.apki() > 10.0 ? "bold" : "",
+                       Table::num(apki, 1), apki > 10.0 ? "bold" : "",
                        Table::num(times[1] / times[11], 3),
                        Table::num(times[7] / times[11], 3),
                        utilClassName(measured),

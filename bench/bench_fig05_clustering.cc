@@ -8,7 +8,6 @@
  */
 
 #include <iostream>
-#include <map>
 
 #include "analysis/characterization.hh"
 #include "analysis/clustering.hh"
@@ -25,24 +24,36 @@ main(int argc, char **argv)
         argc, argv, 0.06,
         "Fig. 5 / Table 3: clustering on 19-feature characterization");
 
-    // Build the feature vectors from fresh characterization sweeps.
+    std::vector<exec::ExperimentSpec> specs;
+    for (const auto &app : Catalog::all()) {
+        addThreadSweep(specs, app.name, opts.scale);
+        addWaySweep(specs, app.name, opts.scale);
+        addPrefetchSweep(specs, app.name, opts.scale);
+        if (app.name != "stream_uncached")
+            addHogSweep(specs, app.name, opts.scale);
+    }
+    // All four measurements list the 4-thread, 12-way, prefetch-on solo.
+    const std::vector<exec::SweepResult> res = runDistinct(opts, specs);
+
     std::vector<FeatureVector> features;
+    std::size_t next = 0;
     for (const auto &app : Catalog::all()) {
         AppCharacterization c;
         c.name = app.name;
-        const std::vector<double> scal = scalabilityCurve(app, opts);
+        const std::vector<double> scal = takeTimes(res, next, 8);
         for (unsigned n = 1; n < 8; ++n)
             c.threadScaling.push_back(scal[n] / scal[0]);
-        const std::vector<double> llc = llcCurve(app, opts);
+        const std::vector<double> llc = takeTimes(res, next, 12);
         for (unsigned w = 2; w <= 11; ++w)
             c.llcSensitivity.push_back(llc[w] / llc[11]);
-        c.prefetchSensitivity = prefetchRatio(app, opts);
-        c.bandwidthSensitivity =
-            app.name == "stream_uncached"
-                ? 1.0
-                : bandwidthSlowdown(app, opts);
+        const std::vector<double> on_off = takeTimes(res, next, 2);
+        c.prefetchSensitivity = on_off[0] / on_off[1];
+        c.bandwidthSensitivity = 1.0;
+        if (app.name != "stream_uncached") {
+            const std::vector<double> hog_solo = takeTimes(res, next, 2);
+            c.bandwidthSensitivity = hog_solo[0] / hog_solo[1];
+        }
         features.push_back(toFeatureVector(c));
-        std::cerr << "characterized " << app.name << "\n";
     }
     normalizeFeatures(features);
 

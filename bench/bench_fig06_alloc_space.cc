@@ -26,34 +26,22 @@ main(int argc, char **argv)
     const unsigned way_step = opts.quick ? 2 : 1;
     const auto reps = representatives();
 
-    struct Point
-    {
-        std::size_t rep;
-        unsigned threads;
-        unsigned ways;
-    };
-    std::vector<Point> points;
+    // Each spec names its own point (app, threads, ways).
     std::vector<exec::ExperimentSpec> specs;
-    for (std::size_t r = 0; r < reps.size(); ++r) {
-        for (unsigned threads = 1; threads <= 8; threads += thread_step) {
-            for (unsigned ways = 1; ways <= 12; ways += way_step) {
-                points.push_back({r, threads, ways});
-                specs.push_back(exec::soloSpec(reps[r].name, threads,
-                                               ways, opts.scale));
-            }
-        }
-    }
-
-    const std::vector<exec::SweepResult> res =
-        makeRunner(opts, "fig06_alloc_space").run(specs);
+    for (const AppParams &rep : reps)
+        for (unsigned threads = 1; threads <= 8; threads += thread_step)
+            for (unsigned ways = 1; ways <= 12; ways += way_step)
+                specs.push_back(
+                    exec::soloSpec(rep.name, threads, ways, opts.scale));
+    const std::vector<exec::SweepResult> res = makeRunner(opts).run(specs);
+    const std::size_t per_rep = specs.size() / reps.size();
 
     Table t({"rep", "app", "threads", "ways", "time_ms", "mpki",
              "socket_J", "wall_J"});
-    for (std::size_t i = 0; i < points.size(); ++i) {
-        const Point &p = points[i];
-        t.addRow({repLabel(p.rep), reps[p.rep].name,
-                  std::to_string(p.threads), std::to_string(p.ways),
-                  Table::num(res[i].time * 1e3, 3),
+    for (std::size_t i = 0; i < specs.size(); ++i) {
+        const exec::ExperimentSpec &p = specs[i];
+        t.addRow({repLabel(i / per_rep), p.fg, std::to_string(p.threads),
+                  std::to_string(p.ways), Table::num(res[i].time * 1e3, 3),
                   Table::num(res[i].mpki, 2),
                   Table::num(res[i].socketEnergy, 4),
                   Table::num(res[i].wallEnergy, 4)});

@@ -32,24 +32,15 @@ main(int argc, char **argv)
     const unsigned way_step = opts.quick ? 3 : 1;
     const auto reps = representatives();
 
-    struct Point
-    {
-        std::size_t rep;
-        unsigned threads;
-        unsigned ways;
-    };
-    std::vector<Point> points;
+    // Each spec names its own point (app, threads, ways).
     std::vector<exec::ExperimentSpec> specs;
-    for (std::size_t r = 0; r < reps.size(); ++r)
+    for (const AppParams &rep : reps)
         for (unsigned threads = 1; threads <= 8; threads += thread_step)
-            for (unsigned ways = 1; ways <= 12; ways += way_step) {
-                points.push_back({r, threads, ways});
-                specs.push_back(exec::soloSpec(reps[r].name, threads,
-                                               ways, opts.scale));
-            }
-
-    const std::vector<exec::SweepResult> res =
-        makeRunner(opts, "fig07_energy_contour").run(specs);
+            for (unsigned ways = 1; ways <= 12; ways += way_step)
+                specs.push_back(
+                    exec::soloSpec(rep.name, threads, ways, opts.scale));
+    const std::vector<exec::SweepResult> res = makeRunner(opts).run(specs);
+    const std::size_t per_rep = specs.size() / reps.size();
 
     for (std::size_t r = 0; r < reps.size(); ++r) {
         // Assemble this representative's plane.
@@ -58,14 +49,13 @@ main(int argc, char **argv)
                                    std::numeric_limits<double>::max()));
         double best = std::numeric_limits<double>::max();
         unsigned best_threads = 1, best_ways = 1;
-        for (std::size_t i = 0; i < points.size(); ++i) {
-            if (points[i].rep != r)
-                continue;
-            wall[points[i].threads][points[i].ways] = res[i].wallEnergy;
+        for (std::size_t i = r * per_rep; i < (r + 1) * per_rep; ++i) {
+            const exec::ExperimentSpec &p = specs[i];
+            wall[p.threads][p.ways] = res[i].wallEnergy;
             if (res[i].wallEnergy < best) {
                 best = res[i].wallEnergy;
-                best_threads = points[i].threads;
-                best_ways = points[i].ways;
+                best_threads = p.threads;
+                best_ways = p.ways;
             }
         }
 

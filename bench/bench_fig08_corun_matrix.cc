@@ -46,8 +46,7 @@ main(int argc, char **argv)
             specs.push_back(
                 exec::pairSpec(apps[fg].name, apps[bg].name, opts.scale));
 
-    const std::vector<exec::SweepResult> res =
-        makeRunner(opts, "fig08_corun_matrix").run(specs);
+    const std::vector<exec::SweepResult> res = makeRunner(opts).run(specs);
 
     // The matrix: slowdown[fg][bg].
     std::vector<std::vector<double>> slow(n, std::vector<double>(n, 1.0));

@@ -25,17 +25,8 @@ main(int argc, char **argv)
         "Fig. 9: fg slowdown for rep pairs under shared/fair/biased");
 
     const auto reps = representatives();
-    const unsigned policies = exec::policyBit(Policy::Shared) |
-                              exec::policyBit(Policy::Fair) |
-                              exec::policyBit(Policy::Biased);
-    std::vector<exec::ExperimentSpec> specs;
-    for (std::size_t i = 0; i < reps.size(); ++i)
-        for (std::size_t j = 0; j < reps.size(); ++j)
-            specs.push_back(exec::consolidationSpec(
-                reps[i].name, reps[j].name, policies, opts.scale));
-
     const std::vector<exec::SweepResult> res =
-        makeRunner(opts, "fig09_static_policies").run(specs);
+        makeRunner(opts).run(fig09Specs(opts.scale));
 
     Table t({"pair", "fg", "bg", "shared", "fair", "biased",
              "biased-fg-ways"});

@@ -79,8 +79,7 @@ main(int argc, char **argv)
                                        kCores, kLlcWays, policies,
                                        kThreadsEach, opts.scale));
 
-    const std::vector<exec::SweepResult> res =
-        makeRunner(opts, "fig09n_napp_policies").run(specs);
+    const std::vector<exec::SweepResult> res = makeRunner(opts).run(specs);
 
     Table t({"mix", "apps", "policy", "stp", "throughput-mips",
              "unfairness", "fg-slowdown", "socket-j", "wall-j",
@@ -90,8 +89,8 @@ main(int argc, char **argv)
     double unf_sum[kNumNPolicies] = {};
     unsigned breach_sum[kNumNPolicies] = {};
     for (std::size_t i = 0; i < mixes.size(); ++i) {
-        const std::string mix_label = "m" + std::to_string(mixes[i].variant) +
-                                      "x" + std::to_string(mixes[i].apps);
+        const std::string mix_label = 'm' + std::to_string(mixes[i].variant) +
+                                      'x' + std::to_string(mixes[i].apps);
         for (const NPolicy p : kRoster) {
             const exec::NAppPolicyOutcome &po =
                 res[i].napp[static_cast<int>(p)];

@@ -6,10 +6,10 @@
  * Pairs fan out through SweepRunner (`--jobs=N`, `--resume`).
  */
 
+#include <algorithm>
 #include <iostream>
 
 #include "bench_common.hh"
-#include "stats/summary.hh"
 
 using namespace capart;
 using namespace capart::bench;
@@ -21,55 +21,17 @@ main(int argc, char **argv)
         argc, argv, 0.06,
         "Fig. 10: consolidated socket energy vs sequential execution");
 
-    const auto reps = representatives();
-    const unsigned policies = exec::policyBit(Policy::Shared) |
-                              exec::policyBit(Policy::Fair) |
-                              exec::policyBit(Policy::Biased);
-    std::vector<std::pair<std::size_t, std::size_t>> pairs;
-    std::vector<exec::ExperimentSpec> specs;
-    for (std::size_t i = 0; i < reps.size(); ++i)
-        for (std::size_t j = i; j < reps.size(); ++j) {
-            pairs.emplace_back(i, j);
-            specs.push_back(exec::consolidationSpec(
-                reps[i].name, reps[j].name, policies, opts.scale));
-        }
-
-    const std::vector<exec::SweepResult> res =
-        makeRunner(opts, "fig10_consolidation_energy").run(specs);
-
-    Table t({"pair", "fg", "bg", "shared", "fair", "biased"});
-    RunningStat sh_stat, fa_stat, bi_stat;
-    double bi_best = 1.0;
-    for (std::size_t k = 0; k < pairs.size(); ++k) {
-        const auto [i, j] = pairs[k];
-        const exec::SweepResult &r = res[k];
-        const double sh = r.policy[static_cast<int>(Policy::Shared)]
-                              .energyVsSequential;
-        const double fa =
-            r.policy[static_cast<int>(Policy::Fair)].energyVsSequential;
-        const double bi = r.policy[static_cast<int>(Policy::Biased)]
-                              .energyVsSequential;
-        sh_stat.add(sh);
-        fa_stat.add(fa);
-        bi_stat.add(bi);
-        bi_best = std::min(bi_best, bi);
-        t.addRow({repLabel(i) + "+" + repLabel(j), reps[i].name,
-                  reps[j].name, Table::num(sh, 3), Table::num(fa, 3),
-                  Table::num(bi, 3)});
-    }
-    t.addRow({"Average", "", "", Table::num(sh_stat.mean(), 3),
-              Table::num(fa_stat.mean(), 3),
-              Table::num(bi_stat.mean(), 3)});
-    emit(opts, "Figure 10: relative socket energy (consolidated / "
-               "sequential)",
-         t);
-
+    const auto stats = emitUnorderedPairs(
+        opts, "Figure 10: relative socket energy (consolidated / sequential)",
+        &exec::PolicyOutcome::energyVsSequential);
+    const RunningStat &sh = stats.at(Policy::Shared);
+    const RunningStat &bi = stats.at(Policy::Biased);
     std::cout << "\nAverage energy improvement: shared "
-              << Table::num((1 - sh_stat.mean()) * 100, 1)
+              << Table::num((1 - sh.mean()) * 100, 1)
               << "% (paper 10%), biased "
-              << Table::num((1 - bi_stat.mean()) * 100, 1)
+              << Table::num((1 - bi.mean()) * 100, 1)
               << "% (paper 12%), best pair "
-              << Table::num((1 - bi_best) * 100, 1)
+              << Table::num((1 - std::min(1.0, bi.min())) * 100, 1)
               << "% (paper max 37%, theoretical bound 50%)\n";
     return 0;
 }

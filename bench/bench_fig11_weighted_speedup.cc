@@ -10,7 +10,6 @@
 #include <iostream>
 
 #include "bench_common.hh"
-#include "stats/summary.hh"
 
 using namespace capart;
 using namespace capart::bench;
@@ -22,49 +21,13 @@ main(int argc, char **argv)
         argc, argv, 0.06,
         "Fig. 11: weighted speedup of consolidation vs sequential");
 
-    const auto reps = representatives();
-    const unsigned policies = exec::policyBit(Policy::Shared) |
-                              exec::policyBit(Policy::Fair) |
-                              exec::policyBit(Policy::Biased);
-    std::vector<std::pair<std::size_t, std::size_t>> pairs;
-    std::vector<exec::ExperimentSpec> specs;
-    for (std::size_t i = 0; i < reps.size(); ++i)
-        for (std::size_t j = i; j < reps.size(); ++j) {
-            pairs.emplace_back(i, j);
-            specs.push_back(exec::consolidationSpec(
-                reps[i].name, reps[j].name, policies, opts.scale));
-        }
-
-    const std::vector<exec::SweepResult> res =
-        makeRunner(opts, "fig11_weighted_speedup").run(specs);
-
-    Table t({"pair", "fg", "bg", "shared", "fair", "biased"});
-    RunningStat sh_stat, fa_stat, bi_stat;
-    for (std::size_t k = 0; k < pairs.size(); ++k) {
-        const auto [i, j] = pairs[k];
-        const exec::SweepResult &r = res[k];
-        const double sh =
-            r.policy[static_cast<int>(Policy::Shared)].weightedSpeedup;
-        const double fa =
-            r.policy[static_cast<int>(Policy::Fair)].weightedSpeedup;
-        const double bi =
-            r.policy[static_cast<int>(Policy::Biased)].weightedSpeedup;
-        sh_stat.add(sh);
-        fa_stat.add(fa);
-        bi_stat.add(bi);
-        t.addRow({repLabel(i) + "+" + repLabel(j), reps[i].name,
-                  reps[j].name, Table::num(sh, 3), Table::num(fa, 3),
-                  Table::num(bi, 3)});
-    }
-    t.addRow({"Average", "", "", Table::num(sh_stat.mean(), 3),
-              Table::num(fa_stat.mean(), 3),
-              Table::num(bi_stat.mean(), 3)});
-    emit(opts, "Figure 11: weighted speedup by policy", t);
-
+    const auto stats =
+        emitUnorderedPairs(opts, "Figure 11: weighted speedup by policy",
+                           &exec::PolicyOutcome::weightedSpeedup);
     std::cout << "\nAverage consolidation speedup: shared "
-              << Table::num((sh_stat.mean() - 1) * 100, 1)
+              << Table::num((stats.at(Policy::Shared).mean() - 1) * 100, 1)
               << "% (paper 54%), biased "
-              << Table::num((bi_stat.mean() - 1) * 100, 1)
+              << Table::num((stats.at(Policy::Biased).mean() - 1) * 100, 1)
               << "% (paper 60%)\n";
     return 0;
 }

@@ -25,18 +25,8 @@ main(int argc, char **argv)
         "best-static");
 
     const auto reps = representatives();
-    const unsigned policies = exec::policyBit(Policy::Shared) |
-                              exec::policyBit(Policy::Biased) |
-                              exec::policyBit(Policy::Dynamic);
-    std::vector<exec::ExperimentSpec> specs;
-    for (std::size_t i = 0; i < reps.size(); ++i)
-        for (std::size_t j = 0; j < reps.size(); ++j)
-            specs.push_back(exec::consolidationSpec(
-                reps[i].name, reps[j].name, policies, opts.scale,
-                /*perf_window=*/15e-6));
-
     const std::vector<exec::SweepResult> res =
-        makeRunner(opts, "fig13_dynamic").run(specs);
+        makeRunner(opts).run(fig13Specs(opts.scale));
 
     Table t({"pair", "fg", "bg", "shared/static", "dynamic/static",
              "fg: dyn-vs-static", "settled-fg-ways"});
@@ -72,13 +62,16 @@ main(int argc, char **argv)
                "static allocation",
          t);
 
-    std::cout << "\nDynamic vs best-static background throughput: +"
-              << Table::num((dyn_ratio.mean() - 1) * 100, 1)
-              << "% average (paper 19%), best "
+    // Signed percentage, the sign taken from the printed value.
+    const auto pct = [](double ratio) {
+        const std::string v = Table::num((ratio - 1) * 100, 1);
+        return (v.front() == '-' ? "" : "+") + v + "%";
+    };
+    std::cout << "\nDynamic vs best-static background throughput: "
+              << pct(dyn_ratio.mean()) << " average (paper 19%), best "
               << Table::num(dyn_best, 2) << "x (paper up to 2.5x)\n"
-              << "Shared vs best-static: +"
-              << Table::num((shared_ratio.mean() - 1) * 100, 1)
-              << "% (paper 53%, but without isolation)\n"
+              << "Shared vs best-static: " << pct(shared_ratio.mean())
+              << " (paper 53%, but without isolation)\n"
               << "Foreground cost of dynamic vs best static: "
               << Table::num(fg_delta.mean() * 100, 1)
               << " percentage points average (paper: within 1-2%)\n";

@@ -5,11 +5,16 @@
 #   --sanitize   additionally build with ASan+UBSan into build-asan/
 #                and run the test suite under the sanitizers first.
 #
-#   JOBS=N       sweep parallelism for the heavy binaries
-#                (default: all cores). Results are bit-identical for
-#                any N — seeds derive from spec hashes, not schedule.
-#   RESUME=1     memoize sweep points in .capart-cache/ so an
-#                interrupted run restarts where it stopped.
+#   JOBS=N       sweep parallelism (default: all cores). Results are
+#                bit-identical for any N — seeds derive from spec
+#                hashes, not schedule.
+#   RESUME=1     memoize sweep points in .capart-cache/, kept across
+#                reproductions, so an interrupted run restarts where it
+#                stopped. Without it the points go to obs/cache/, fresh
+#                for each reproduction.
+#
+# Every bench shares one result cache, so Figs. 10, 11 and the §1
+# summary replay the points Figs. 9 and 13 computed.
 #
 # Every experiment appends to run_ledger.jsonl (one JSON record per
 # sweep point) and writes its metrics, trace and structured log under
@@ -24,8 +29,8 @@ cd "$(dirname "$0")/.."
 JOBS="${JOBS:-0}" # 0 = all cores
 LEDGER="${LEDGER:-run_ledger.jsonl}"
 OBS=obs
-SWEEP_FLAGS="--jobs=$JOBS"
-[ "${RESUME:-0}" = "1" ] && SWEEP_FLAGS="$SWEEP_FLAGS --resume"
+SWEEP_FLAGS="--jobs=$JOBS --cache-dir=$OBS/cache"
+[ "${RESUME:-0}" = "1" ] && SWEEP_FLAGS="--jobs=$JOBS --resume"
 
 if [ "${1:-}" = "--sanitize" ]; then
     cmake -B build-asan -G Ninja -DCMAKE_BUILD_TYPE=RelWithDebInfo \
@@ -48,7 +53,7 @@ for b in build/bench/*; do
     bench_report | bench_dashboard) continue ;; # readers
     esac
     echo "### $b"
-    OBS_FLAGS=(--ledger="$LEDGER" --obs-dir="$OBS/$name")
+    FLAGS=($SWEEP_FLAGS --ledger="$LEDGER" --obs-dir="$OBS/$name")
     case "$b" in
     *micro_simulator*)
         # google-benchmark binary; takes no capart flags.
@@ -58,14 +63,10 @@ for b in build/bench/*; do
         # The dynamic-policy sweep additionally records per-owner
         # attribution samples and the decision journal for the
         # dashboard rendered below.
-        "$b" $SWEEP_FLAGS "${OBS_FLAGS[@]}" --obs-sample-period=8
-        ;;
-    *fig06* | *fig07* | *fig08* | *fig09* | *fig10* | *fig11*)
-        # Sweep binaries: parallel, optionally memoized (see header).
-        "$b" $SWEEP_FLAGS "${OBS_FLAGS[@]}"
+        "$b" "${FLAGS[@]}" --obs-sample-period=8
         ;;
     *)
-        "$b" "${OBS_FLAGS[@]}"
+        "$b" "${FLAGS[@]}"
         ;;
     esac
 done 2>&1 | tee bench_output.txt

@@ -10,16 +10,25 @@
 # never a changed result. The SIGTERM run must also exit 143 and leave
 # a `run_interrupted` record in its ledger.
 #
+# A last scenario runs fig09 and then fig10 over one --cache-dir: every
+# bench shares the directory's sweep.cache, so fig10 must replay all 21
+# of its points from fig09's (every `point` record cached) and print
+# exactly what a clean fig10 run prints.
+#
 # Usage: scripts/resume_check.sh [build-dir]   (default: build)
 
 set -euo pipefail
 
 BUILD_DIR=${1:-build}
 BENCH="$BUILD_DIR/bench/bench_fig13_dynamic"
-if [[ ! -x $BENCH ]]; then
-    echo "error: $BENCH not built" >&2
-    exit 2
-fi
+FIG09="$BUILD_DIR/bench/bench_fig09_static_policies"
+FIG10="$BUILD_DIR/bench/bench_fig10_consolidation_energy"
+for b in "$BENCH" "$FIG09" "$FIG10"; do
+    if [[ ! -x $b ]]; then
+        echo "error: $b not built" >&2
+        exit 2
+    fi
+done
 
 WORK=$(mktemp -d)
 trap 'rm -rf "$WORK"' EXIT
@@ -32,13 +41,16 @@ CUT_AFTER=4
 
 fail=0
 
+# check_identical NAME [GOLDEN]: NAME's stdout must equal GOLDEN's
+# (default: golden).
 check_identical() {
-    local name=$1
-    if cmp -s "$WORK/golden.txt" "$WORK/$name.txt"; then
-        echo "ok: $name matches golden output"
+    local name=$1 golden=${2:-golden}
+    if cmp -s "$WORK/$golden.txt" "$WORK/$name.txt"; then
+        echo "ok: $name matches $golden output"
     else
-        echo "FAIL: $name diverges from golden output" >&2
-        diff -u "$WORK/golden.txt" "$WORK/$name.txt" | head -40 >&2 || true
+        echo "FAIL: $name diverges from $golden output" >&2
+        diff -u "$WORK/$golden.txt" "$WORK/$name.txt" | head -40 >&2 ||
+            true
         fail=1
     fi
 }
@@ -46,7 +58,7 @@ check_identical() {
 # wait_for_points NAME PID: wait until NAME's cache holds CUT_AFTER
 # points (plus its header line) or PID has exited.
 wait_for_points() {
-    local file="$WORK/$1.cache/fig13_dynamic.cache" pid=$2
+    local file="$WORK/$1.cache/sweep.cache" pid=$2
     while kill -0 "$pid" 2>/dev/null; do
         if [[ -f $file ]] && (($(wc -l < "$file") > CUT_AFTER)); then
             return
@@ -69,7 +81,7 @@ check_identical kill9
 
 echo "== cache torn mid-line, then --resume"
 cp -r "$WORK/kill9.cache" "$WORK/torn.cache"
-CACHE="$WORK/torn.cache/fig13_dynamic.cache"
+CACHE="$WORK/torn.cache/sweep.cache"
 size=$(($(wc -c < "$CACHE") / 2))
 # Cut inside a line, never just after its newline.
 while [[ $(head -c "$size" "$CACHE" | tail -c 1 | od -An -c) == *'\n'* ]]
@@ -101,8 +113,26 @@ fi
     > "$WORK/term.txt"
 check_identical term
 
+echo "== fig09, then fig10 over the same --cache-dir"
+"$FIG10" "${COMMON[@]}" --jobs=1 > "$WORK/fig10_golden.txt"
+"$FIG09" "${COMMON[@]}" --jobs=2 --cache-dir="$WORK/shared.cache" \
+    > /dev/null 2>&1
+"$FIG10" "${COMMON[@]}" --jobs=2 --cache-dir="$WORK/shared.cache" \
+    --ledger="$WORK/shared.jsonl" > "$WORK/fig10_shared.txt"
+check_identical fig10_shared fig10_golden
+points=$(grep -c '"kind":"point"' "$WORK/shared.jsonl" || true)
+cached=$(grep '"kind":"point"' "$WORK/shared.jsonl" |
+    grep -c '"cached":true' || true)
+if [[ $points -ne 21 || $cached -ne 21 ]]; then
+    echo "FAIL: fig10 ledgered $cached cached of $points points" \
+        "(want 21 of 21)" >&2
+    fail=1
+else
+    echo "ok: fig10 replayed all 21 points from fig09's cache"
+fi
+
 if [[ $fail -ne 0 ]]; then
     echo "resume check: FAILED" >&2
     exit 1
 fi
-echo "resume check: every scenario byte-identical to the serial run"
+echo "resume check: every scenario byte-identical to its clean run"
