@@ -55,12 +55,14 @@ std::atomic<int> gStopSignal{0};
  * consume them on a dedicated watcher thread via sigwait, so shutdown
  * runs in normal thread context — no async-signal-safety constraints.
  * The first signal exits through std::quick_exit on a fresh thread:
- * the at_quick_exit exporters flush the ledger, metrics and trace, and
+ * the at_quick_exit exporter flushes the ledger and the metrics, and
  * no static destructor runs, so sweep workers still computing a point
  * keep appending to live objects until the process ends. Everything
  * they append (ledger, result cache, log) is flushed line by line, so
  * a resumed run loses at most the points in flight. A second signal
- * aborts at once.
+ * aborts at once. parseArgs calls this last, once the globals the
+ * exporter reads are set: the watcher thread's creation is what
+ * orders those writes before its reads.
  */
 void
 installSignalHandlers()
@@ -130,21 +132,30 @@ exportObsFiles()
     }
     if (gObsDir.empty())
         return;
+    // metrics.json holds only atomics, so it is written even while
+    // threads still record. The trace rings and the attribution scopes
+    // are plain memory that sweep workers (or a bench's main thread)
+    // may still be writing after a signal, so trace.json and the
+    // bench's own side file are written only at a clean exit.
     std::ofstream metrics_out(gObsDir + "/metrics.json");
-    std::ofstream trace_out(gObsDir + "/trace.json");
-    if (!metrics_out || !trace_out) {
+    if (!metrics_out) {
         std::fprintf(stderr, "capart: cannot write to %s\n",
                      gObsDir.c_str());
         return;
     }
     obs::metrics().writeJson(metrics_out);
+    if (stop != 0)
+        return;
+    std::ofstream trace_out(gObsDir + "/trace.json");
+    if (!trace_out) {
+        std::fprintf(stderr, "capart: cannot write to %s\n",
+                     gObsDir.c_str());
+        return;
+    }
     obs::tracer().writeChromeTrace(trace_out);
     // Sweep points wrote their attribution as they finished; what a
     // bench driving System directly (Fig. 12) recorded becomes one
-    // more side file. Not after a signal: the main thread may still be
-    // recording into its scope.
-    if (stop != 0)
-        return;
+    // more side file.
     obs::AttributionBatch rest = obs::timeseries().drainAll();
     if (rest.samples.empty() && rest.journal.empty())
         return;
@@ -191,7 +202,6 @@ parseArgs(int argc, char **argv, double default_scale,
     opts.scale = default_scale;
     gBenchName = benchNameFromArgv0(argv[0]);
     gWallStart = std::chrono::steady_clock::now();
-    installSignalHandlers();
     for (int i = 1; i < argc; ++i) {
         const std::string arg = argv[i];
         if (arg.rfind("--scale=", 0) == 0) {
@@ -225,15 +235,6 @@ parseArgs(int argc, char **argv, double default_scale,
                 std::strtoull(arg.c_str() + 20, nullptr, 10);
             enableObsExport();
             obs::timeseries().setPeriod(opts.obsSamplePeriod);
-        } else if (arg.rfind("--log-level=", 0) == 0) {
-            LogLevel lvl;
-            if (!parseLogLevel(arg.substr(12), &lvl)) {
-                std::fprintf(stderr,
-                             "invalid --log-level (want debug, info, "
-                             "warn, or error)\n");
-                std::exit(1);
-            }
-            setLogLevel(lvl);
         } else {
             std::printf("%s\n\nusage: %s [--scale=F] [--csv] [--quick] "
                         "[--seed=N] [--jobs=N] [--resume] "
@@ -264,9 +265,7 @@ parseArgs(int argc, char **argv, double default_scale,
                         "  --obs-sample-period=N  snapshot per-owner "
                         "attribution (LLC ways,\n"
                         "               stalls, energy, DRAM channels) "
-                        "every N quanta\n"
-                        "  --log-level=L  drop structured events below L "
-                        "(debug|info|warn|error)\n",
+                        "every N quanta\n",
                         description, argv[0], default_scale,
                         kDefaultCacheDir);
             std::exit(arg == "--help" ? 0 : 1);
@@ -292,6 +291,7 @@ parseArgs(int argc, char **argv, double default_scale,
                      unixMillisNow()));
         gLedger = std::make_unique<obs::RunLedger>(opts.ledgerOut);
     }
+    installSignalHandlers();
     return opts;
 }
 

@@ -51,11 +51,10 @@ struct BenchOptions
 
 /**
  * Parse --scale=X, --csv, --quick, --seed=N, --jobs=N, --resume,
- * --cache-dir=D, --ledger=F, --obs-dir=D, --obs-sample-period=N and
- * --log-level=L; prints usage and exits on --help or unknown
- * arguments. @p default_scale seeds opts.scale. stdout (the table/CSV)
- * is never touched by any obs flag, so golden outputs stay
- * byte-identical.
+ * --cache-dir=D, --ledger=F, --obs-dir=D and --obs-sample-period=N;
+ * prints usage and exits on --help or unknown arguments.
+ * @p default_scale seeds opts.scale. stdout (the table/CSV) is never
+ * touched by any obs flag, so golden outputs stay byte-identical.
  *
  * --resume (or --cache-dir=D) memoizes every finished sweep point in a
  * checksummed cache file, so a killed sweep, run again with the same
@@ -70,7 +69,7 @@ struct BenchOptions
  * --obs-dir=D enables the observability layer and writes everything
  * that belongs to this one invocation under D, with fixed names:
  * `metrics.json` (the metrics registry) and `trace.json` (a Chrome
- * trace) at exit, `log.jsonl` (the structured log, see
+ * trace of host time) at exit, `log.jsonl` (the structured log, see
  * common/logging.hh), and `attr/` — one attribution side file per
  * computed sweep point (the point's ledger record links it; it is the
  * only record of the point's partitioner decisions), plus one for
@@ -81,10 +80,11 @@ struct BenchOptions
  * parseArgs also arms SIGTERM/SIGINT handling: the signals are blocked
  * process-wide and consumed by a dedicated watcher thread (sigwait),
  * so shutdown always runs in normal thread context. An interrupted run
- * exits 128+signal through std::quick_exit: its exporters append a
- * `run_interrupted` record before the closing `bench` record and write
- * the metrics and trace, while no static destructor runs under sweep
- * workers still computing. A second signal aborts immediately.
+ * exits 128+signal through std::quick_exit: its exporter appends a
+ * `run_interrupted` record before the closing `bench` record and
+ * writes `metrics.json` but no `trace.json`, while no static destructor
+ * runs under sweep workers still computing. A second signal aborts
+ * immediately.
  */
 BenchOptions parseArgs(int argc, char **argv, double default_scale,
                        const char *description);

@@ -26,7 +26,6 @@ struct LogSink
     std::mutex mutex;
     std::ofstream file;
     bool open = false;
-    LogLevel level = LogLevel::Info;
 };
 
 LogSink &
@@ -36,14 +35,11 @@ sink()
     return *s;
 }
 
-} // namespace
-
+/** Lower-case level name, the `level` field of a line. */
 const char *
 logLevelName(LogLevel lvl)
 {
     switch (lvl) {
-      case LogLevel::Debug:
-        return "debug";
       case LogLevel::Info:
         return "info";
       case LogLevel::Warn:
@@ -54,21 +50,7 @@ logLevelName(LogLevel lvl)
     return "info";
 }
 
-bool
-parseLogLevel(const std::string &text, LogLevel *out)
-{
-    if (text == "debug")
-        *out = LogLevel::Debug;
-    else if (text == "info")
-        *out = LogLevel::Info;
-    else if (text == "warn")
-        *out = LogLevel::Warn;
-    else if (text == "error")
-        *out = LogLevel::Error;
-    else
-        return false;
-    return true;
-}
+} // namespace
 
 void
 LogField::writeTo(std::ostream &os) const
@@ -109,20 +91,12 @@ setLogSink(const std::string &path)
     s.open = true;
 }
 
-void
-setLogLevel(LogLevel lvl)
-{
-    LogSink &s = sink();
-    std::lock_guard<std::mutex> lock(s.mutex);
-    s.level = lvl;
-}
-
 bool
-logEnabled(LogLevel lvl)
+logEnabled()
 {
     LogSink &s = sink();
     std::lock_guard<std::mutex> lock(s.mutex);
-    return s.open && lvl >= s.level;
+    return s.open;
 }
 
 void
@@ -131,7 +105,7 @@ logEvent(LogLevel lvl, const char *event,
 {
     LogSink &s = sink();
     std::lock_guard<std::mutex> lock(s.mutex);
-    if (!s.open || lvl < s.level)
+    if (!s.open)
         return;
     // Build the full line before writing: one write + flush per event
     // keeps the stream line-atomic under concurrent emitters and means

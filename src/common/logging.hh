@@ -14,9 +14,9 @@
  * breaches, injected faults, warnings — are routed into so one
  * machine-readable stream tells the whole story of a run. The sink is
  * off until setLogSink() names a file (the benches open
- * `<obs-dir>/log.jsonl` and wire `--log-level=L` to it); with no sink,
- * logEvent() is a cheap early return, so instrumentation sites need
- * no gating of their own.
+ * `<obs-dir>/log.jsonl`); with no sink, logEvent() is a cheap early
+ * return, so instrumentation sites need no gating of their own. Every
+ * event is written; its level is a field of the line.
  */
 
 #ifndef CAPART_COMMON_LOGGING_HH
@@ -39,20 +39,13 @@ void informImpl(const std::string &msg);
 
 // ------------------------------------------------ structured JSONL log --
 
-/** Severity of a structured log event (ordered; sink filters by it). */
+/** Severity of a structured log event, written as its `level`. */
 enum class LogLevel
 {
-    Debug = 0,
     Info,
     Warn,
     Error
 };
-
-/** Lower-case level name ("debug", "info", ...). */
-const char *logLevelName(LogLevel lvl);
-
-/** Parse "debug"/"info"/"warn"/"error"; false on anything else. */
-bool parseLogLevel(const std::string &text, LogLevel *out);
 
 /** One key/value attached to a structured event. Keys are literals. */
 class LogField
@@ -108,16 +101,13 @@ class LogField
  */
 void setLogSink(const std::string &path);
 
-/** Drop structured events below @p lvl (default Info). */
-void setLogLevel(LogLevel lvl);
-
-/** True when a sink is open and @p lvl passes the filter. */
-bool logEnabled(LogLevel lvl);
+/** True when a sink is open. */
+bool logEnabled();
 
 /**
  * Append one structured event line:
  * `{"ts_ms":<unix ms>,"level":"...","event":"...",<fields...>}`.
- * No-op (one branch) when no sink is open or the level is filtered.
+ * No-op (one branch) when no sink is open.
  * The line is built whole and flushed in one write, so a crash can
  * truncate at most the final line — loaders skip unparsable tails.
  */

@@ -6,7 +6,6 @@
 #include "core/decision_journal.hh"
 #include "obs/metrics.hh"
 #include "obs/timeseries.hh"
-#include "obs/trace.hh"
 #include "sim/experiment.hh"
 
 namespace capart
@@ -85,24 +84,12 @@ DynamicPartitioner::apply(System &sys, unsigned fg_ways)
         obs::metrics().counter("partitioner.remask_attempts").inc();
     if (!remasker_->apply(sys, fg_, bgs_, masks)) {
         ++remaskFailures_;
-        if (obs::enabled()) {
+        if (obs::enabled())
             obs::metrics().counter("partitioner.remask_failures").inc();
-            obs::tracer().instant(
-                "remask.fail", "partition", sys.now() * 1e6,
-                {{"fg_ways", static_cast<double>(fg_ways)}});
-        }
         return false;
     }
     if (fg_ways != fgWays_ || !installed_)
         ++reallocations_;
-    if (obs::enabled()) {
-        obs::tracer().instant(
-            "remask", "partition", sys.now() * 1e6,
-            {{"fg_ways", static_cast<double>(fg_ways)},
-             {"prev_fg_ways", static_cast<double>(fgWays_)}});
-        obs::metrics().gauge("partitioner.fg_ways")
-            .set(static_cast<double>(fg_ways));
-    }
     fgWays_ = fg_ways;
     installed_ = true;
     return true;
@@ -208,10 +195,6 @@ DynamicPartitioner::enterFallback(System &sys, unsigned count,
     pushHealth(sys, HealthEventKind::FallbackEntered, count);
     if (obs::enabled()) {
         obs::metrics().counter("partitioner.watchdog_fallbacks").inc();
-        obs::tracer().instant(
-            "watchdog.fallback", "partition", sys.now() * 1e6,
-            {{"consecutive_failures", static_cast<double>(count)},
-             {"remask_cause", remask_cause ? 1.0 : 0.0}});
         Decision fell;
         fell.rule = DecisionRule::FallbackEnter;
         fell.targetFgWays = fair;
@@ -235,11 +218,8 @@ DynamicPartitioner::resumeDynamic(System &sys)
     haveLast_ = false;
     detector_.reset();
     pushHealth(sys, HealthEventKind::DynamicResumed, 0);
-    if (obs::enabled()) {
+    if (obs::enabled())
         obs::metrics().counter("partitioner.watchdog_recoveries").inc();
-        obs::tracer().instant("watchdog.resume", "partition",
-                              sys.now() * 1e6);
-    }
     // Re-probe from the top, as on a phase start (§6.3). If the
     // fallback was remask-caused, this first write is a probe of the
     // control plane: its failure re-trips the watchdog immediately.
@@ -371,10 +351,6 @@ DynamicPartitioner::onWindow(System &sys, AppId app, const PerfWindow &w)
         pushHealth(sys, HealthEventKind::SampleRejected, badTelemetry_);
         if (obs::enabled()) {
             obs::metrics().counter("partitioner.samples_rejected").inc();
-            obs::tracer().instant(
-                "sample.rejected", "partition", sys.now() * 1e6,
-                {{"mpki", w.mpki},
-                 {"outlier", verdict == Sample::Outlier ? 1.0 : 0.0}});
             Decision held;
             held.rule = DecisionRule::RejectHold;
             held.targetFgWays = fgWays_;
@@ -442,13 +418,8 @@ DynamicPartitioner::onWindow(System &sys, AppId app, const PerfWindow &w)
       case DecisionRule::PhaseStartMax:
         // A new phase begins: give the foreground everything we can,
         // then probe downward from there (Algorithm 6.2).
-        if (obs::enabled()) {
+        if (obs::enabled())
             obs::metrics().counter("partitioner.phase_changes").inc();
-            obs::tracer().instant(
-                "phase.change", "partition", sys.now() * 1e6,
-                {{"mpki", mpki},
-                 {"fg_ways", static_cast<double>(fgWays_)}});
-        }
         phaseStarts_ = true;
         requestWays(sys, dec.targetFgWays);
         break;
@@ -467,11 +438,6 @@ DynamicPartitioner::onWindow(System &sys, AppId app, const PerfWindow &w)
         if (dec.targetFgWays != fgWays_)
             requestWays(sys, dec.targetFgWays);
         phaseStarts_ = false;
-        if (obs::enabled()) {
-            obs::tracer().instant(
-                "phase.settled", "partition", sys.now() * 1e6,
-                {{"fg_ways", static_cast<double>(fgWays_)}});
-        }
         break;
       default:
         break; // Hold: in transition, or stable without an open probe.

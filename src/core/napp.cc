@@ -90,8 +90,6 @@ class NAppController final : public PartitionController
           current_(std::move(current)),
           seen_(obs_.size(), false), seq_(first_seq)
     {
-        if (lfoc_)
-            lastClasses_ = lfoc_->lastClasses();
     }
 
     void
@@ -142,19 +140,6 @@ class NAppController final : public PartitionController
                 jout.classes = lfoc_->lastClasses();
                 jout.targets = lfoc_->lastTargets();
                 jout.errAfter = lfoc_->bounceError();
-                for (std::size_t i = 0;
-                     i < jout.classes.size() && i < lastClasses_.size();
-                     ++i) {
-                    if (jout.classes[i] != lastClasses_[i])
-                        obs::tracer().instant(
-                            "lfoc.class_change", "partition",
-                            sys.now() * 1e6,
-                            {{"app", static_cast<double>(i)},
-                             {"class", static_cast<double>(
-                                           static_cast<int>(
-                                               jout.classes[i]))}});
-                }
-                lastClasses_ = jout.classes;
             }
             journalNPartitionDecision(sys.now() * 1e6, jin, jout,
                                       seq_++, true);
@@ -165,12 +150,6 @@ class NAppController final : public PartitionController
             sys.setWayMask(obs_[i].id, masks[i]);
             current_[i] = masks[i];
             ++remasks_;
-            if (rec)
-                obs::tracer().instant(
-                    "napp.remask", "partition", sys.now() * 1e6,
-                    {{"app", static_cast<double>(i)},
-                     {"ways",
-                      static_cast<double>(masks[i].count())}});
         }
     }
 
@@ -184,7 +163,6 @@ class NAppController final : public PartitionController
     std::vector<AppObservation> obs_;
     std::vector<WayMask> current_;
     std::vector<bool> seen_;
-    std::vector<AppClass> lastClasses_;
     std::uint64_t remasks_ = 0;
     std::uint64_t seq_ = 0;
 };
@@ -261,9 +239,33 @@ profileMissCurve(const AppParams &params, const SystemConfig &system,
     return mc;
 }
 
+namespace
+{
+
+bool
+usesMissCurves(NPolicy policy)
+{
+    return policy == NPolicy::Ucp || policy == NPolicy::Lfoc;
+}
+
+/** Every member's miss curve, in member order. */
+std::vector<MissCurve>
+profileMembers(const std::vector<NAppMember> &members,
+               const NAppOptions &opts)
+{
+    std::vector<MissCurve> curves;
+    curves.reserve(members.size());
+    for (const NAppMember &m : members)
+        curves.push_back(profileMissCurve(m.params, opts.system,
+                                          opts.scale,
+                                          opts.profileAccesses));
+    return curves;
+}
+
+/** runNApp over already-profiled @p curves (read by UCP and LFOC). */
 NAppRunResult
-runNApp(const std::vector<NAppMember> &members, NPolicy policy,
-        const NAppOptions &opts)
+runWithCurves(const std::vector<NAppMember> &members, NPolicy policy,
+              const NAppOptions &opts, const std::vector<MissCurve> &curves)
 {
     capart_assert(!members.empty());
     const SystemConfig &cfg = opts.system;
@@ -284,15 +286,14 @@ runNApp(const std::vector<NAppMember> &members, NPolicy policy,
     capart_assert(core <= cfg.numCores);
 
     std::vector<AppObservation> obs(members.size());
-    const bool need_curves =
-        policy == NPolicy::Ucp || policy == NPolicy::Lfoc;
+    const bool need_curves = usesMissCurves(policy);
+    capart_assert(!need_curves || curves.size() == members.size());
     for (std::size_t i = 0; i < members.size(); ++i) {
         obs[i].id = ids[i];
         obs[i].latencySensitive = !members[i].continuous;
         if (!need_curves)
             continue;
-        const MissCurve mc = profileMissCurve(
-            members[i].params, cfg, opts.scale, opts.profileAccesses);
+        const MissCurve &mc = curves[i];
         obs[i].missCurve = mc.mpkiAtWays;
         obs[i].apki = mc.apki;
         // Pre-run MPKI estimate: the curve read at a fair share of the
@@ -429,6 +430,18 @@ runNApp(const std::vector<NAppMember> &members, NPolicy policy,
     return res;
 }
 
+} // namespace
+
+NAppRunResult
+runNApp(const std::vector<NAppMember> &members, NPolicy policy,
+        const NAppOptions &opts)
+{
+    return runWithCurves(members, policy, opts,
+                         usesMissCurves(policy)
+                             ? profileMembers(members, opts)
+                             : std::vector<MissCurve>{});
+}
+
 NAppStudy::NAppStudy(std::vector<NAppMember> members,
                      NAppStudyOptions opts)
     : members_(std::move(members)), opts_(std::move(opts)),
@@ -463,7 +476,11 @@ NAppStudy::runPolicy(NPolicy policy)
     const auto it = runs_.find(policy);
     if (it != runs_.end())
         return it->second;
-    return runs_.emplace(policy, runNApp(members_, policy, opts_.run))
+    if (usesMissCurves(policy) && curves_.empty())
+        curves_ = profileMembers(members_, opts_.run);
+    return runs_
+        .emplace(policy,
+                 runWithCurves(members_, policy, opts_.run, curves_))
         .first->second;
 }
 

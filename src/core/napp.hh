@@ -155,7 +155,8 @@ struct NAppStudyOptions
 /**
  * Runs one mix under several policies, caching the per-app solo
  * baselines (each app alone on the whole machine) that slowdown,
- * unfairness, STP, and SLO accounting share.
+ * unfairness, STP, and SLO accounting share, and the members' miss
+ * curves, profiled once for UCP and LFOC alike.
  */
 class NAppStudy
 {
@@ -179,6 +180,8 @@ class NAppStudy
     std::vector<NAppMember> members_;
     NAppStudyOptions opts_;
     std::vector<std::optional<double>> soloIps_;
+    /** Member miss curves; empty until a curve-driven policy runs. */
+    std::vector<MissCurve> curves_;
     std::map<NPolicy, NAppRunResult> runs_;
 };
 

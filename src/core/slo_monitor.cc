@@ -5,7 +5,6 @@
 #include "common/logging.hh"
 #include "obs/metrics.hh"
 #include "obs/timeseries.hh"
-#include "obs/trace.hh"
 
 namespace capart
 {
@@ -107,9 +106,6 @@ SloMonitor::onWindow(Seconds now, const PerfWindow &w)
         static obs::Counter &windows =
             obs::metrics().counter("slo.windows");
         windows.inc();
-        obs::metrics().gauge("slo.burn_short").set(shortBurn_);
-        obs::metrics().gauge("slo.burn_long").set(longBurn_);
-        obs::metrics().gauge("slo.slowdown").set(slowdown);
         if (inBreach_)
             obs::metrics().counter("slo.breach_windows").inc();
         // One journal record per evaluation: the dashboard's burn-rate
@@ -133,12 +129,8 @@ SloMonitor::onWindow(Seconds now, const PerfWindow &w)
         transition = SloTransition::Breach;
         health_.push_back(HealthEvent{now, HealthEventKind::SloBreach, 0,
                                       burnStreak_});
-        if (obs::enabled()) {
+        if (obs::enabled())
             obs::metrics().counter("slo.breaches").inc();
-            obs::tracer().instant("slo.breach", "slo", now * 1e6,
-                                  {{"burn_short", shortBurn_},
-                                   {"burn_long", longBurn_}});
-        }
         logEvent(LogLevel::Warn, "slo.breach",
                  {{"t_s", now},
                   {"slowdown", slowdown},
@@ -150,11 +142,6 @@ SloMonitor::onWindow(Seconds now, const PerfWindow &w)
         transition = SloTransition::Recovered;
         health_.push_back(HealthEvent{now, HealthEventKind::SloRecovered,
                                       0, calmStreak_});
-        if (obs::enabled()) {
-            obs::tracer().instant("slo.recovered", "slo", now * 1e6,
-                                  {{"burn_short", shortBurn_},
-                                   {"burn_long", longBurn_}});
-        }
         logEvent(LogLevel::Info, "slo.recovered",
                  {{"t_s", now},
                   {"slowdown", slowdown},

@@ -31,10 +31,13 @@
  * evaluations end the breach.
  *
  * The monitor is an observer, never an actuator: it reads windows,
- * updates counters/gauges, emits trace instants and structured log
- * events, and appends to a health log — it never touches partition
- * state, so enabling it cannot change simulation results (tested
- * bit-identical on/off).
+ * updates counters, journals one `slo` record per evaluation (its
+ * slowdown, both burn rates, and the `in_breach` state it was
+ * evaluated in, so breaches and recoveries show as changes of
+ * `in_breach` between records), logs structured breach and recovery
+ * events, and appends to a health log — it never touches
+ * partition state, so enabling it cannot change simulation results
+ * (tested bit-identical on/off).
  */
 
 #ifndef CAPART_CORE_SLO_MONITOR_HH

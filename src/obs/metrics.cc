@@ -102,16 +102,6 @@ MetricsRegistry::counter(const std::string &name)
     return *slot;
 }
 
-Gauge &
-MetricsRegistry::gauge(const std::string &name)
-{
-    std::lock_guard<std::mutex> lock(mutex_);
-    auto &slot = gauges_[name];
-    if (!slot)
-        slot = std::make_unique<Gauge>();
-    return *slot;
-}
-
 Histogram &
 MetricsRegistry::histogram(const std::string &name)
 {
@@ -131,11 +121,6 @@ MetricsRegistry::writeJson(std::ostream &os) const
     writeJsonSection(os, "counters", counters_,
                      [](std::ostream &o, const Counter &c) {
                          o << c.value();
-                     },
-                     first_section);
-    writeJsonSection(os, "gauges", gauges_,
-                     [](std::ostream &o, const Gauge &g) {
-                         o << g.value();
                      },
                      first_section);
     writeJsonSection(
@@ -180,8 +165,6 @@ MetricsRegistry::reset()
     std::lock_guard<std::mutex> lock(mutex_);
     for (auto &[name, c] : counters_)
         c->reset();
-    for (auto &[name, g] : gauges_)
-        g->reset();
     for (auto &[name, h] : histograms_)
         h->reset();
 }

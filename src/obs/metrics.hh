@@ -1,7 +1,12 @@
 /**
  * @file
- * MetricsRegistry: named counters, gauges, and histograms with
- * lock-free hot-path updates and JSON export.
+ * MetricsRegistry: named counters and histograms with lock-free
+ * hot-path updates and JSON export.
+ *
+ * The registry is process-wide, and a sweep runs many simulations in
+ * it, so it holds only values that add up across runs: event counts
+ * and sample distributions. A per-run level (a way allocation, a burn
+ * rate) is a field of that run's journal record (obs/timeseries.hh).
  *
  * Registration (looking a metric up by name) takes a mutex; the
  * returned reference is stable for the registry's lifetime, so hot
@@ -53,30 +58,6 @@ class Counter
 
   private:
     std::atomic<std::uint64_t> v_{0};
-};
-
-/** Last-written level (allocation sizes, queue depths, ratios). */
-class Gauge
-{
-  public:
-    void
-    set(double v)
-    {
-        bits_.store(std::bit_cast<std::uint64_t>(v),
-                    std::memory_order_relaxed);
-    }
-
-    double
-    value() const
-    {
-        return std::bit_cast<double>(
-            bits_.load(std::memory_order_relaxed));
-    }
-
-    void reset() { set(0.0); }
-
-  private:
-    std::atomic<std::uint64_t> bits_{0};
 };
 
 /**
@@ -162,11 +143,10 @@ class MetricsRegistry
   public:
     /** Find or create; the reference stays valid for the registry's life. */
     Counter &counter(const std::string &name);
-    Gauge &gauge(const std::string &name);
     Histogram &histogram(const std::string &name);
 
     /**
-     * {"counters": {...}, "gauges": {...}, "histograms": {...}} with
+     * {"counters": {...}, "histograms": {...}} with
      * histogram buckets as [{"le": bound, "n": count}, ...] (zero
      * buckets omitted) plus p50/p90/p99 summaries interpolated from
      * the log2 buckets.
@@ -186,7 +166,6 @@ class MetricsRegistry
   private:
     mutable std::mutex mutex_;
     std::map<std::string, std::unique_ptr<Counter>> counters_;
-    std::map<std::string, std::unique_ptr<Gauge>> gauges_;
     std::map<std::string, std::unique_ptr<Histogram>> histograms_;
 };
 

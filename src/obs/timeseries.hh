@@ -3,8 +3,9 @@
  * Per-owner attribution time series and structured journal.
  *
  * The metrics registry says *that* resources were consumed and the
- * tracer says *when* things happened; this sampler records *who*
- * consumed each resource over time. Every N executed quanta (the
+ * tracer says where the host spent its time; this sampler records
+ * *who* consumed each resource over time, and its journal is the one
+ * record of *when*, in simulated time, the controllers acted. Every N executed quanta (the
  * `--obs-sample-period` knob; 0 = off) the simulator snapshots one
  * @ref AttributionSample: per-owner LLC occupancy, the per-owner stall
  * breakdown, per-owner/per-channel DRAM bytes, and per-owner energy.

@@ -15,6 +15,9 @@ namespace
 
 std::atomic<std::uint64_t> gNextTracerId{1};
 
+/** Perfetto pid of the one exported process, "host wall clock". */
+constexpr unsigned kHostPid = 2;
+
 /** Escape a (should-be-literal) event name for JSON output. */
 void
 writeEscaped(std::ostream &os, const char *s)
@@ -69,29 +72,18 @@ Tracer::ring()
 }
 
 void
-Tracer::record(const char *name, const char *cat, double ts_us,
-               double dur_us, char ph,
-               std::initializer_list<TraceArg> args, Track track)
+Tracer::complete(const char *name, const char *cat, double ts_us,
+                 double dur_us, std::initializer_list<TraceArg> args)
 {
+    if (!enabled())
+        return;
     Ring &r = ring();
     if (r.recorded >= r.buf.size()) {
         // The slot we are about to take still holds a retained event:
-        // this write evicts it. Count the loss — per track of the
-        // *evicted* event, so a sim-instant flood that pushes host
-        // spans out of the ring is charged to the host track — so
-        // exports can say how much of each timeline the ring forgot.
+        // this write evicts it. Count the loss so exports can say how
+        // much of the timeline the ring forgot.
         static Counter &drops = metrics().counter("trace.dropped");
         drops.inc();
-        const Event &victim = r.buf[r.next];
-        if (victim.track == static_cast<std::uint8_t>(Track::Host)) {
-            static Counter &host = metrics().counter("trace.dropped.host");
-            host.inc();
-            ++r.droppedHost;
-        } else {
-            static Counter &sim = metrics().counter("trace.dropped.sim");
-            sim.inc();
-            ++r.droppedSim;
-        }
     }
     Event &e = r.buf[r.next];
     e.name = name;
@@ -99,8 +91,6 @@ Tracer::record(const char *name, const char *cat, double ts_us,
     e.ts = ts_us;
     e.dur = dur_us;
     e.tid = r.tid;
-    e.track = static_cast<std::uint8_t>(track);
-    e.ph = ph;
     e.nargs = 0;
     for (const TraceArg &a : args) {
         if (e.nargs >= 2)
@@ -111,25 +101,6 @@ Tracer::record(const char *name, const char *cat, double ts_us,
     }
     r.next = (r.next + 1) % r.buf.size();
     ++r.recorded;
-}
-
-void
-Tracer::instant(const char *name, const char *cat, double ts_us,
-                std::initializer_list<TraceArg> args, Track track)
-{
-    if (!enabled())
-        return;
-    record(name, cat, ts_us, 0.0, 'i', args, track);
-}
-
-void
-Tracer::complete(const char *name, const char *cat, double ts_us,
-                 double dur_us, std::initializer_list<TraceArg> args,
-                 Track track)
-{
-    if (!enabled())
-        return;
-    record(name, cat, ts_us, dur_us, 'X', args, track);
 }
 
 std::uint64_t
@@ -154,16 +125,6 @@ Tracer::dropped() const
     return n;
 }
 
-std::uint64_t
-Tracer::dropped(Track track) const
-{
-    std::lock_guard<std::mutex> lock(mutex_);
-    std::uint64_t n = 0;
-    for (const auto &r : rings_)
-        n += track == Track::Host ? r->droppedHost : r->droppedSim;
-    return n;
-}
-
 void
 Tracer::clear()
 {
@@ -171,8 +132,6 @@ Tracer::clear()
     for (const auto &r : rings_) {
         r->next = 0;
         r->recorded = 0;
-        r->droppedSim = 0;
-        r->droppedHost = 0;
     }
 }
 
@@ -180,19 +139,14 @@ void
 Tracer::writeChromeTrace(std::ostream &os) const
 {
     // Snapshot every ring in chronological ring order (oldest retained
-    // event first), then sort the union by timestamp. Recording threads
-    // may still be appending; the snapshot is whatever has landed.
+    // event first), then sort the union by timestamp.
     std::vector<Event> events;
     std::uint64_t dropped_events = 0;
-    std::uint64_t dropped_sim = 0;
-    std::uint64_t dropped_host = 0;
     {
         std::lock_guard<std::mutex> lock(mutex_);
         for (const auto &r : rings_) {
             if (r->recorded > r->buf.size())
                 dropped_events += r->recorded - r->buf.size();
-            dropped_sim += r->droppedSim;
-            dropped_host += r->droppedHost;
             const std::size_t cap = r->buf.size();
             const std::size_t n =
                 static_cast<std::size_t>(std::min<std::uint64_t>(
@@ -209,23 +163,17 @@ Tracer::writeChromeTrace(std::ostream &os) const
                      });
 
     os << "{\"displayTimeUnit\": \"ms\", \"traceEvents\": [\n";
-    // Process-name metadata: makes the two clock domains explicit.
-    os << "{\"ph\": \"M\", \"pid\": 1, \"name\": \"process_name\", "
-          "\"args\": {\"name\": \"simulated time (us)\"}},\n";
-    os << "{\"ph\": \"M\", \"pid\": 2, \"name\": \"process_name\", "
+    os << "{\"ph\": \"M\", \"pid\": " << kHostPid
+       << ", \"name\": \"process_name\", "
           "\"args\": {\"name\": \"host wall clock\"}}";
     for (const Event &e : events) {
         os << ",\n{\"name\": \"";
         writeEscaped(os, e.name);
         os << "\", \"cat\": \"";
         writeEscaped(os, e.cat);
-        os << "\", \"ph\": \"" << e.ph << "\", \"ts\": " << e.ts;
-        if (e.ph == 'X')
-            os << ", \"dur\": " << e.dur;
-        os << ", \"pid\": " << static_cast<unsigned>(e.track)
+        os << "\", \"ph\": \"X\", \"ts\": " << e.ts
+           << ", \"dur\": " << e.dur << ", \"pid\": " << kHostPid
            << ", \"tid\": " << e.tid;
-        if (e.ph == 'i')
-            os << ", \"s\": \"t\"";
         if (e.nargs > 0) {
             os << ", \"args\": {";
             for (unsigned a = 0; a < e.nargs; ++a) {
@@ -239,12 +187,7 @@ Tracer::writeChromeTrace(std::ostream &os) const
         }
         os << "}";
     }
-    // dropped_events counts every eviction regardless of track;
-    // the per-track fields split it (host drops used to be invisible
-    // to consumers that only look at per-track totals).
     os << "\n], \"metadata\": {\"dropped_events\": " << dropped_events
-       << ", \"dropped_sim_events\": " << dropped_sim
-       << ", \"dropped_host_events\": " << dropped_host
        << ", \"retained_events\": " << events.size() << "}}\n";
 }
 
@@ -279,16 +222,15 @@ TraceSpan::~TraceSpan()
     // on the small fixed arity instead.
     switch (nargs_) {
       case 0:
-        tracer().complete(name_, cat_, startUs_, end - startUs_, {},
-                          Track::Host);
+        tracer().complete(name_, cat_, startUs_, end - startUs_);
         break;
       case 1:
         tracer().complete(name_, cat_, startUs_, end - startUs_,
-                          {args_[0]}, Track::Host);
+                          {args_[0]});
         break;
       default:
         tracer().complete(name_, cat_, startUs_, end - startUs_,
-                          {args_[0], args_[1]}, Track::Host);
+                          {args_[0], args_[1]});
         break;
     }
 }

@@ -1,6 +1,6 @@
 /**
  * @file
- * Timeline tracer exporting Chrome `trace_event` JSON.
+ * Host-time tracer exporting Chrome `trace_event` JSON.
  *
  * Events land in a preallocated per-thread ring buffer — the hot path
  * is an enabled check, a thread-local pointer chase, and a struct
@@ -8,18 +8,15 @@
  * ring fills, the oldest events are overwritten (most-recent-window
  * semantics) and the drop is counted.
  *
- * The export is a Chrome/Perfetto trace with two process tracks:
- *
- *  - pid 1 "simulated time": instants and completes stamped with
- *    *simulated* microseconds (phase detections, remask operations,
- *    watchdog trips, app completions);
- *  - pid 2 "host wall clock": RAII @ref TraceSpan scopes stamped with
- *    host microseconds since tracer start (sweep-runner point
- *    scheduling, per-policy runs, whole-sim runs).
- *
- * The two tracks use different clock domains on purpose: one answers
- * "when in the experiment did the controller act", the other "where
- * did the host spend time". Open the file in ui.perfetto.dev or
+ * The tracer answers one question: where did the host spend its time.
+ * Every event is a complete span stamped with host microseconds since
+ * tracer start, mostly RAII @ref TraceSpan scopes (sweep-runner
+ * points, per-policy runs, whole-sim runs, N-app decisions); the
+ * export is one Perfetto process, "host wall clock". What the
+ * simulated controllers did, and when in simulated time, is the
+ * point's journal (obs/timeseries.hh): each System run restarts its
+ * clock at zero, so only a per-point record can say which run an
+ * event belongs to. Open the file in ui.perfetto.dev or
  * chrome://tracing. Event/category names must be string literals (the
  * ring stores pointers, not copies).
  */
@@ -47,13 +44,6 @@ struct TraceArg
     double value;
 };
 
-/** Which exported process track an event belongs to. */
-enum class Track : std::uint8_t
-{
-    Sim = 1, //!< timestamps are simulated microseconds
-    Host = 2 //!< timestamps are host microseconds since tracer start
-};
-
 class Tracer
 {
   public:
@@ -64,15 +54,12 @@ class Tracer
     Tracer(const Tracer &) = delete;
     Tracer &operator=(const Tracer &) = delete;
 
-    /** Record a point-in-time event ("i") at @p ts_us on @p track. */
-    void instant(const char *name, const char *cat, double ts_us,
-                 std::initializer_list<TraceArg> args = {},
-                 Track track = Track::Sim);
-
-    /** Record a span ("X") covering [@p ts_us, @p ts_us + @p dur_us]. */
+    /**
+     * Record a span ("X") covering [@p ts_us, @p ts_us + @p dur_us],
+     * in host microseconds since tracer start (see wallUs()).
+     */
     void complete(const char *name, const char *cat, double ts_us,
-                  double dur_us, std::initializer_list<TraceArg> args = {},
-                  Track track = Track::Sim);
+                  double dur_us, std::initializer_list<TraceArg> args = {});
 
     /** Host microseconds since this tracer was constructed. */
     double wallUs() const;
@@ -83,20 +70,14 @@ class Tracer
     /** Events overwritten because a ring filled. */
     std::uint64_t dropped() const;
 
-    /**
-     * Events of @p track overwritten because a ring filled. Eviction
-     * inspects the event actually overwritten, so host-track spans
-     * pushed out by a flood of sim-track instants (or vice versa) are
-     * charged to the right track.
-     */
-    std::uint64_t dropped(Track track) const;
-
     /** Forget all recorded events (rings stay allocated). */
     void clear();
 
     /**
      * Emit the retained events as Chrome trace JSON, globally sorted
-     * by timestamp, preceded by process-name metadata records.
+     * by timestamp, preceded by the process-name metadata record. Not
+     * safe while other threads record: callers export once recording
+     * has stopped.
      */
     void writeChromeTrace(std::ostream &os) const;
 
@@ -111,8 +92,6 @@ class Tracer
         double argVal[2];
         std::uint32_t tid;
         std::uint8_t nargs;
-        std::uint8_t track;
-        char ph;
     };
 
     struct Ring
@@ -122,16 +101,10 @@ class Tracer
         std::vector<Event> buf;
         std::size_t next = 0;      //!< slot the next event lands in
         std::uint64_t recorded = 0; //!< events ever recorded
-        /** Evicted events, split by the *evicted* event's track. */
-        std::uint64_t droppedSim = 0;
-        std::uint64_t droppedHost = 0;
         std::uint32_t tid;
     };
 
     Ring &ring();
-    void record(const char *name, const char *cat, double ts_us,
-                double dur_us, char ph,
-                std::initializer_list<TraceArg> args, Track track);
 
     const std::size_t capacity_;
     const std::uint64_t id_; //!< distinguishes tracer instances in TLS
@@ -145,9 +118,9 @@ class Tracer
 Tracer &tracer();
 
 /**
- * RAII wall-clock span on the global tracer's host track. Records one
- * complete event on destruction; free when observability is disabled
- * at construction time.
+ * RAII wall-clock span on the global tracer. Records one complete
+ * event on destruction; free when observability is disabled at
+ * construction time.
  */
 class TraceSpan
 {

@@ -6,7 +6,6 @@
 
 #include "common/logging.hh"
 #include "obs/metrics.hh"
-#include "obs/trace.hh"
 
 namespace capart
 {
@@ -210,12 +209,6 @@ ResctrlFs::writeSchemata(const std::string &name,
         moved.push_back(app);
     }
     g->mask = mask;
-    if (obs::enabled()) {
-        obs::tracer().instant(
-            "rctl.write", "rctl", sys_->now() * 1e6,
-            {{"mask", static_cast<double>(mask.bits())},
-             {"ways", static_cast<double>(mask.count())}});
-    }
     return RctlStatus::Ok;
 }
 

@@ -412,11 +412,6 @@ System::stepHt(HwThreadId ht)
             if (a.threadsDone >= required && !a.completed) {
                 a.completed = true;
                 a.completionTime = h.localTime;
-                if (obs::enabled()) {
-                    obs::tracer().instant(
-                        "app.complete", "sim", h.localTime * 1e6,
-                        {{"app", static_cast<double>(h.app)}});
-                }
             }
         }
     }

@@ -143,19 +143,6 @@ TEST(Json, AbsentKeysChainToNullWithFallbacks)
     EXPECT_EQ(doc->at("missing").asStr("dflt"), "dflt");
 }
 
-TEST(Logging, LevelNamesRoundTrip)
-{
-    for (LogLevel lvl : {LogLevel::Debug, LogLevel::Info, LogLevel::Warn,
-                         LogLevel::Error}) {
-        LogLevel back{};
-        ASSERT_TRUE(parseLogLevel(logLevelName(lvl), &back));
-        EXPECT_EQ(back, lvl);
-    }
-    LogLevel out{};
-    EXPECT_FALSE(parseLogLevel("verbose", &out));
-    EXPECT_FALSE(parseLogLevel("", &out));
-}
-
 TEST(Logging, SinkWritesParsableJsonlAndFiltersByLevel)
 {
     const std::string path =
@@ -163,25 +150,25 @@ TEST(Logging, SinkWritesParsableJsonlAndFiltersByLevel)
             .string();
     std::remove(path.c_str());
 
-    EXPECT_FALSE(logEnabled(LogLevel::Error)) << "no sink: disabled";
+    EXPECT_FALSE(logEnabled()) << "no sink: disabled";
     setLogSink(path);
-    setLogLevel(LogLevel::Info);
-    EXPECT_TRUE(logEnabled(LogLevel::Info));
-    EXPECT_FALSE(logEnabled(LogLevel::Debug));
+    EXPECT_TRUE(logEnabled());
 
     logEvent(LogLevel::Info, "unit.test",
              {{"t_s", 1.25},
               {"kind", "breach"},
               {"count", std::uint64_t{0xffffffffffffffffULL}},
               {"ok", true}});
-    logEvent(LogLevel::Debug, "unit.dropped"); // filtered out
+    logEvent(LogLevel::Warn, "unit.warn");
+    logEvent(LogLevel::Error, "unit.error");
     setLogSink(""); // close and flush
+    EXPECT_FALSE(logEnabled());
 
     std::ifstream in(path);
     std::vector<std::string> lines;
     for (std::string line; std::getline(in, line);)
         lines.push_back(line);
-    ASSERT_EQ(lines.size(), 1u) << "debug event must be filtered";
+    ASSERT_EQ(lines.size(), 3u) << "every event is written";
 
     const auto doc = Json::parse(lines[0]);
     ASSERT_TRUE(doc.has_value()) << "log line must be valid JSON";
@@ -194,6 +181,9 @@ TEST(Logging, SinkWritesParsableJsonlAndFiltersByLevel)
         << "u64 fields print all 64 bits, not a rounded double";
     EXPECT_TRUE(doc->at("ok").asBool());
     EXPECT_GT(doc->at("ts_ms").asNum(), 0.0);
+    // Each line keeps its level as a field.
+    EXPECT_EQ(Json::parse(lines[1])->at("level").asStr(), "warn");
+    EXPECT_EQ(Json::parse(lines[2])->at("level").asStr(), "error");
 
     std::remove(path.c_str());
 }
