@@ -127,7 +127,8 @@ exportObsFiles()
         rec.wallMs = std::chrono::duration<double, std::milli>(
                          std::chrono::steady_clock::now() - gWallStart)
                          .count();
-        rec.counters = obs::metrics().counterSnapshot();
+        if (obs::enabled())
+            rec.counters = obs::metrics().counterSnapshot();
         gLedger->append(rec);
     }
     if (gObsDir.empty())
@@ -169,28 +170,61 @@ exportObsFiles()
                      rest.attrFile.c_str());
 }
 
+/** Register exportObsFiles to run at exit, once per process. */
 void
-enableObsExport()
+registerExitExport()
 {
     static bool registered = false;
-    if (!registered) {
-        registered = true;
-        // Touch the globals before registering the handler: function
-        // statics are destroyed in reverse construction order, so
-        // constructing them first guarantees they outlive the atexit
-        // exporter, which drains timeseries() too.
-        obs::metrics();
-        obs::tracer();
-        obs::timeseries();
-        std::atexit(exportObsFiles);
-        std::at_quick_exit(exportObsFiles);
-    }
-    if (!obs::kCompiledIn) {
-        std::fprintf(stderr,
-                     "capart: observability compiled out (CAPART_OBS=OFF); "
-                     "--obs-dir will record nothing\n");
-    }
-    obs::setEnabled(true);
+    if (registered)
+        return;
+    registered = true;
+    // Touch the globals before registering the handler: function
+    // statics are destroyed in reverse construction order, so
+    // constructing them first guarantees they outlive the atexit
+    // exporter, which drains timeseries() too.
+    obs::metrics();
+    obs::tracer();
+    obs::timeseries();
+    std::atexit(exportObsFiles);
+    std::at_quick_exit(exportObsFiles);
+}
+
+[[noreturn]] void
+usage(const char *argv0, double default_scale, const char *description,
+      int status)
+{
+    std::printf("%s\n\nusage: %s [--scale=F] [--csv] [--quick] "
+                "[--seed=N] [--jobs=N] [--resume] "
+                "[--cache-dir=D] [--ledger=F] [--obs-dir=D]\n"
+                "  --scale=F    app instruction-count scale "
+                "(default %.3g)\n"
+                "  --csv        machine-readable output\n"
+                "  --quick      cheaper settings for smoke runs\n"
+                "  --jobs=N     parallel sweep workers "
+                "(0 = all host cores);\n"
+                "               output is bit-identical for "
+                "every N\n"
+                "  --resume     memoize finished sweep points in "
+                "%s/sweep.cache\n"
+                "               and skip them on re-runs\n"
+                "  --cache-dir=D  --resume with the cache in "
+                "D/sweep.cache\n"
+                "  --ledger=F   append one JSONL run-ledger "
+                "record per sweep point\n"
+                "               plus a closing bench record to F "
+                "(see bench_report)\n"
+                "  --obs-dir=D  record observability and write it "
+                "under D: metrics.json,\n"
+                "               trace.json (Perfetto), log.jsonl, "
+                "attr/ (per-point\n"
+                "               samples and decisions; see "
+                "bench_dashboard)\n"
+                "  --obs-sample-period=N  with --obs-dir, snapshot "
+                "per-owner attribution\n"
+                "               (LLC ways, stalls, energy, DRAM "
+                "channels) every N quanta\n",
+                description, argv0, default_scale, kDefaultCacheDir);
+    std::exit(status);
 }
 } // namespace
 
@@ -200,6 +234,7 @@ parseArgs(int argc, char **argv, double default_scale,
 {
     BenchOptions opts;
     opts.scale = default_scale;
+    bool sample_period_set = false;
     gBenchName = benchNameFromArgv0(argv[0]);
     gWallStart = std::chrono::steady_clock::now();
     for (int i = 1; i < argc; ++i) {
@@ -226,51 +261,20 @@ parseArgs(int argc, char **argv, double default_scale,
             opts.resume = true;
         } else if (arg.rfind("--obs-dir=", 0) == 0) {
             opts.obsDir = arg.substr(10);
-            enableObsExport();
         } else if (arg.rfind("--ledger=", 0) == 0) {
             opts.ledgerOut = arg.substr(9);
-            enableObsExport();
         } else if (arg.rfind("--obs-sample-period=", 0) == 0) {
             opts.obsSamplePeriod =
                 std::strtoull(arg.c_str() + 20, nullptr, 10);
-            enableObsExport();
-            obs::timeseries().setPeriod(opts.obsSamplePeriod);
+            sample_period_set = true;
         } else {
-            std::printf("%s\n\nusage: %s [--scale=F] [--csv] [--quick] "
-                        "[--seed=N] [--jobs=N] [--resume] "
-                        "[--cache-dir=D] [--ledger=F] [--obs-dir=D]\n"
-                        "  --scale=F    app instruction-count scale "
-                        "(default %.3g)\n"
-                        "  --csv        machine-readable output\n"
-                        "  --quick      cheaper settings for smoke runs\n"
-                        "  --jobs=N     parallel sweep workers "
-                        "(0 = all host cores);\n"
-                        "               output is bit-identical for "
-                        "every N\n"
-                        "  --resume     memoize finished sweep points in "
-                        "%s/sweep.cache\n"
-                        "               and skip them on re-runs\n"
-                        "  --cache-dir=D  --resume with the cache in "
-                        "D/sweep.cache\n"
-                        "  --ledger=F   append one JSONL run-ledger "
-                        "record per sweep point\n"
-                        "               plus a closing bench record to F "
-                        "(see bench_report)\n"
-                        "  --obs-dir=D  write this run's obs files under "
-                        "D: metrics.json,\n"
-                        "               trace.json (Perfetto), log.jsonl, "
-                        "attr/ (per-point\n"
-                        "               samples and decisions; see "
-                        "bench_dashboard)\n"
-                        "  --obs-sample-period=N  snapshot per-owner "
-                        "attribution (LLC ways,\n"
-                        "               stalls, energy, DRAM channels) "
-                        "every N quanta\n",
-                        description, argv[0], default_scale,
-                        kDefaultCacheDir);
-            std::exit(arg == "--help" ? 0 : 1);
+            usage(argv[0], default_scale, description,
+                  arg == "--help" ? 0 : 1);
         }
     }
+    // Samples have nowhere to go without --obs-dir.
+    if (sample_period_set && opts.obsDir.empty())
+        usage(argv[0], default_scale, description, 1);
     if (opts.scale <= 0.0) {
         std::fprintf(stderr, "invalid --scale\n");
         std::exit(1);
@@ -278,9 +282,14 @@ parseArgs(int argc, char **argv, double default_scale,
     if (opts.cacheDir.empty())
         opts.cacheDir = kDefaultCacheDir;
     if (!opts.obsDir.empty()) {
+        // --obs-dir is the one switch that arms recording; --ledger
+        // only shares its exit hook.
         std::filesystem::create_directories(opts.obsDir + "/attr");
         setLogSink(opts.obsDir + "/log.jsonl");
         gObsDir = opts.obsDir;
+        obs::timeseries().setPeriod(opts.obsSamplePeriod);
+        obs::setEnabled(true);
+        registerExitExport();
     }
     if (!opts.ledgerOut.empty()) {
         // Built after the loop so the id reflects the final --seed no
@@ -290,6 +299,7 @@ parseArgs(int argc, char **argv, double default_scale,
                  std::to_string(static_cast<std::uint64_t>(
                      unixMillisNow()));
         gLedger = std::make_unique<obs::RunLedger>(opts.ledgerOut);
+        registerExitExport();
     }
     installSignalHandlers();
     return opts;

@@ -64,17 +64,20 @@ struct BenchOptions
  * --ledger=F appends one record per sweep point to F, the append-only
  * record many invocations share; it stamps a run id
  * (`<bench>-<seed>-<epoch ms>`) on every record of the invocation and
- * appends a final `bench` record at exit.
+ * appends a final `bench` record at exit, which carries the obs
+ * counters only when --obs-dir armed them. It records nothing else.
  *
- * --obs-dir=D enables the observability layer and writes everything
- * that belongs to this one invocation under D, with fixed names:
- * `metrics.json` (the metrics registry) and `trace.json` (a Chrome
- * trace of host time) at exit, `log.jsonl` (the structured log, see
+ * --obs-dir=D is the one flag that enables the observability layer;
+ * it changes what is written, never what is simulated. It writes
+ * everything that belongs to this one invocation under D, with fixed
+ * names: `metrics.json` (the metrics registry) and `trace.json` (a
+ * Chrome trace of host time) at exit, `log.jsonl` (the structured log, see
  * common/logging.hh), and `attr/` — one attribution side file per
  * computed sweep point (the point's ledger record links it; it is the
  * only record of the point's partitioner decisions), plus one for
  * samples a bench recorded outside any sweep. --obs-sample-period=N
- * arms the per-owner sampling those files carry, every N quanta.
+ * sets the per-owner sampling those files carry, every N quanta; it
+ * is a usage error without --obs-dir.
  * `bench_dashboard --ledger=F --obs-dir=D` renders the HTML dashboard.
  *
  * parseArgs also arms SIGTERM/SIGINT handling: the signals are blocked

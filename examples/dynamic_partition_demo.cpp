@@ -4,13 +4,15 @@
  * 429.mcf as foreground against a continuously-running background and
  * print the controller's allocation decisions as an ASCII timeline —
  * way allocation growing at phase changes and shrinking as the probe
- * finds spare capacity. An online SLO monitor rides along (observing,
- * never steering) and reports whether the foreground stayed within
- * its responsiveness budget window by window.
+ * finds spare capacity. An SLO monitor then reads the foreground's
+ * perf windows (observing, never steering) and reports whether the
+ * foreground stayed within its responsiveness budget window by window.
  */
 
 #include <cstdio>
 #include <string>
+#include <utility>
+#include <vector>
 
 #include "core/dynamic_partitioner.hh"
 #include "core/slo_monitor.hh"
@@ -44,14 +46,22 @@ main()
         Catalog::byName("dedup").scaled(0.5), 2, 2, /*continuous=*/true);
 
     DynamicPartitioner controller(fg, {bg});
-    SloMonitor slo;
-    slo.setBaseline(baseline_ips);
-    SloController monitored(fg, &slo, &controller);
-    machine.setController(&monitored);
+    machine.setController(&controller);
 
     std::printf("running 429.mcf (fg, 1 thread) + dedup (bg, looping) "
                 "under Algorithm 6.2\n\n");
     const RunResult result = machine.run();
+
+    // The monitor only observes, so it evaluates the foreground's
+    // windows after the run, each stamped with its end.
+    SloMonitor slo;
+    slo.setBaseline(baseline_ips);
+    std::vector<std::pair<Seconds, SloTransition>> transitions;
+    for (const PerfWindow &w : machine.monitor(fg).windows()) {
+        const SloTransition tr = slo.onWindow(w.end, w);
+        if (tr != SloTransition::None)
+            transitions.emplace_back(w.end, tr);
+    }
 
     // Timeline: one row per ~40 windows.
     std::printf("%-10s  %-8s  %-6s  %s\n", "time(us)", "fg MPKI",
@@ -89,9 +99,10 @@ main()
                 static_cast<unsigned long long>(slo.breachWindows()),
                 slo.lastSlowdown(), slo.shortBurn(), slo.longBurn(),
                 slo.inBreach() ? "IN BREACH" : "within SLO");
-    for (const HealthEvent &ev : slo.healthLog()) {
-        std::printf("  t=%.1fus %s\n", ev.time * 1e6,
-                    healthEventName(ev.kind));
+    for (const auto &[t, tr] : transitions) {
+        std::printf("  t=%.1fus %s\n", t * 1e6,
+                    tr == SloTransition::Breach ? "slo-breach"
+                                                : "slo-recovered");
     }
     return 0;
 }

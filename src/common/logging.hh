@@ -10,9 +10,9 @@
  *
  * Beyond the stderr macros, the module owns the process-wide
  * *structured* log: a JSONL sink (one JSON object per line, flushed
- * per line) that typed events — controller health decisions, SLO
- * breaches, injected faults, warnings — are routed into so one
- * machine-readable stream tells the whole story of a run. The sink is
+ * per line) that typed events — the dynamic partitioner's health
+ * transitions and a copy of every stderr diagnostic — are routed into
+ * so one machine-readable stream tells the story of a run. The sink is
  * off until setLogSink() names a file (the benches open
  * `<obs-dir>/log.jsonl`); with no sink, logEvent() is a cheap early
  * return, so instrumentation sites need no gating of their own. Every

@@ -94,10 +94,6 @@ CoScheduler::runPolicy(Policy policy, bool bg_continuous)
       }
       case Policy::Biased: {
         const BiasedSearchResult &b = biased();
-        // The search already ran this split with these options; only a
-        // monitored run is simulated again, so the monitor sees it.
-        if (bg_continuous && !opts_.monitorSlo)
-            return pairRuns_.emplace(key, b.run).first->second;
         pair.fgMask = b.masks.fg;
         pair.bgMask = b.masks.bg;
         break;
@@ -113,20 +109,23 @@ CoScheduler::runPolicy(Policy policy, bool bg_continuous)
       }
     }
 
+    // The search already ran the continuous biased split with these
+    // options, so its winning run is that policy's run.
+    const PairResult &run =
+        pairRuns_
+            .emplace(key, policy == Policy::Biased && bg_continuous
+                              ? biased().run
+                              : runPair(fg_, bg_, pair))
+            .first->second;
     if (opts_.monitorSlo && bg_continuous) {
-        // Wrap whatever controller the policy chose (possibly none) so
-        // the monitor sees every foreground window. The wrapper only
-        // observes and then delegates unchanged, so the run's results
-        // do not depend on it.
+        // The monitor only observes, so it evaluates the foreground's
+        // windows once the run is over, each stamped with its end.
         sloMonitor_ = std::make_unique<SloMonitor>(opts_.slo);
         sloMonitor_->setBaseline(fgSoloHalf().app.throughputIps);
-        sloCtrl_ = std::make_unique<SloController>(AppId{0},
-                                                   sloMonitor_.get(),
-                                                   pair.controller);
-        pair.controller = sloCtrl_.get();
+        for (const PerfWindow &w : run.fgWindows)
+            sloMonitor_->onWindow(w.end, w);
     }
-
-    return pairRuns_.emplace(key, runPair(fg_, bg_, pair)).first->second;
+    return run;
 }
 
 ConsolidationSummary

@@ -35,8 +35,9 @@ struct CoScheduleOptions
     SystemConfig system{};
     DynamicPartitionerConfig dynamic{};
     /**
-     * Attach a @ref SloMonitor to continuous (responsiveness) runs.
-     * Pure observation: results are bit-identical with it on or off.
+     * Evaluate a @ref SloMonitor over each continuous (responsiveness)
+     * run's foreground windows after the run. Pure observation: it adds
+     * no simulation, and results are bit-identical with it on or off.
      */
     bool monitorSlo = false;
     SloMonitorConfig slo{};
@@ -83,9 +84,9 @@ class CoScheduler
     const BiasedSearchResult &biased();
 
     /**
-     * Run the pair under @p policy. Without `monitorSlo`, the
-     * continuous Biased run is the biased search's winning run, not a
-     * fresh simulation of the same split.
+     * Run the pair under @p policy. The continuous Biased run is the
+     * biased search's winning run, not a fresh simulation of the same
+     * split.
      * @param bg_continuous  background restarts until FG finishes
      *        (use true for slowdown/throughput studies, false for
      *        energy/weighted-speedup studies, matching the paper).
@@ -125,7 +126,6 @@ class CoScheduler
     std::map<std::pair<Policy, bool>, PairResult> pairRuns_;
     std::unique_ptr<DynamicPartitioner> dynCtrl_;
     std::unique_ptr<SloMonitor> sloMonitor_;
-    std::unique_ptr<SloController> sloCtrl_;
 };
 
 } // namespace capart

@@ -28,9 +28,7 @@ enum class HealthEventKind
     RemaskFailed,    //!< a mask application failed (will be retried)
     RemaskRecovered, //!< a retried mask application finally succeeded
     FallbackEntered, //!< watchdog tripped; safe static partition installed
-    DynamicResumed,  //!< signals stabilized; dynamic control re-engaged
-    SloBreach,       //!< sustained FG slowdown burn past the SLO budget
-    SloRecovered     //!< FG slowdown back under the SLO budget
+    DynamicResumed   //!< signals stabilized; dynamic control re-engaged
 };
 
 /** Human-readable event name (for logs and tables). */
@@ -50,10 +48,6 @@ healthEventName(HealthEventKind k)
         return "fallback-entered";
       case HealthEventKind::DynamicResumed:
         return "dynamic-resumed";
-      case HealthEventKind::SloBreach:
-        return "slo-breach";
-      case HealthEventKind::SloRecovered:
-        return "slo-recovered";
     }
     capart_panic("unknown health event kind");
 }

@@ -8,20 +8,6 @@
 namespace capart
 {
 
-const char *
-appClassName(AppClass c)
-{
-    switch (c) {
-      case AppClass::Light:
-        return "light";
-      case AppClass::Streaming:
-        return "streaming";
-      case AppClass::Sensitive:
-        return "sensitive";
-    }
-    return "?";
-}
-
 AppClass
 lfocClassify(const AppObservation &app, unsigned total_ways,
              const LfocConfig &cfg)

@@ -47,8 +47,6 @@ enum class AppClass
     Sensitive  //!< steep curve: dedicated ways pay off
 };
 
-const char *appClassName(AppClass c);
-
 /** Tunables of the LFOC-style policy. */
 struct LfocConfig
 {

@@ -99,6 +99,15 @@ SloMonitor::onWindow(Seconds now, const PerfWindow &w)
         ++calmStreak_;
     }
 
+    SloTransition transition = SloTransition::None;
+    if (!inBreach_ && burnStreak_ >= cfg_.confirmWindows) {
+        inBreach_ = true;
+        ++breaches_;
+        transition = SloTransition::Breach;
+    } else if (inBreach_ && calmStreak_ >= cfg_.recoveryWindows) {
+        inBreach_ = false;
+        transition = SloTransition::Recovered;
+    }
     if (inBreach_)
         ++breachWindows_;
 
@@ -106,10 +115,14 @@ SloMonitor::onWindow(Seconds now, const PerfWindow &w)
         static obs::Counter &windows =
             obs::metrics().counter("slo.windows");
         windows.inc();
+        if (transition == SloTransition::Breach)
+            obs::metrics().counter("slo.breaches").inc();
         if (inBreach_)
             obs::metrics().counter("slo.breach_windows").inc();
-        // One journal record per evaluation: the dashboard's burn-rate
-        // strip is drawn straight from these.
+        // One journal record per evaluation, holding the state the
+        // evaluation left: the dashboard's burn-rate strip is drawn
+        // straight from these, and they are the one record of each
+        // breach and recovery.
         obs::JournalEntry e;
         e.tUs = now * 1e6;
         e.kind = "slo";
@@ -121,50 +134,7 @@ SloMonitor::onWindow(Seconds now, const PerfWindow &w)
         e.fields.emplace_back("in_breach", inBreach_ ? 1.0 : 0.0);
         obs::timeseries().journal(std::move(e));
     }
-
-    SloTransition transition = SloTransition::None;
-    if (!inBreach_ && burnStreak_ >= cfg_.confirmWindows) {
-        inBreach_ = true;
-        ++breaches_;
-        transition = SloTransition::Breach;
-        health_.push_back(HealthEvent{now, HealthEventKind::SloBreach, 0,
-                                      burnStreak_});
-        if (obs::enabled())
-            obs::metrics().counter("slo.breaches").inc();
-        logEvent(LogLevel::Warn, "slo.breach",
-                 {{"t_s", now},
-                  {"slowdown", slowdown},
-                  {"burn_short", shortBurn_},
-                  {"burn_long", longBurn_},
-                  {"slo", cfg_.slo}});
-    } else if (inBreach_ && calmStreak_ >= cfg_.recoveryWindows) {
-        inBreach_ = false;
-        transition = SloTransition::Recovered;
-        health_.push_back(HealthEvent{now, HealthEventKind::SloRecovered,
-                                      0, calmStreak_});
-        logEvent(LogLevel::Info, "slo.recovered",
-                 {{"t_s", now},
-                  {"slowdown", slowdown},
-                  {"burn_short", shortBurn_},
-                  {"burn_long", longBurn_}});
-    }
     return transition;
-}
-
-SloController::SloController(AppId fg, SloMonitor *monitor,
-                             PartitionController *inner)
-    : fg_(fg), monitor_(monitor), inner_(inner)
-{
-    capart_assert(monitor_ != nullptr);
-}
-
-void
-SloController::onWindow(System &sys, AppId app, const PerfWindow &w)
-{
-    if (app == fg_)
-        monitor_->onWindow(sys.now(), w);
-    if (inner_)
-        inner_->onWindow(sys, app, w);
 }
 
 } // namespace capart

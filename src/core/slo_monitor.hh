@@ -31,13 +31,13 @@
  * evaluations end the breach.
  *
  * The monitor is an observer, never an actuator: it reads windows,
- * updates counters, journals one `slo` record per evaluation (its
- * slowdown, both burn rates, and the `in_breach` state it was
- * evaluated in, so breaches and recoveries show as changes of
- * `in_breach` between records), logs structured breach and recovery
- * events, and appends to a health log — it never touches
- * partition state, so enabling it cannot change simulation results
- * (tested bit-identical on/off).
+ * updates counters and journals one `slo` record per evaluation (its
+ * slowdown, both burn rates, and the `in_breach` state the evaluation
+ * left, so each breach and recovery shows once, as a change of
+ * `in_breach` between records). It never touches partition state, so
+ * the co-scheduler evaluates it over a run's recorded windows after
+ * the run, and enabling it cannot change simulation results (tested
+ * bit-identical on/off).
  */
 
 #ifndef CAPART_CORE_SLO_MONITOR_HH
@@ -45,11 +45,9 @@
 
 #include <cstdint>
 #include <deque>
-#include <vector>
 
-#include "core/health.hh"
+#include "common/types.hh"
 #include "perf/perf_counters.hh"
-#include "sim/system.hh"
 
 namespace capart
 {
@@ -102,7 +100,7 @@ class SloMonitor
 
     /**
      * Evaluate one closed foreground perf window at simulated time
-     * @p now (used only to stamp emitted events).
+     * @p now (used only to stamp its journal record).
      */
     SloTransition onWindow(Seconds now, const PerfWindow &w);
 
@@ -112,15 +110,13 @@ class SloMonitor
     std::uint64_t breaches() const { return breaches_; }
     /** Windows evaluated (excludes unusable ones). */
     std::uint64_t windows() const { return windows_; }
-    /** Windows evaluated while in breach. */
+    /** Windows whose evaluation left the SLO in breach. */
     std::uint64_t breachWindows() const { return breachWindows_; }
     /** Newest short/long-window burn rates (0 until enough data). */
     double shortBurn() const { return shortBurn_; }
     double longBurn() const { return longBurn_; }
     /** Newest single-window slowdown estimate. */
     double lastSlowdown() const { return lastSlowdown_; }
-    /** Breach/recovery events, in order. */
-    const std::vector<HealthEvent> &healthLog() const { return health_; }
 
     const SloMonitorConfig &config() const { return cfg_; }
 
@@ -140,33 +136,6 @@ class SloMonitor
     double shortBurn_ = 0.0;
     double longBurn_ = 0.0;
     double lastSlowdown_ = 0.0;
-    std::vector<HealthEvent> health_;
-};
-
-/**
- * PartitionController adapter that feeds the foreground's windows to a
- * @ref SloMonitor and then delegates to an optional inner controller
- * unchanged. Monitoring composes with any policy this way: the shared
- * and static policies get a monitor where they had no controller at
- * all, and the dynamic policy keeps its controller untouched.
- */
-class SloController : public PartitionController
-{
-  public:
-    /**
-     * @param fg      the monitored foreground application.
-     * @param monitor evaluated on each of @p fg's windows (not owned).
-     * @param inner   controller to delegate every window to, or nullptr.
-     */
-    SloController(AppId fg, SloMonitor *monitor,
-                  PartitionController *inner = nullptr);
-
-    void onWindow(System &sys, AppId app, const PerfWindow &w) override;
-
-  private:
-    AppId fg_;
-    SloMonitor *monitor_;
-    PartitionController *inner_;
 };
 
 } // namespace capart

@@ -790,8 +790,8 @@ function drawBatch(idx) {
     if (!batches.length) {
         html('p', 'empty', charts,
              'No attribution samples recorded. Run with ' +
-             '--obs-sample-period=N (and a CAPART_OBS=ON build) to ' +
-             'collect per-owner timelines.');
+             '--obs-dir=D --obs-sample-period=N to collect ' +
+             'per-owner timelines.');
         html('p', 'empty', dec, 'No decision journal recorded.');
         return;
     }

@@ -20,10 +20,8 @@
  *
  * The renderer is deterministic — no timestamps, no randomness — so
  * golden tests can diff its output byte-for-byte. Its data comes from
- * files alone (loadDashboardData; bench_dashboard is the CLI). Under
- * CAPART_OBS=OFF no side files are written and the page renders with
- * `data-samples="0"`, which CI greps to prove attribution compiled
- * out.
+ * files alone (loadDashboardData; bench_dashboard is the CLI). With no
+ * side files the page renders with `data-samples="0"`.
  */
 
 #ifndef CAPART_DASHBOARD_DASHBOARD_HH

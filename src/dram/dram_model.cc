@@ -71,7 +71,6 @@ DramModel::recordRead(Seconds now, unsigned lines, unsigned flow)
     const std::uint64_t bytes =
         static_cast<std::uint64_t>(lines) * kLineBytes;
     domain_.record(now, bytes);
-    flowWindow(flows_, flow).record(now, bytes);
     stripeChannels(flow, bytes);
 }
 
@@ -82,7 +81,6 @@ DramModel::recordWrite(Seconds now, unsigned lines, unsigned flow)
     const std::uint64_t bytes =
         static_cast<std::uint64_t>(lines) * kLineBytes;
     domain_.record(now, bytes);
-    flowWindow(flows_, flow).record(now, bytes);
     stripeChannels(flow, bytes);
 }
 
@@ -91,7 +89,6 @@ DramModel::recordUncached(Seconds now, std::uint64_t bytes, unsigned flow)
 {
     uncached_ += bytes;
     domain_.record(now, bytes);
-    flowWindow(flows_, flow).record(now, bytes);
     stripeChannels(flow, bytes);
 }
 
@@ -128,22 +125,6 @@ double
 DramModel::utilization(Seconds now) const
 {
     return domain_.utilization(now);
-}
-
-double
-DramModel::flowRate(Seconds now, unsigned flow) const
-{
-    if (flow >= flows_.size())
-        return 0.0;
-    return flows_[flow].rate(now);
-}
-
-double
-DramModel::demandRate(Seconds now, unsigned flow) const
-{
-    if (flow >= demands_.size())
-        return 0.0;
-    return demands_[flow].rate(now);
 }
 
 double

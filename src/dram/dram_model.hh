@@ -80,12 +80,6 @@ class DramModel
     /** Total utilization fraction, clamped to [0, 0.995]. */
     double utilization(Seconds now) const;
 
-    /** Recent achieved bytes/second attributable to @p flow. */
-    double flowRate(Seconds now, unsigned flow) const;
-
-    /** Recent demanded bytes/second of @p flow (capped in sharing). */
-    double demandRate(Seconds now, unsigned flow) const;
-
     /**
      * Bandwidth available to @p flow. When total demand fits under the
      * peak, a flow may use whatever the others leave; once the pins
@@ -131,7 +125,6 @@ class DramModel
 
     DramConfig cfg_;
     BandwidthDomain domain_;
-    std::vector<RateWindow> flows_;   //!< achieved per-flow traffic
     std::vector<RateWindow> demands_; //!< demanded per-flow traffic
     std::uint64_t reads_ = 0;
     std::uint64_t writes_ = 0;

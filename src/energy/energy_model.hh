@@ -62,8 +62,8 @@ struct OwnerEnergy
  * elapsed simulated time when energy is read.
  *
  * Every charge call optionally names the owning application; owner
- * buckets are observability-only (double-gated like the rest of the
- * obs layer) and never feed back into the charged totals.
+ * buckets are observability-only (gated on obs::enabled() like the
+ * rest of the obs layer) and never feed back into the charged totals.
  */
 class EnergyModel
 {

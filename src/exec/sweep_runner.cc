@@ -93,12 +93,11 @@ runSpec(const ExperimentSpec &spec, std::uint64_t base_seed)
         co.threadsEach = spec.threads;
         co.scale = spec.scale;
         co.system.seed = seed;
-        // Attach the SLO monitor whenever observability is armed, so
-        // sweep points feed the dashboard's burn-rate strip. Pure
-        // observation: the monitor never steers the run, and the
-        // bit-identity tests (tests/test_core.cc, test_attribution.cc)
-        // lock monitored and unmonitored results together — runSpec
-        // stays a pure function of its arguments in every output bit.
+        // Evaluate the SLO whenever observability is armed, so sweep
+        // points feed the dashboard's burn-rate strip. The monitor
+        // reads the windows each continuous run recorded, after the
+        // run: it adds no simulation and changes no output bit
+        // (tests/test_core.cc, test_attribution.cc).
         co.monitorSlo = obs::enabled();
         if (spec.perfWindow > 0.0)
             co.system.perfWindow = spec.perfWindow;

@@ -15,10 +15,7 @@ std::atomic<bool> gEnabled{false};
 void
 setEnabled(bool on)
 {
-    if constexpr (kCompiledIn)
-        detail::gEnabled.store(on, std::memory_order_relaxed);
-    else
-        (void)on;
+    detail::gEnabled.store(on, std::memory_order_relaxed);
 }
 
 namespace

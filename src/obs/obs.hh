@@ -2,15 +2,9 @@
  * @file
  * Master switch of the observability layer (src/obs).
  *
- * Observability is gated twice:
- *
- *  - compile time: configuring with -DCAPART_OBS=OFF defines
- *    CAPART_OBS_DISABLED, making enabled() a constant false so every
- *    `if (obs::enabled()) ...` seam is dead code the optimizer deletes;
- *  - run time: even when compiled in, recording is off until
- *    setEnabled(true) (the benches flip it for --obs-dir, --ledger and
- *    --obs-sample-period). The disabled hot path is one relaxed atomic
- *    load.
+ * Recording is off until setEnabled(true); the benches flip it for
+ * --obs-dir, the one flag that arms it. The disabled hot path is one
+ * relaxed atomic load.
  *
  * Recording never feeds back into simulation state, so enabling
  * observability cannot change any experiment's output — a property
@@ -25,12 +19,6 @@
 namespace capart::obs
 {
 
-#ifdef CAPART_OBS_DISABLED
-inline constexpr bool kCompiledIn = false;
-#else
-inline constexpr bool kCompiledIn = true;
-#endif
-
 /** @cond INTERNAL */
 namespace detail
 {
@@ -39,20 +27,16 @@ extern std::atomic<bool> gEnabled;
 /** @endcond */
 
 /**
- * True when instrumentation sites should record. Constant false when
- * compiled out; otherwise one relaxed atomic load, cheap enough to
- * guard per-quantum counters.
+ * True when instrumentation sites should record: one relaxed atomic
+ * load, cheap enough to guard per-quantum counters.
  */
 inline bool
 enabled()
 {
-    if constexpr (!kCompiledIn)
-        return false;
-    else
-        return detail::gEnabled.load(std::memory_order_relaxed);
+    return detail::gEnabled.load(std::memory_order_relaxed);
 }
 
-/** Turn runtime recording on or off (no-op when compiled out). */
+/** Turn runtime recording on or off. */
 void setEnabled(bool on);
 
 } // namespace capart::obs

@@ -16,7 +16,8 @@
  *  - `run_interrupted` — the run was stopped by SIGTERM/SIGINT after
  *    flushing everything completed so far; `rule` names the signal;
  *  - `bench`  — one bench-binary invocation: total wall time plus a
- *    snapshot of the observability counters at exit.
+ *    snapshot of the observability counters at exit (empty unless
+ *    observability was armed).
  *
  * Five retired kinds are still read, never written: `decision` and
  * `npartition_decision`, per-decision copies of the side-file journal,
@@ -34,8 +35,8 @@
  *
  * The ledger is observability *output*, never input: nothing in the
  * simulator reads it, so ledger recording cannot perturb results (the
- * same contract as the rest of src/obs). It stays functional under
- * CAPART_OBS=OFF — only the counter snapshots become empty.
+ * same contract as the rest of src/obs). It works with observability
+ * off; only the counter snapshots are then empty.
  */
 
 #ifndef CAPART_OBS_RUN_LEDGER_HH

@@ -270,8 +270,6 @@ AttributionBatch
 TimeSeries::drainScope()
 {
     AttributionBatch batch;
-    if constexpr (!kCompiledIn)
-        return batch;
     Scope &s = scope();
     // The scope belongs to the calling thread, but drain under the
     // lock anyway: drainAll() and clear() walk every scope.

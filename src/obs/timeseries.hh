@@ -13,9 +13,8 @@
  * partitioner decision or SLO evaluation) to the same per-thread
  * scope, so a point's samples and its decisions drain together.
  *
- * Gating follows the tracer exactly: compile-time CAPART_OBS=OFF makes
- * every seam dead code, runtime obs::enabled() plus a non-zero period
- * arm recording, and nothing recorded here ever feeds back into
+ * Gating follows the tracer exactly: obs::enabled() plus a non-zero
+ * period arm recording, and nothing recorded here ever feeds back into
  * simulation state — results stay bit-identical with sampling on
  * (tests/test_attribution.cc locks this down).
  *

@@ -120,8 +120,6 @@ class PerfMonitor
     /** Number of windows completed so far. */
     std::size_t windowCount() const { return windows_.size(); }
 
-    Seconds windowLength() const { return windowLength_; }
-
     /**
      * Install a (non-owned) fault hook consulted as windows close.
      * @p stream tags this monitor in the hook's callbacks (callers use

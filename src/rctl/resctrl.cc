@@ -276,13 +276,6 @@ ResctrlFs::listGroups() const
     return names;
 }
 
-void
-ResctrlFs::applyMask(const Group &g)
-{
-    for (const AppId app : g.members)
-        sys_->setWayMask(app, g.mask);
-}
-
 std::optional<ResctrlFs::GroupMonitor>
 ResctrlFs::monitor(const std::string &name) const
 {

@@ -174,7 +174,6 @@ class ResctrlFs
 
     Group *find(const std::string &name);
     const Group *find(const std::string &name) const;
-    void applyMask(const Group &g);
 
     System *sys_;
     CatConstraints cat_;

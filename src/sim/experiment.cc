@@ -73,6 +73,7 @@ runPair(const AppParams &fg, const AppParams &bg, const PairOptions &opts)
     res.socketEnergy = run.socketEnergy;
     res.wallEnergy = run.wallEnergy;
     res.timedOut = run.timedOut;
+    res.fgWindows = sys.monitor(fg_id).windows();
     return res;
 }
 

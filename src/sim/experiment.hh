@@ -11,6 +11,7 @@
 
 #include <cstdint>
 #include <functional>
+#include <vector>
 
 #include "mem/way_mask.hh"
 #include "sim/run_result.hh"
@@ -80,6 +81,8 @@ struct PairResult
     Joules socketEnergy = 0.0;
     Joules wallEnergy = 0.0;
     bool timedOut = false;
+    /** The foreground's perf windows, in the order they closed. */
+    std::vector<PerfWindow> fgWindows;
 };
 
 /**

@@ -107,32 +107,11 @@ System::setWindowFaultHook(AppId app, WindowFaultHook *hook)
     apps_[app].perf->setFaultHook(hook, app);
 }
 
-void
-System::setPrefetchConfig(const PrefetchConfig &cfg)
-{
-    for (auto &bank : prefetchers_)
-        bank.setConfig(cfg);
-}
-
 const PerfMonitor &
 System::monitor(AppId app) const
 {
     capart_assert(app < apps_.size());
     return *apps_[app].perf;
-}
-
-const AppParams &
-System::appParams(AppId app) const
-{
-    capart_assert(app < apps_.size());
-    return apps_[app].params;
-}
-
-bool
-System::isContinuous(AppId app) const
-{
-    capart_assert(app < apps_.size());
-    return apps_[app].continuous;
 }
 
 HwThreadId

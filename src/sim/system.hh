@@ -130,27 +130,18 @@ class System
     /** Install a (non-owned) telemetry fault hook on @p app's monitor. */
     void setWindowFaultHook(AppId app, WindowFaultHook *hook);
 
-    /** Reconfigure every core's prefetchers (MSR write analogue). */
-    void setPrefetchConfig(const PrefetchConfig &cfg);
-
     /** Run until every non-continuous app completes. */
     RunResult run();
 
     // ------------- introspection (used by controllers and tests) -----
     Seconds now() const { return now_; }
     unsigned llcWays() const { return cfg_.hierarchy.llc.ways; }
-    std::uint64_t llcSizeBytes() const { return cfg_.hierarchy.llc.sizeBytes; }
     unsigned numApps() const { return static_cast<unsigned>(apps_.size()); }
     const PerfMonitor &monitor(AppId app) const;
     CacheHierarchy &hierarchy() { return *hierarchy_; }
     DramModel &dram() { return *dram_; }
     const EnergyModel &energy() const { return energy_; }
-    /** Quanta executed so far (the attribution sampling clock). */
-    std::uint64_t quantaExecuted() const { return quanta_; }
     const SystemConfig &config() const { return cfg_; }
-    const AppParams &appParams(AppId app) const;
-    /** True if @p app was launched in continuous (background) mode. */
-    bool isContinuous(AppId app) const;
 
   private:
     /** One launched application. */

@@ -91,12 +91,6 @@ ThreadWorkload::phaseIndexAt(double app_progress) const
     return static_cast<unsigned>(phaseCdf_.size()) - 1;
 }
 
-const PhaseSpec &
-ThreadWorkload::phaseAt(double app_progress) const
-{
-    return params_.phases[phaseIndexAt(app_progress)];
-}
-
 double
 ThreadWorkload::effectiveMlp(double app_progress) const
 {

@@ -78,9 +78,6 @@ class ThreadWorkload
     Insts runQuantum(Insts max_insts, double app_progress,
                      class AccessRing &ring);
 
-    /** The phase in force at @p app_progress. */
-    const PhaseSpec &phaseAt(double app_progress) const;
-
     /** Index of the phase in force at @p app_progress. */
     unsigned phaseIndexAt(double app_progress) const;
 

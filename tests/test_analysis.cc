@@ -7,6 +7,7 @@
 #include <gtest/gtest.h>
 
 #include <cmath>
+#include <string>
 
 #include "analysis/characterization.hh"
 #include "analysis/clustering.hh"
@@ -78,9 +79,11 @@ TEST(SingleLinkage, ChainingBehaviour)
     // Single linkage famously chains: a line of points each 1 apart
     // forms ONE cluster at cutoff 1.5 even though the ends are far.
     std::vector<FeatureVector> fs;
-    for (int i = 0; i < 6; ++i)
-        fs.push_back(fv("p" + std::to_string(i),
-                        {static_cast<double>(i), 0.0}));
+    for (int i = 0; i < 6; ++i) {
+        std::string name = "p";
+        name += std::to_string(i);
+        fs.push_back(fv(name, {static_cast<double>(i), 0.0}));
+    }
     const Dendrogram d = singleLinkage(fs);
     const auto labels = clustersAtDistance(d, 1.5);
     EXPECT_EQ(numClusters(labels), 1u);

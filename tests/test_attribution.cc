@@ -13,8 +13,7 @@
  *     recorded inputs reproduces the recorded outputs — including
  *     after a JSON round trip through an attribution side file.
  *  3. Zero cost: arming the sampler changes no experiment output bit,
- *     and with sampling unarmed (or observability compiled out)
- *     nothing is recorded at all.
+ *     and with sampling unarmed nothing is recorded at all.
  *
  * The end-to-end test runs the fig13 workload (a Consolidation spec
  * under the Dynamic policy) through a SweepRunner with an attrDir and
@@ -52,13 +51,6 @@ namespace
 {
 
 namespace fs = std::filesystem;
-
-/** Tests that need samples recorded cannot run when compiled out. */
-#define CAPART_REQUIRE_OBS_COMPILED_IN()                                    \
-    do {                                                                    \
-        if (!obs::kCompiledIn)                                              \
-            GTEST_SKIP() << "observability compiled out (CAPART_OBS=OFF)";  \
-    } while (0)
 
 /**
  * Arms attribution recording for one test: observability on, the
@@ -210,7 +202,6 @@ syntheticBatch()
 
 TEST(AttributionConservation, SamplesConserveOccupancyStallsAndEnergy)
 {
-    CAPART_REQUIRE_OBS_COMPILED_IN();
     SamplingGuard armed(32);
 
     SystemConfig scfg;
@@ -277,7 +268,6 @@ TEST(AttributionConservation, SamplesConserveOccupancyStallsAndEnergy)
 
 TEST(AttributionConservation, ModelTotalsMatchOwnerBuckets)
 {
-    CAPART_REQUIRE_OBS_COMPILED_IN();
     SamplingGuard armed(64);
 
     SystemConfig scfg;
@@ -344,22 +334,6 @@ TEST(AttributionGating, NoSamplesWhileDisabled)
     const obs::AttributionBatch batch = obs::timeseries().drainScope();
     EXPECT_TRUE(batch.samples.empty())
         << "a period without obs::enabled() must record nothing";
-}
-
-TEST(AttributionGating, CompiledOutRecordsNothing)
-{
-    if (obs::kCompiledIn)
-        GTEST_SKIP() << "only meaningful under CAPART_OBS=OFF";
-    obs::setEnabled(true);
-    obs::timeseries().setPeriod(4);
-    SystemConfig scfg;
-    System sys(scfg);
-    addPair(sys);
-    sys.run();
-    obs::timeseries().setPeriod(0);
-    obs::setEnabled(false);
-    EXPECT_TRUE(obs::timeseries().drainAll().samples.empty())
-        << "attribution must compile out entirely";
 }
 
 TEST(AttributionZeroCost, SamplingChangesNoResultBit)
@@ -460,7 +434,6 @@ TEST(DecisionJournal, EntryRoundTripsInputsAndOutputs)
 
 TEST(DecisionJournal, PartitionerDecisionsReplayFromTheJournal)
 {
-    CAPART_REQUIRE_OBS_COMPILED_IN();
     SamplingGuard armed(0); // journal only; no sampling needed
 
     // Stable level, then a sustained jump: holds, a phase start, and a
@@ -561,7 +534,6 @@ TEST(AttributionJson, RejectsForeignDocuments)
 
 TEST(AttributionEndToEnd, SweepRunnerWritesSideFilesAndDecisions)
 {
-    CAPART_REQUIRE_OBS_COMPILED_IN();
     SamplingGuard armed(8);
 
     const fs::path dir =
@@ -747,7 +719,7 @@ TEST(Dashboard, EmptyDataRendersZeroSamples)
     std::ostringstream os;
     dashboard::renderDashboardHtml(os, data);
     EXPECT_NE(os.str().find("data-samples=\"0\""), std::string::npos)
-        << "CI's obs-off proof greps for exactly this";
+        << "a page with no side files reports zero samples";
 }
 
 TEST(Dashboard, LedgerPlusObsDirRendersTheFleetSection)

@@ -1,14 +1,15 @@
 /**
  * @file
- * Tests for the sweep plumbing the figure binaries share (bench/
+ * Tests for the plumbing the figure binaries share (bench/
  * bench_common): runDistinct runs a spec listed twice once and hands
- * both listings its result, and every bench keeps its results in one
+ * both listings its result; every bench keeps its results in one
  * cache file per cache directory, so a bench replays the points
- * another bench computed.
+ * another bench computed; and only --obs-dir arms observability.
  */
 
 #include <gtest/gtest.h>
 
+#include <cstdlib>
 #include <filesystem>
 #include <fstream>
 #include <string>
@@ -16,6 +17,8 @@
 
 #include "bench_common.hh"
 #include "exec/experiment_spec.hh"
+#include "obs/obs.hh"
+#include "obs/run_ledger.hh"
 
 namespace capart::bench
 {
@@ -99,6 +102,59 @@ TEST(MakeRunner, EveryBenchSharesOneCacheFilePerDirectory)
         files.push_back(entry.path().filename().string());
     EXPECT_EQ(files, std::vector<std::string>{"sweep.cache"});
     std::filesystem::remove_all(dir);
+}
+
+/**
+ * parseArgs over @p flags, then exit 0 when observability ended up
+ * armed and 3 when not. parseArgs starts a signal-watcher thread and
+ * registers exit hooks, so each call runs in a death-test child.
+ */
+[[noreturn]] void
+parseThenExitWithArmedState(std::vector<std::string> flags)
+{
+    flags.insert(flags.begin(), "bench_test");
+    std::vector<char *> argv;
+    for (std::string &f : flags)
+        argv.push_back(f.data());
+    argv.push_back(nullptr);
+    parseArgs(static_cast<int>(flags.size()), argv.data(), kTestScale,
+              "test");
+    std::exit(obs::enabled() ? 0 : 3);
+}
+
+TEST(ParseArgs, LedgerAloneArmsNothingAndLedgersNoCounters)
+{
+    const std::string ledger =
+        (std::filesystem::temp_directory_path() / "capart_ledger_only.jsonl")
+            .string();
+    std::filesystem::remove(ledger);
+    EXPECT_EXIT(parseThenExitWithArmedState({"--ledger=" + ledger}),
+                testing::ExitedWithCode(3), "");
+
+    // The exit hook still closed the run with its bench record.
+    const obs::RunLedger::LoadResult loaded = obs::RunLedger::load(ledger);
+    ASSERT_EQ(loaded.records.size(), 1u);
+    EXPECT_EQ(loaded.records[0].kind, "bench");
+    EXPECT_TRUE(loaded.records[0].counters.empty());
+    std::filesystem::remove(ledger);
+}
+
+TEST(ParseArgs, ObsDirArmsRecording)
+{
+    const std::filesystem::path dir =
+        std::filesystem::temp_directory_path() / "capart_obs_dir_arms";
+    std::filesystem::remove_all(dir);
+    EXPECT_EXIT(parseThenExitWithArmedState({"--obs-dir=" + dir.string(),
+                                             "--obs-sample-period=8"}),
+                testing::ExitedWithCode(0), "");
+    EXPECT_TRUE(std::filesystem::exists(dir / "metrics.json"));
+    std::filesystem::remove_all(dir);
+}
+
+TEST(ParseArgs, SamplePeriodWithoutObsDirIsAUsageError)
+{
+    EXPECT_EXIT(parseThenExitWithArmedState({"--obs-sample-period=8"}),
+                testing::ExitedWithCode(1), "");
 }
 
 } // namespace

@@ -17,6 +17,7 @@
 #include "core/static_policies.hh"
 #include "obs/metrics.hh"
 #include "obs/obs.hh"
+#include "obs/timeseries.hh"
 #include "workload/catalog.hh"
 
 namespace capart
@@ -642,38 +643,35 @@ struct ObsOn
     ~ObsOn() { obs::setEnabled(false); }
 };
 
-TEST(CoScheduler, BiasedRunReusesTheSearchWinnerUnlessMonitored)
+TEST(CoScheduler, BiasedRunReusesTheSearchWinnerEvenWhenMonitored)
 {
-    if (!obs::kCompiledIn)
-        GTEST_SKIP() << "observability compiled out (CAPART_OBS=OFF)";
     const ObsOn obs_on;
     const obs::Counter &quanta = obs::metrics().counter("sim.quanta");
 
-    CoScheduleOptions opts;
-    opts.scale = kTestScale;
-    CoScheduler cs(Catalog::byName("canneal"),
-                   Catalog::byName("streamcluster"), opts);
-    const BiasedSearchResult &search = cs.biased();
-    const std::uint64_t after_search = quanta.value();
-    const PairResult &run = cs.runPolicy(Policy::Biased, true);
-    EXPECT_EQ(quanta.value(), after_search)
-        << "the search already simulated the winning split";
-    expectSameRun(run, search.run);
-
-    // With the SLO monitor on, the split runs again so the monitor sees
-    // its windows, and the monitored run matches the search's.
-    CoScheduleOptions monitored = opts;
-    monitored.monitorSlo = true;
-    CoScheduler cs_mon(Catalog::byName("canneal"),
-                       Catalog::byName("streamcluster"), monitored);
-    cs_mon.biased();
-    cs_mon.fgSoloHalf(); // the monitor's baseline, simulated up front
-    const std::uint64_t before = quanta.value();
-    const PairResult &mon_run = cs_mon.runPolicy(Policy::Biased, true);
-    EXPECT_GT(quanta.value(), before);
-    ASSERT_NE(cs_mon.lastSloMonitor(), nullptr);
-    EXPECT_GT(cs_mon.lastSloMonitor()->windows(), 0u);
-    expectSameRun(mon_run, search.run);
+    // The SLO monitor evaluates the winning run's recorded windows, so
+    // monitoring adds no simulation.
+    for (const bool monitored : {false, true}) {
+        CoScheduleOptions opts;
+        opts.scale = kTestScale;
+        opts.monitorSlo = monitored;
+        CoScheduler cs(Catalog::byName("canneal"),
+                       Catalog::byName("streamcluster"), opts);
+        const BiasedSearchResult &search = cs.biased();
+        cs.fgSoloHalf(); // the monitor's baseline, simulated up front
+        const std::uint64_t before = quanta.value();
+        const PairResult &run = cs.runPolicy(Policy::Biased, true);
+        EXPECT_EQ(quanta.value(), before)
+            << "the search already simulated the winning split"
+            << (monitored ? " (monitored)" : "");
+        expectSameRun(run, search.run);
+        if (monitored) {
+            ASSERT_NE(cs.lastSloMonitor(), nullptr);
+            EXPECT_GT(cs.lastSloMonitor()->windows(), 0u);
+        } else {
+            EXPECT_EQ(cs.lastSloMonitor(), nullptr);
+        }
+    }
+    obs::timeseries().clear();
 }
 
 // ---------------------------------------------------------- SloMonitor --
@@ -790,37 +788,59 @@ TEST(SloMonitor, SustainedBurnBreachesThenRecovers)
     ASSERT_EQ(tr, SloTransition::Recovered);
     EXPECT_GE(clean, 3u) << "recoveryWindows=3 forbids instant recovery";
     EXPECT_FALSE(mon.inBreach());
-
-    ASSERT_EQ(mon.healthLog().size(), 2u);
-    EXPECT_EQ(mon.healthLog()[0].kind, HealthEventKind::SloBreach);
-    EXPECT_EQ(mon.healthLog()[1].kind, HealthEventKind::SloRecovered);
+    EXPECT_EQ(mon.breaches(), 1u) << "recovery declares no new breach";
     EXPECT_GT(mon.breachWindows(), 0u);
     EXPECT_LT(mon.breachWindows(), mon.windows());
 }
 
-TEST(SloController, FiltersForegroundAndDelegates)
+TEST(SloMonitor, JournalRecordsEveryTransitionUpToTheLastWindow)
 {
-    struct Recorder : PartitionController
-    {
-        unsigned calls = 0;
-        void
-        onWindow(System &, AppId, const PerfWindow &) override
-        {
-            ++calls;
-        }
-    };
-
+    const ObsOn obs_on;
+    obs::timeseries().clear();
     SloMonitor mon(tightSloConfig());
     mon.setBaseline(1e9);
-    Recorder inner;
-    SloController ctrl(AppId{0}, &mon, &inner);
 
-    SystemConfig sys_cfg;
-    System sys(sys_cfg);
-    ctrl.onWindow(sys, AppId{0}, sloWindow(1.0));
-    ctrl.onWindow(sys, AppId{1}, sloWindow(1.0));
-    EXPECT_EQ(mon.windows(), 1u) << "only FG windows feed the monitor";
-    EXPECT_EQ(inner.calls, 2u) << "every window reaches the inner ctrl";
+    // Burn into a breach, recover, then burn again until the last
+    // window fed declares the second breach.
+    SloTransition last = SloTransition::None;
+    std::uint64_t recoveries = 0;
+    double now = 0.0;
+    const auto feed_until = [&](double slowdown, SloTransition want) {
+        for (unsigned i = 0; i < 32 && last != want; ++i) {
+            last = mon.onWindow(now, sloWindow(slowdown));
+            now += 1e-3;
+            recoveries += last == SloTransition::Recovered;
+        }
+        ASSERT_EQ(last, want);
+    };
+    feed_until(1.10, SloTransition::Breach);
+    feed_until(1.00, SloTransition::Recovered);
+    feed_until(1.10, SloTransition::Breach);
+    ASSERT_EQ(mon.breaches(), 2u);
+    ASSERT_EQ(recoveries, 1u);
+
+    // Each breach is a 0->1 change of in_breach between the journaled
+    // records and each recovery a 1->0 change, the last window's breach
+    // included.
+    std::uint64_t records = 0, rises = 0, falls = 0, breach_records = 0;
+    double prev = 0.0;
+    for (const obs::JournalEntry &e :
+         obs::timeseries().drainScope().journal) {
+        if (e.kind != "slo")
+            continue;
+        const double in_breach = e.field("in_breach");
+        ++records;
+        rises += prev == 0.0 && in_breach == 1.0;
+        falls += prev == 1.0 && in_breach == 0.0;
+        breach_records += in_breach == 1.0;
+        EXPECT_EQ(e.rule == "breach", in_breach == 1.0);
+        prev = in_breach;
+    }
+    EXPECT_EQ(records, mon.windows());
+    EXPECT_EQ(rises, mon.breaches());
+    EXPECT_EQ(falls, recoveries);
+    EXPECT_EQ(breach_records, mon.breachWindows());
+    EXPECT_EQ(prev, 1.0) << "the last record shows the breach it declared";
 }
 
 TEST(CoScheduler, SloMonitoringIsPureObservation)

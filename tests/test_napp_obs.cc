@@ -57,12 +57,6 @@ namespace
 
 namespace fs = std::filesystem;
 
-#define CAPART_REQUIRE_OBS_COMPILED_IN()                                    \
-    do {                                                                    \
-        if (!obs::kCompiledIn)                                              \
-            GTEST_SKIP() << "observability compiled out (CAPART_OBS=OFF)";  \
-    } while (0)
-
 /** Arms attribution recording for one test (see test_attribution.cc). */
 struct SamplingGuard
 {
@@ -223,7 +217,6 @@ TEST(NPartitionReplay, LfocBounceStateRoundTrips)
 
 TEST(NAppAttribution, ConservationHoldsAcrossNOwners)
 {
-    CAPART_REQUIRE_OBS_COMPILED_IN();
     SamplingGuard armed(32);
 
     // Four apps on the N-app server machine under a static fair split:
@@ -279,8 +272,6 @@ TEST(NAppAttribution, ConservationHoldsAcrossNOwners)
 
 TEST(NAppZeroCost, StudyResultsBitIdenticalWithObsOn)
 {
-    CAPART_REQUIRE_OBS_COMPILED_IN();
-
     // The observer-effect guard for the bounce accumulators: the
     // journal reads LFOC state through accessors and never re-runs
     // decide(), so an armed run must match an unarmed run bit for bit
@@ -377,7 +368,6 @@ runNAppPoint(const fs::path &dir, const exec::ExperimentSpec &spec,
 
 TEST(NAppEndToEnd, LedgersReplayableDecisionsAndDeterministicDashboard)
 {
-    CAPART_REQUIRE_OBS_COMPILED_IN();
     SamplingGuard armed(8);
 
     const exec::ExperimentSpec spec = exec::nappSpec(

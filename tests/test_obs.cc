@@ -249,13 +249,6 @@ struct ObsEnabledGuard
     ~ObsEnabledGuard() { obs::setEnabled(false); }
 };
 
-/** Tests that need events recorded cannot run when compiled out. */
-#define CAPART_REQUIRE_OBS_COMPILED_IN()                                    \
-    do {                                                                    \
-        if (!obs::kCompiledIn)                                              \
-            GTEST_SKIP() << "observability compiled out (CAPART_OBS=OFF)";  \
-    } while (0)
-
 /** The traceEvents array of an exported trace, parsed and validated. */
 std::vector<Json>
 exportedEvents(const obs::Tracer &t)
@@ -540,7 +533,6 @@ TEST(ObsTracer, RecordsNothingWhileDisabled)
 
 TEST(ObsTracer, ExportIsValidChromeTraceJson)
 {
-    CAPART_REQUIRE_OBS_COMPILED_IN();
     ObsEnabledGuard on;
     obs::Tracer t(64);
     t.complete("sweep.point", "sweep", 20.0, 5.0, {{"spec_hash", 42}});
@@ -578,7 +570,6 @@ TEST(ObsTracer, ExportIsValidChromeTraceJson)
 
 TEST(ObsTracer, RingWrapKeepsMostRecentEvents)
 {
-    CAPART_REQUIRE_OBS_COMPILED_IN();
     ObsEnabledGuard on;
     constexpr std::size_t kCap = 8;
     obs::Tracer t(kCap);
@@ -607,7 +598,6 @@ TEST(ObsTracer, RingWrapKeepsMostRecentEvents)
 
 TEST(ObsTracer, ExportFooterReportsDroppedAndRetainedCounts)
 {
-    CAPART_REQUIRE_OBS_COMPILED_IN();
     ObsEnabledGuard on;
     const std::uint64_t drops_before =
         obs::metrics().counter("trace.dropped").value();
@@ -636,7 +626,6 @@ TEST(ObsTracer, ExportFooterReportsDroppedAndRetainedCounts)
 
 TEST(ObsTracer, FullExportReportsZeroDropped)
 {
-    CAPART_REQUIRE_OBS_COMPILED_IN();
     ObsEnabledGuard on;
     obs::Tracer t(64);
     t.complete("only", "test", 1.0, 1.0);
@@ -648,7 +637,6 @@ TEST(ObsTracer, FullExportReportsZeroDropped)
 
 TEST(ObsTracer, SpansNestProperly)
 {
-    CAPART_REQUIRE_OBS_COMPILED_IN();
     ObsEnabledGuard on;
     obs::tracer().clear();
     {
@@ -699,7 +687,6 @@ decisionsOf(const obs::AttributionBatch &batch)
 
 TEST(ObsTrace, DynamicConsolidationTraceHasRemaskAndNestedSpans)
 {
-    CAPART_REQUIRE_OBS_COMPILED_IN();
     ObsEnabledGuard on;
     obs::tracer().clear();
     obs::metrics().reset();
@@ -774,7 +761,6 @@ TEST(ObsTrace, DynamicConsolidationTraceHasRemaskAndNestedSpans)
 
 TEST(ObsTrace, PhaseChangeEventsAppearOnTheSimTrack)
 {
-    CAPART_REQUIRE_OBS_COMPILED_IN();
     ObsEnabledGuard on;
     obs::tracer().clear();
     obs::metrics().reset();
@@ -920,8 +906,6 @@ TEST(ObsZeroCost, DisabledSeamIsNearFree)
 
 TEST(ObsZeroCost, EnabledCounterHotPathIsCheap)
 {
-    if (!obs::kCompiledIn)
-        GTEST_SKIP() << "observability compiled out";
     ObsEnabledGuard on;
     obs::Counter &c = obs::metrics().counter("hotpath.test");
     constexpr std::uint64_t kIters = 1000000;
