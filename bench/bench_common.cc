@@ -11,7 +11,6 @@
 #include <iostream>
 #include <memory>
 #include <thread>
-#include <unordered_map>
 
 #include <pthread.h>
 
@@ -120,15 +119,12 @@ exportObsFiles()
             cut.rule = stop == SIGINT ? "SIGINT" : "SIGTERM";
             gLedger->append(cut);
         }
-        // One `bench` record closes the invocation: total wall time
-        // plus the final counter snapshot, so the ledger alone shows
-        // what the run did and what it cost.
+        // One `bench` record closes the invocation with its total wall
+        // time; the counters go to metrics.json under --obs-dir.
         rec.kind = "bench";
         rec.wallMs = std::chrono::duration<double, std::milli>(
                          std::chrono::steady_clock::now() - gWallStart)
                          .count();
-        if (obs::enabled())
-            rec.counters = obs::metrics().counterSnapshot();
         gLedger->append(rec);
     }
     if (gObsDir.empty())
@@ -331,27 +327,6 @@ makeRunner(const BenchOptions &opts)
     if (!opts.obsDir.empty())
         ro.attrDir = opts.obsDir + "/attr";
     return exec::SweepRunner(ro);
-}
-
-std::vector<exec::SweepResult>
-runDistinct(const BenchOptions &opts,
-            const std::vector<exec::ExperimentSpec> &specs)
-{
-    std::unordered_map<std::uint64_t, std::size_t> first;
-    std::vector<exec::ExperimentSpec> distinct;
-    std::vector<std::size_t> at; // specs[i] is distinct[at[i]]
-    for (const exec::ExperimentSpec &spec : specs) {
-        const auto [it, fresh] = first.emplace(spec.hash(), distinct.size());
-        if (fresh)
-            distinct.push_back(spec);
-        at.push_back(it->second);
-    }
-    const std::vector<exec::SweepResult> res =
-        makeRunner(opts).run(distinct);
-    std::vector<exec::SweepResult> out;
-    for (const std::size_t i : at)
-        out.push_back(res[i]);
-    return out;
 }
 
 std::vector<double>

@@ -103,15 +103,6 @@ BenchOptions parseArgs(int argc, char **argv, double default_scale,
  */
 exec::SweepRunner makeRunner(const BenchOptions &opts);
 
-/**
- * makeRunner(opts).run(specs) for a figure whose measurements share
- * points: a spec listed more than once runs, caches and ledgers once,
- * and result i is still that of specs[i].
- */
-std::vector<exec::SweepResult>
-runDistinct(const BenchOptions &opts,
-            const std::vector<exec::ExperimentSpec> &specs);
-
 /** The times of the @p n results from @p next on; advances @p next. */
 std::vector<double> takeTimes(const std::vector<exec::SweepResult> &res,
                               std::size_t &next, std::size_t n);

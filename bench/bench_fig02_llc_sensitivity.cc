@@ -36,8 +36,9 @@ main(int argc, char **argv)
         addWaySweep(specs, app, opts.scale, threads);
     for (const auto &app : Catalog::all())
         addWaySweep(specs, app.name, opts.scale);
-    // The 4-thread showcase curves are also Table 2's.
-    const std::vector<exec::SweepResult> res = runDistinct(opts, specs);
+    // The 4-thread showcase curves are also Table 2's; SweepRunner runs
+    // each of those points once.
+    const std::vector<exec::SweepResult> res = makeRunner(opts).run(specs);
 
     Table fig2({"app", "threads", "w1", "w2", "w3", "w4", "w5", "w6",
                 "w7", "w8", "w9", "w10", "w11", "w12"});

@@ -32,8 +32,9 @@ main(int argc, char **argv)
         if (app.name != "stream_uncached")
             addHogSweep(specs, app.name, opts.scale);
     }
-    // All four measurements list the 4-thread, 12-way, prefetch-on solo.
-    const std::vector<exec::SweepResult> res = runDistinct(opts, specs);
+    // All four measurements list the 4-thread, 12-way, prefetch-on solo;
+    // SweepRunner runs it once per app.
+    const std::vector<exec::SweepResult> res = makeRunner(opts).run(specs);
 
     std::vector<FeatureVector> features;
     std::size_t next = 0;

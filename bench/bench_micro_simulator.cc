@@ -11,8 +11,8 @@
  * name, single metric `accesses_per_s` (items/second). The report
  * layer pairs those points across nightly runs by spec hash and its
  * regression gate (bench_report --bench=micro_simulator --gate) FAILs
- * when throughput drops by more than GateOptions::failDelta (5 %), so
- * a perf regression on the replay hot path turns the nightly red.
+ * when throughput drops by more than its 5 % fail threshold, so a perf
+ * regression on the replay hot path turns the nightly red.
  */
 
 #include <benchmark/benchmark.h>

@@ -12,14 +12,14 @@
  * With two or more runs in the ledger the oldest (or --baseline-run)
  * is compared against the newest (or --current-run): points are
  * paired by spec hash, every shared metric gets a delta, a sign test,
- * and a pass/warn/fail verdict, and --gate turns an overall FAIL into
- * a nonzero exit for CI. Without --gate the report is advisory and
- * the exit status is always 0.
+ * and a pass/warn/fail verdict (warn at a 2 % worse mean, fail at 5 %
+ * with a sign test at 0.05), and --gate turns an overall FAIL into a
+ * nonzero exit for CI. Without --gate the report is advisory and the
+ * exit status is always 0.
  */
 
 #include <cstdio>
 #include <cstdlib>
-#include <cstring>
 #include <fstream>
 #include <iostream>
 #include <string>
@@ -44,12 +44,6 @@ usage(const char *argv0, int status)
         "  --current-run=ID  current run id (default: newest run)\n"
         "  --json-out=F      write the BENCH_capart.json time series\n"
         "  --md-out=F        write the markdown report (default: stdout)\n"
-        "  --warn-delta=X    worse-direction mean delta that warns "
-        "(default 0.02)\n"
-        "  --fail-delta=X    worse-direction mean delta that fails "
-        "(default 0.05)\n"
-        "  --alpha=X         sign-test significance for FAIL "
-        "(default 0.05)\n"
         "  --gate            exit 1 when the overall verdict is FAIL\n",
         argv0);
     std::exit(status);
@@ -66,7 +60,6 @@ main(int argc, char **argv)
     std::string current_id;
     std::string json_out;
     std::string md_out;
-    capart::report::GateOptions gate;
     bool gating = false;
 
     for (int i = 1; i < argc; ++i) {
@@ -83,16 +76,8 @@ main(int argc, char **argv)
             json_out = arg.substr(11);
         } else if (arg.rfind("--md-out=", 0) == 0) {
             md_out = arg.substr(9);
-        } else if (arg.rfind("--warn-delta=", 0) == 0) {
-            gate.warnDelta = std::atof(arg.c_str() + 13);
-        } else if (arg.rfind("--fail-delta=", 0) == 0) {
-            gate.failDelta = std::atof(arg.c_str() + 13);
-        } else if (arg.rfind("--alpha=", 0) == 0) {
-            gate.alpha = std::atof(arg.c_str() + 8);
         } else if (arg == "--gate") {
             gating = true;
-        } else if (arg == "--advisory") {
-            gating = false;
         } else {
             usage(argv[0], arg == "--help" ? 0 : 1);
         }
@@ -146,7 +131,7 @@ main(int argc, char **argv)
     const bool have_cmp =
         baseline && current && baseline->run != current->run;
     if (have_cmp)
-        cmp = capart::report::compareRuns(*baseline, *current, gate);
+        cmp = capart::report::compareRuns(*baseline, *current);
 
     if (!json_out.empty()) {
         std::ofstream out(json_out);
@@ -167,9 +152,9 @@ main(int argc, char **argv)
                          md_out.c_str());
             return 1;
         }
-        capart::report::writeMarkdown(out, groups, cmp_or_null, gate);
+        capart::report::writeMarkdown(out, groups, cmp_or_null);
     } else {
-        capart::report::writeMarkdown(std::cout, groups, cmp_or_null, gate);
+        capart::report::writeMarkdown(std::cout, groups, cmp_or_null);
     }
 
     if (have_cmp) {

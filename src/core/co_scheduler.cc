@@ -1,6 +1,7 @@
 #include "core/co_scheduler.hh"
 
 #include "common/logging.hh"
+#include "stats/summary.hh"
 
 namespace capart
 {
@@ -24,42 +25,39 @@ CoScheduler::basePairOptions(bool bg_continuous) const
     return pair;
 }
 
+SoloResult
+CoScheduler::solo(unsigned app, unsigned threads) const
+{
+    journalRunStart("solo", 2, opts_.system.hierarchy.llc.ways,
+                    {{"app", app}, {"threads", threads}});
+    SoloOptions o;
+    o.threads = threads;
+    o.scale = opts_.scale;
+    o.system = opts_.system;
+    return runSolo(app == 0 ? fg_ : bg_, o);
+}
+
 const SoloResult &
 CoScheduler::fgSoloHalf()
 {
-    if (!fgSoloHalf_) {
-        SoloOptions solo;
-        solo.threads = opts_.threadsEach;
-        solo.scale = opts_.scale;
-        solo.system = opts_.system;
-        fgSoloHalf_ = runSolo(fg_, solo);
-    }
+    if (!fgSoloHalf_)
+        fgSoloHalf_ = solo(0, opts_.threadsEach);
     return *fgSoloHalf_;
 }
 
 const SoloResult &
 CoScheduler::fgSoloFull()
 {
-    if (!fgSoloFull_) {
-        SoloOptions solo;
-        solo.threads = opts_.system.numHts();
-        solo.scale = opts_.scale;
-        solo.system = opts_.system;
-        fgSoloFull_ = runSolo(fg_, solo);
-    }
+    if (!fgSoloFull_)
+        fgSoloFull_ = solo(0, opts_.system.numHts());
     return *fgSoloFull_;
 }
 
 const SoloResult &
 CoScheduler::bgSoloFull()
 {
-    if (!bgSoloFull_) {
-        SoloOptions solo;
-        solo.threads = opts_.system.numHts();
-        solo.scale = opts_.scale;
-        solo.system = opts_.system;
-        bgSoloFull_ = runSolo(bg_, solo);
-    }
+    if (!bgSoloFull_)
+        bgSoloFull_ = solo(1, opts_.system.numHts());
     return *bgSoloFull_;
 }
 
@@ -111,11 +109,17 @@ CoScheduler::runPolicy(Policy policy, bool bg_continuous)
 
     // The search already ran the continuous biased split with these
     // options, so its winning run is that policy's run.
+    const bool reuse = policy == Policy::Biased && bg_continuous;
+    if (!reuse) {
+        journalRunStart(policyName(policy), 2, total,
+                        {{"fg_ways", pair.fgMask.empty()
+                                         ? total
+                                         : pair.fgMask.count()},
+                         {"bg_continuous", bg_continuous}});
+    }
     const PairResult &run =
         pairRuns_
-            .emplace(key, policy == Policy::Biased && bg_continuous
-                              ? biased().run
-                              : runPair(fg_, bg_, pair))
+            .emplace(key, reuse ? biased().run : runPair(fg_, bg_, pair))
             .first->second;
     if (opts_.monitorSlo && bg_continuous) {
         // The monitor only observes, so it evaluates the foreground's
@@ -143,17 +147,16 @@ CoScheduler::summarize(Policy policy)
 
     // Energy and weighted speedup: run each app once (Figs. 10, 11).
     const PairResult &once = runPolicy(policy, false);
-    const Seconds seq_time = fgSoloFull().time + bgSoloFull().time;
-    const Joules seq_socket =
-        fgSoloFull().socketEnergy + bgSoloFull().socketEnergy;
-    const Joules seq_wall =
-        fgSoloFull().wallEnergy + bgSoloFull().wallEnergy;
-    const Seconds makespan =
-        std::max(once.fg.completionTime, once.bg.completionTime);
-    capart_assert(makespan > 0.0);
-    s.energyVsSequential = once.socketEnergy / seq_socket;
-    s.wallEnergyVsSequential = once.wallEnergy / seq_wall;
-    s.weightedSpeedup = seq_time / makespan;
+    // Named in turn, so the solo baselines run (and journal) FG first.
+    const SoloResult &fg_full = fgSoloFull();
+    const SoloResult &bg_full = bgSoloFull();
+    s.energyVsSequential =
+        once.socketEnergy / (fg_full.socketEnergy + bg_full.socketEnergy);
+    s.wallEnergyVsSequential =
+        once.wallEnergy / (fg_full.wallEnergy + bg_full.wallEnergy);
+    s.weightedSpeedup =
+        weightedSpeedup({fg_full.time, bg_full.time},
+                        {once.fg.completionTime, once.bg.completionTime});
 
     switch (policy) {
       case Policy::Shared:

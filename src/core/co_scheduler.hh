@@ -108,12 +108,10 @@ class CoScheduler
      */
     const SloMonitor *lastSloMonitor() const { return sloMonitor_.get(); }
 
-    const CoScheduleOptions &options() const { return opts_; }
-    const AppParams &fg() const { return fg_; }
-    const AppParams &bg() const { return bg_; }
-
   private:
     PairOptions basePairOptions(bool bg_continuous) const;
+    /** Run app @p app (0 = FG, 1 = BG) alone on @p threads. */
+    SoloResult solo(unsigned app, unsigned threads) const;
 
     AppParams fg_;
     AppParams bg_;

@@ -11,6 +11,18 @@
 namespace capart
 {
 
+namespace
+{
+
+/** Absolute MPKI floor under the spike test (ignore tiny levels). */
+constexpr double kSpikeFloor = 2.5;
+/** Retries per remask decision before it is abandoned. */
+constexpr unsigned kMaxRemaskRetries = 3;
+/** Windows before the first retry; doubles on each further retry. */
+constexpr unsigned kRetryBackoffWindows = 1;
+
+} // namespace
+
 void
 DynamicPartitionerConfig::validate() const
 {
@@ -48,10 +60,6 @@ DynamicPartitionerConfig::validate() const
     if (spikeRejectFactor <= 1.0) {
         capart_panic("DynamicPartitionerConfig: spikeRejectFactor must "
                      "exceed 1 (got " << spikeRejectFactor << ")");
-    }
-    if (spikeFloor < 0.0) {
-        capart_panic("DynamicPartitionerConfig: spikeFloor must be "
-                     "non-negative (got " << spikeFloor << ")");
     }
     if (watchdogThreshold < 1 || telemetryTimeoutWindows < 1 ||
         recoveryWindows < 1) {
@@ -133,7 +141,7 @@ DynamicPartitioner::requestWays(System &sys, unsigned fg_ways)
     retryPending_ = true;
     retryWays_ = fg_ways;
     retryCount_ = 1;
-    retryWait_ = cfg_.retryBackoffWindows;
+    retryWait_ = kRetryBackoffWindows;
 }
 
 void
@@ -159,7 +167,7 @@ DynamicPartitioner::serviceRetry(System &sys)
         return;
     }
     ++retryCount_;
-    if (retryCount_ > cfg_.maxRemaskRetries) {
+    if (retryCount_ > kMaxRemaskRetries) {
         // Bounded retry exhausted: abandon this target and let the
         // algorithm continue from the allocation actually installed.
         retryPending_ = false;
@@ -167,7 +175,7 @@ DynamicPartitioner::serviceRetry(System &sys)
         return;
     }
     // Exponential backoff: wait 1, 2, 4, ... windows between retries.
-    retryWait_ = cfg_.retryBackoffWindows << (retryCount_ - 1);
+    retryWait_ = kRetryBackoffWindows << (retryCount_ - 1);
 }
 
 void
@@ -250,7 +258,7 @@ DynamicPartitioner::classify(const PerfWindow &w)
         return Sample::Garbage;
     }
     if (haveSmoothed_) {
-        const double level = std::max(smoothed_, cfg_.spikeFloor);
+        const double level = std::max(smoothed_, kSpikeFloor);
         if (w.mpki > cfg_.spikeRejectFactor * level) {
             if (haveSuspect_) {
                 // Two outliers in a row: the application really moved.

@@ -73,12 +73,6 @@ struct DynamicPartitionerConfig
      * consecutive outlier confirms a genuine phase shift and passes.
      */
     double spikeRejectFactor = 8.0;
-    /** Absolute MPKI floor under the spike test (ignore tiny levels). */
-    double spikeFloor = 2.5;
-    /** Retries per remask decision before it is abandoned. */
-    unsigned maxRemaskRetries = 3;
-    /** Windows before the first retry; doubles on each further retry. */
-    unsigned retryBackoffWindows = 1;
     /**
      * Consecutive telemetry rejections — or consecutive failed remask
      * attempts — that trip the watchdog into the fair fallback.

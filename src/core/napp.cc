@@ -28,6 +28,9 @@ namespace
  *  controller's smoothing so both react on the same timescale). */
 constexpr double kMpkiSmoothing = 0.25;
 
+/** Slowdown above which an app counts as an SLO breach. */
+constexpr double kSloSlowdown = 1.10;
+
 /** Record one decide() latency in the per-policy histogram (ns). */
 void
 recordDecideLatency(NPolicy policy,
@@ -40,32 +43,6 @@ recordDecideLatency(NPolicy policy,
     obs::metrics()
         .histogram(std::string("napp.decide_ns.") + npolicyName(policy))
         .record(static_cast<std::uint64_t>(ns));
-}
-
-/**
- * Mark the start of one System run inside an N-app point's scope. A
- * point's attribution scope spans many System runs (one per policy
- * plus one solo baseline per app), each restarting simulated time at
- * zero; these markers — one per run, in run order — let the dashboard
- * segment the sample stream and label each segment with its policy
- * ("solo" markers carry the app index).
- */
-void
-journalNAppRunMarker(const char *rule, std::size_t num_apps,
-                     unsigned total_ways, double solo_app = -1.0)
-{
-    if (!obs::enabled())
-        return;
-    obs::JournalEntry e;
-    e.tUs = 0.0;
-    e.kind = "napp_run";
-    e.rule = rule;
-    e.fields.emplace_back("num_apps",
-                          static_cast<double>(num_apps));
-    e.fields.emplace_back("total_ways", total_ways);
-    if (solo_app >= 0.0)
-        e.fields.emplace_back("app", solo_app);
-    obs::timeseries().journal(std::move(e));
 }
 
 /**
@@ -341,7 +318,7 @@ runWithCurves(const std::vector<NAppMember> &members, NPolicy policy,
       }
     }
     const bool rec = obs::enabled();
-    journalNAppRunMarker(npolicyName(policy), members.size(), total);
+    journalRunStart(npolicyName(policy), members.size(), total);
     std::uint64_t seq = 0;
     if (part) {
         NPartitionInputs jin;
@@ -455,9 +432,9 @@ NAppStudy::soloIps(std::size_t i)
 {
     capart_assert(i < members_.size());
     if (!soloIps_[i]) {
-        journalNAppRunMarker("solo", members_.size(),
-                             opts_.run.system.hierarchy.llc.ways,
-                             static_cast<double>(i));
+        journalRunStart("solo", members_.size(),
+                        opts_.run.system.hierarchy.llc.ways,
+                        {{"app", static_cast<double>(i)}});
         SoloOptions solo;
         solo.threads = members_[i].threads;
         solo.ways = opts_.run.system.hierarchy.llc.ways;
@@ -509,7 +486,7 @@ NAppStudy::summarize(NPolicy policy)
         *std::max_element(slowdowns.begin(), slowdowns.end());
     s.fgSlowdown = slowdowns.front();
     for (const double sd : slowdowns) {
-        if (sd > opts_.sloSlowdown)
+        if (sd > kSloSlowdown)
             ++s.sloBreaches;
     }
     return s;

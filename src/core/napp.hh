@@ -138,7 +138,7 @@ struct NAppPolicySummary
     double fgSlowdown = 1.0;
     Joules socketEnergyJ = 0.0;
     Joules wallEnergyJ = 0.0;
-    /** Apps whose slowdown exceeds the SLO threshold. */
+    /** Apps slowed by more than 10 % against running alone. */
     unsigned sloBreaches = 0;
     std::uint64_t remasks = 0;
     bool timedOut = false;
@@ -148,8 +148,6 @@ struct NAppPolicySummary
 struct NAppStudyOptions
 {
     NAppOptions run{};
-    /** Slowdown above which an app counts as an SLO breach. */
-    double sloSlowdown = 1.10;
 };
 
 /**
@@ -172,9 +170,6 @@ class NAppStudy
 
     /** All headline metrics for @p policy. */
     NAppPolicySummary summarize(NPolicy policy);
-
-    const std::vector<NAppMember> &members() const { return members_; }
-    const NAppStudyOptions &options() const { return opts_; }
 
   private:
     std::vector<NAppMember> members_;

@@ -63,6 +63,10 @@ findBiasedPartition(const AppParams &fg, const AppParams &bg,
         const SplitMasks masks = splitWays(fg_ways, total);
         split.fgMask = masks.fg;
         split.bgMask = masks.bg;
+        journalRunStart(policyName(Policy::Biased), 2, total,
+                        {{"fg_ways", fg_ways},
+                         {"bg_continuous", pair.bgContinuous},
+                         {"search", 1}});
         const PairResult &r = runs.emplace_back(runPair(fg, bg, split));
 
         BiasedSweepPoint pt;

@@ -304,16 +304,7 @@ function nappDecisions(batch) {
     return (batch.journal || [])
         .filter(e => e.kind === 'npartition_decision');
 }
-// One marker per System run inside an N-app point's scope, in run
-// order (policies first-run order, then cached solo baselines).
-function nappRuns(batch) {
-    return (batch.journal || []).filter(e => e.kind === 'napp_run');
-}
-function isNApp(batch) {
-    return nappRuns(batch).length > 0 || nappDecisions(batch).length > 0;
-}
-
-// An N-app point's sample stream concatenates several System runs.
+// A study point's sample stream concatenates several System runs.
 // t_us is the sampling hardware thread's local time and jitters
 // between threads, but the quantum counter q is strictly increasing
 // within one System and restarts with it: split where q drops.
@@ -450,7 +441,7 @@ function drawDram(parent, batch) {
         ['channel ' + c, ownerColors[c % ownerColors.length]]));
 }
 
-function drawSlo(parent, batch) {
+function drawSlo(parent, batch, title) {
     const evals = sloEntries(batch);
     if (!evals.length) return;
     const ts = evals.map(e => e.t_us / 1000);
@@ -459,7 +450,7 @@ function drawSlo(parent, batch) {
     let ymax = 1.2;
     for (const v of short_.concat(long_))
         if (isFinite(v)) ymax = Math.max(ymax, v);
-    const f = frame(parent, {title:
+    const f = frame(parent, {title: title ||
         'SLO burn rate (short/long windows; shaded = in breach)',
         xlab: 'time (ms)', ylab: 'burn rate', h: 120,
         x0: ts[0], x1: ts[ts.length - 1], y0: 0, y1: ymax});
@@ -600,8 +591,48 @@ function drawBounce(parent, b, lds) {
         [ownerLabel(b, a), ownerColors[a % ownerColors.length]]));
 }
 
-function drawNAppBatch(charts, dec, b) {
-    const runs = nappRuns(b);
+// Label of one `run` record: a policy run (N-app, or the pair's with
+// its FG ways and whether the BG ran continuously), a biased-search
+// split, or a solo baseline of one member.
+function runLabel(b, r) {
+    const fl = r.fields || {};
+    if (r.rule === 'solo') {
+        return 'solo ' + ownerLabel(b, fl.app || 0) +
+            (fl.threads ? ' on ' + fl.threads + ' threads' : '');
+    }
+    let s = 'policy ' + r.rule;
+    if (fl.search)
+        s += ' search, ' + fl.fg_ways + ' FG way' +
+             (fl.fg_ways === 1 ? '' : 's');
+    if (fl.bg_continuous !== undefined)
+        s += fl.bg_continuous ? ', continuous BG' : ', run once';
+    return s;
+}
+
+// Every point draws one view: its samples split into System runs,
+// each labeled by the `run` record a study journals as the run starts
+// (in run order). The ring keeps a point's newest samples, so
+// segments align with runs from the newest back; older runs lost
+// their samples to it, and the oldest sampled run lost its first ones
+// when its first sample comes later than every other run's (each run
+// samples from the same quantum on). A run's decisions follow its
+// `run` record in the journal. The SLO monitor evaluates a continuous
+// run after it ends (possibly after a solo baseline ran), so `slo`
+// records go to the policy of the last non-solo run record.
+function drawPoint(charts, dec, b) {
+    const runs = [], runJournal = [[]], slo = {};
+    let policy = '';
+    for (const e of (b.journal || [])) {
+        if (e.kind === 'run') {
+            runs.push(e);
+            runJournal.push([]);
+            if (e.rule !== 'solo') policy = e.rule;
+        } else if (e.kind === 'slo') {
+            (slo[policy] = slo[policy] || []).push(e);
+        } else {
+            runJournal[runJournal.length - 1].push(e);
+        }
+    }
     const nds = nappDecisions(b);
     const rules = [];
     for (const r of runs) {
@@ -612,47 +643,60 @@ function drawNAppBatch(charts, dec, b) {
         if (rules.indexOf(e.rule) < 0) rules.push(e.rule);
     }
     drawPolicyStrip(charts, b, rules);
+
     const segs = segmentSamples(b.samples);
-    const labeled = runs.length === segs.length && segs.length > 0;
-    if (!labeled && b.samples.length) {
-        // Markers and sample segments disagree (e.g. a run too short
-        // to sample): fall back to the combined stream.
-        drawOccupancy(charts, b);
+    const n = Math.max(runs.length, segs.length);
+    const views = [];
+    for (let i = 0; i < n; i++) {
+        const ri = i - (n - runs.length), si = i - (n - segs.length);
+        const r = ri >= 0 ? runs[ri] : null;
+        views.push({
+            run: r,
+            title: 'run ' + (i + 1) + (r ? ': ' + runLabel(b, r) : ''),
+            samples: si >= 0 ? segs[si] : null,
+            // A point with one unmarked run owns its whole journal.
+            journal: r ? runJournal[ri + 1]
+                       : (n === 1 ? runJournal[0] : [])});
     }
-    const labelFor = r => {
-        if (r.rule !== 'solo') return b.label;
-        const parts = (b.label || '').split('+');
-        const a = (r.fields || {}).app || 0;
-        return parts[a] || ('app ' + a);
-    };
-    if (labeled) {
-        for (let i = 0; i < runs.length; i++) {
-            const rule = runs[i].rule;
-            if (rule === 'solo') continue;
-            const sub = {label: b.label, samples: segs[i],
-                         journal: nds.filter(e => e.rule === rule)
-                             .concat(rule === 'dynamic'
-                                     ? decisions(b) : [])};
-            drawOccupancy(charts, sub,
-                'LLC way occupancy by owner — policy: ' + rule);
-        }
+    const lost = views.filter(v => !v.samples);
+    if (!segs.length) {
+        html('p', 'empty', charts,
+             'This point recorded journal entries but no samples ' +
+             '(sampling period 0 or run shorter than one period).');
+    } else if (lost.length) {
+        html('p', 'empty', charts, lost.length + ' of ' + n +
+             ' runs lost their samples to the sample ring, which ' +
+             'keeps the newest: ' + lost.map(v => v.title).join('; ') +
+             '.');
+    }
+    const firstQ = Math.min(...segs.map(seg => seg[0].q));
+    const cut = views.find(v => v.samples && v.samples[0].q > firstQ);
+    if (cut) {
+        html('p', 'empty', charts, 'The sample ring also dropped the ' +
+             'first samples of ' + cut.title + '.');
+    }
+    for (const v of views) {
+        if (!v.samples || (v.run && v.run.rule === 'solo')) continue;
+        drawOccupancy(charts, {label: b.label, samples: v.samples,
+                               journal: v.journal},
+                      'LLC way occupancy by owner — ' + v.title);
     }
     const lds = nds.filter(e => e.rule === 'lfoc');
     if (lds.length) {
         drawClassLane(charts, b, lds);
         drawBounce(charts, b, lds);
     }
-    if (labeled) {
+    const sampled = views.filter(v => v.samples);
+    if (sampled.length) {
         // Per-owner detail (stalls / power / DRAM) for one selected
-        // System run of the study.
+        // System run of the point.
         const detail = document.createElement('div');
         charts.appendChild(detail);
         const sel = document.createElement('select');
-        runs.forEach((r, i) => {
+        sampled.forEach((v, i) => {
             const opt = document.createElement('option');
             opt.value = i;
-            opt.textContent = 'detail: ' + (r.rule === 'solo'
-                ? 'solo ' + labelFor(r) : 'policy ' + r.rule);
+            opt.textContent = 'detail: ' + v.title;
             sel.appendChild(opt);
         });
         detail.appendChild(sel);
@@ -660,7 +704,7 @@ function drawNAppBatch(charts, dec, b) {
         detail.appendChild(body);
         const drawDetail = i => {
             body.textContent = '';
-            const sub = {label: labelFor(runs[i]), samples: segs[i],
+            const sub = {label: b.label, samples: sampled[i].samples,
                          journal: []};
             drawStalls(body, sub);
             drawEnergy(body, sub);
@@ -670,20 +714,20 @@ function drawNAppBatch(charts, dec, b) {
                              () => drawDetail(Number(sel.value)));
         drawDetail(0);
     }
-    drawSlo(charts, b);
-    nappDecisionsTable(dec, b);
-    if (decisions(b).length) decisionsTable(dec, b);
+    for (const rule of Object.keys(slo)) {
+        drawSlo(charts, {journal: slo[rule]}, rule
+            ? 'SLO burn rate — policy ' + rule +
+              ' (short/long windows; shaded = in breach)'
+            : undefined);
+    }
+    if (nds.length) nappDecisionsTable(dec, b);
+    if (decisions(b).length || !nds.length) decisionsTable(dec, b);
 }
 
 // ---- tables -----------------------------------------------------------
 
 function nappDecisionsTable(parent, batch) {
     const ds = nappDecisions(batch);
-    if (!ds.length) {
-        html('p', 'empty', parent,
-             'No N-app partitioner decisions recorded for this point.');
-        return;
-    }
     const classCh = ['L', 'S', '*'];
     const tbl = html('table', '', parent);
     const hdr = html('tr', '', tbl);
@@ -795,23 +839,7 @@ function drawBatch(idx) {
         html('p', 'empty', dec, 'No decision journal recorded.');
         return;
     }
-    const b = batches[idx];
-    if (isNApp(b)) {
-        drawNAppBatch(charts, dec, b);
-        return;
-    }
-    if (b.samples.length) {
-        drawOccupancy(charts, b);
-        drawStalls(charts, b);
-        drawEnergy(charts, b);
-        drawDram(charts, b);
-    } else {
-        html('p', 'empty', charts,
-             'This point recorded journal entries but no samples ' +
-             '(sampling period 0 or run shorter than one period).');
-    }
-    drawSlo(charts, b);
-    decisionsTable(dec, b);
+    drawPoint(charts, dec, batches[idx]);
 }
 
 document.getElementById('page-title').textContent =
@@ -912,8 +940,9 @@ dashboardJson(const DashboardData &data)
 void
 renderDashboardHtml(std::ostream &os, const DashboardData &data)
 {
-    // data-samples on <body> is the CI handle: an OBS-off build must
-    // produce data-samples="0" no matter what flags were passed.
+    // data-samples on <body> counts the embedded attribution samples,
+    // so a run that recorded none (no --obs-dir, or no sample period)
+    // reads data-samples="0" without running the page's script.
     std::string head =
         replaceFirst(kPageHead, "__TITLE__", htmlEscape(data.title));
     head = replaceFirst(head, "<body>",

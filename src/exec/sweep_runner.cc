@@ -10,6 +10,7 @@
 #include <memory>
 #include <mutex>
 #include <thread>
+#include <unordered_map>
 
 #include "common/logging.hh"
 #include "common/rng.hh"
@@ -370,23 +371,40 @@ SweepRunner::run(const std::vector<ExperimentSpec> &specs)
 {
     std::vector<SweepResult> results(specs.size());
 
+    // A spec listed more than once runs, caches and ledgers at its
+    // first listing only; first[i] is that listing of specs[i], and
+    // listings[f] counts the positions first listing f answers for.
+    std::vector<std::size_t> first(specs.size());
+    std::vector<std::size_t> listings(specs.size(), 0);
+    {
+        std::unordered_map<std::uint64_t, std::size_t> by_hash;
+        for (std::size_t i = 0; i < specs.size(); ++i) {
+            first[i] = by_hash.emplace(specs[i].hash(), i).first->second;
+            ++listings[first[i]];
+        }
+    }
+
     std::unique_ptr<ResultCache> cache;
     if (!opts_.cachePath.empty())
         cache = std::make_unique<ResultCache>(opts_.cachePath);
 
     std::mutex progress_mutex;
     std::size_t done = 0;
-    const auto report = [&] {
-        // Caller holds progress_mutex.
-        ++done;
-        if (opts_.progress)
-            opts_.progress(done, specs.size());
+    const auto report = [&](std::size_t i) {
+        // Caller holds progress_mutex. Once per listing of specs[i].
+        for (std::size_t n = 0; n < listings[i]; ++n) {
+            ++done;
+            if (opts_.progress)
+                opts_.progress(done, specs.size());
+        }
     };
 
     // Resolve cache hits up front; collect the points still to compute.
     std::vector<std::size_t> todo;
     todo.reserve(specs.size());
     for (std::size_t i = 0; i < specs.size(); ++i) {
+        if (first[i] != i)
+            continue;
         const std::uint64_t key = specCacheKey(specs[i], opts_.baseSeed);
         if (cache && cache->lookup(key, &results[i])) {
             if (obs::enabled())
@@ -397,7 +415,7 @@ SweepRunner::run(const std::vector<ExperimentSpec> &specs)
                     pointRecord(opts_, specs[i], results[i], 0.0));
             }
             std::lock_guard<std::mutex> lock(progress_mutex);
-            report();
+            report(i);
         } else {
             todo.push_back(i);
         }
@@ -406,42 +424,47 @@ SweepRunner::run(const std::vector<ExperimentSpec> &specs)
     const auto compute = [&](std::size_t i) {
         results[i] = computePoint(opts_, specs[i], cache.get());
         std::lock_guard<std::mutex> lock(progress_mutex);
-        report();
+        report(i);
     };
 
     if (opts_.jobs <= 1) {
         for (const std::size_t i : todo)
             compute(i);
-        return results;
-    }
-
-    // Every point is a whole simulation known up front, so workers just
-    // claim the next uncomputed index. The first failure stops further
-    // claims and is rethrown after the join, so run() fails as the
-    // inline loop does.
-    std::atomic<std::size_t> next{0};
-    std::exception_ptr first_error;
-    const auto worker = [&] {
-        try {
-            for (std::size_t k = next++; k < todo.size(); k = next++)
-                compute(todo[k]);
-        } catch (...) {
-            std::lock_guard<std::mutex> lock(progress_mutex);
-            if (!first_error)
-                first_error = std::current_exception();
-            next = todo.size();
+    } else {
+        // Every point is a whole simulation known up front, so workers
+        // just claim the next uncomputed index. The first failure stops
+        // further claims and is rethrown after the join, so run() fails
+        // as the inline loop does.
+        std::atomic<std::size_t> next{0};
+        std::exception_ptr first_error;
+        const auto worker = [&] {
+            try {
+                for (std::size_t k = next++; k < todo.size(); k = next++)
+                    compute(todo[k]);
+            } catch (...) {
+                std::lock_guard<std::mutex> lock(progress_mutex);
+                if (!first_error)
+                    first_error = std::current_exception();
+                next = todo.size();
+            }
+        };
+        {
+            // jthreads join when the scope ends, also when starting one
+            // throws.
+            std::vector<std::jthread> workers;
+            const std::size_t n =
+                std::min<std::size_t>(opts_.jobs, todo.size());
+            workers.reserve(n);
+            for (std::size_t t = 0; t < n; ++t)
+                workers.emplace_back(worker);
         }
-    };
-    {
-        // jthreads join when the scope ends, also when starting one throws.
-        std::vector<std::jthread> workers;
-        const std::size_t n = std::min<std::size_t>(opts_.jobs, todo.size());
-        workers.reserve(n);
-        for (std::size_t t = 0; t < n; ++t)
-            workers.emplace_back(worker);
+        if (first_error)
+            std::rethrow_exception(first_error);
     }
-    if (first_error)
-        std::rethrow_exception(first_error);
+    for (std::size_t i = 0; i < specs.size(); ++i) {
+        if (first[i] != i)
+            results[i] = results[first[i]];
+    }
     return results;
 }
 

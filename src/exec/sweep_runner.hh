@@ -153,10 +153,12 @@ class SweepRunner
     explicit SweepRunner(SweepRunnerOptions opts);
 
     /**
-     * Run every spec and return results[i] for specs[i]. Cached points
-     * are returned without re-execution (marked fromCache); newly
-     * computed points are appended to the cache as they complete, so
-     * an interrupted sweep resumes where it stopped.
+     * Run every spec and return results[i] for specs[i]. A spec listed
+     * more than once (same hash) runs, caches and ledgers once, and
+     * every listing returns its result; progress still counts each
+     * listing. Cached points are returned without re-execution (marked
+     * fromCache); newly computed points are appended to the cache as
+     * they complete, so an interrupted sweep resumes where it stopped.
      */
     std::vector<SweepResult> run(const std::vector<ExperimentSpec> &specs);
 

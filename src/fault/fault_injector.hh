@@ -90,16 +90,6 @@ struct FaultPlan
         return p;
     }
 
-    /** Schemata writes fail at @p rate; some land late. */
-    static FaultPlan
-    flakyRemask(double rate)
-    {
-        FaultPlan p;
-        p.remaskFailRate = rate;
-        p.remaskDelayRate = rate / 2;
-        return p;
-    }
-
     /** The target's telemetry dies for good at @p start_window. */
     static FaultPlan
     telemetryBlackout(std::uint64_t start_window)

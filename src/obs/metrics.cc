@@ -145,17 +145,6 @@ MetricsRegistry::writeJson(std::ostream &os) const
     os << "\n}\n";
 }
 
-std::vector<std::pair<std::string, double>>
-MetricsRegistry::counterSnapshot() const
-{
-    std::lock_guard<std::mutex> lock(mutex_);
-    std::vector<std::pair<std::string, double>> out;
-    out.reserve(counters_.size());
-    for (const auto &[name, c] : counters_)
-        out.emplace_back(name, static_cast<double>(c->value()));
-    return out;
-}
-
 void
 MetricsRegistry::reset()
 {

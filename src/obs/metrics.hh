@@ -153,13 +153,6 @@ class MetricsRegistry
      */
     void writeJson(std::ostream &os) const;
 
-    /**
-     * Snapshot of every counter as (name, value) in export order —
-     * what the run ledger embeds in bench records. Values ride as
-     * doubles (exact below 2^53, far beyond any real counter).
-     */
-    std::vector<std::pair<std::string, double>> counterSnapshot() const;
-
     /** Zero every metric's value; registered names persist. */
     void reset();
 

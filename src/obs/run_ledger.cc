@@ -110,7 +110,6 @@ RunLedger::encode(const RunRecord &rec)
     if (!rec.rule.empty())
         os << ",\"rule\":\"" << jsonEscape(rec.rule) << '"';
     writePairs(os, "metrics", rec.metrics);
-    writePairs(os, "counters", rec.counters);
     os << '}';
     return os.str();
 }
@@ -139,7 +138,6 @@ RunLedger::decode(const std::string &line, RunRecord *out)
     rec.attrFile = doc->at("attr_file").asStr();
     rec.rule = doc->at("rule").asStr();
     readPairs(doc->at("metrics"), &rec.metrics);
-    readPairs(doc->at("counters"), &rec.counters);
     // "decision", "npartition_decision", "point_start", "point_failed"
     // and "shard" are retired but still read, so older ledgers load
     // with nothing skipped.

@@ -15,9 +15,9 @@
  *    point's partitioner decision journal;
  *  - `run_interrupted` — the run was stopped by SIGTERM/SIGINT after
  *    flushing everything completed so far; `rule` names the signal;
- *  - `bench`  — one bench-binary invocation: total wall time plus a
- *    snapshot of the observability counters at exit (empty unless
- *    observability was armed).
+ *  - `bench`  — one bench-binary invocation: its total wall time.
+ *    (Older ledgers' bench records also carry a `counters` object, a
+ *    copy of metrics.json's counters; decode() ignores it.)
  *
  * Five retired kinds are still read, never written: `decision` and
  * `npartition_decision`, per-decision copies of the side-file journal,
@@ -36,7 +36,7 @@
  * The ledger is observability *output*, never input: nothing in the
  * simulator reads it, so ledger recording cannot perturb results (the
  * same contract as the rest of src/obs). It works with observability
- * off; only the counter snapshots are then empty.
+ * off.
  */
 
 #ifndef CAPART_OBS_RUN_LEDGER_HH
@@ -79,8 +79,6 @@ struct RunRecord
     bool fromCache = false;
     /** Headline figures, flat name → value (insertion-ordered). */
     std::vector<std::pair<std::string, double>> metrics;
-    /** Observability counter snapshot (bench records). */
-    std::vector<std::pair<std::string, double>> counters;
     /** Path of the point's attribution sample file ("" = none). */
     std::string attrFile;
     /** The rule a record names: an interruption's signal ("" for

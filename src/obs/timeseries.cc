@@ -161,13 +161,9 @@ JournalEntry::field(const std::string &name, double fallback) const
     return fallback;
 }
 
-TimeSeries::TimeSeries(std::size_t sample_capacity,
-                       std::size_t journal_capacity)
-    : sampleCapacity_(sample_capacity), journalCapacity_(journal_capacity),
-      id_(gNextSeriesId.fetch_add(1, std::memory_order_relaxed))
+TimeSeries::TimeSeries()
+    : id_(gNextSeriesId.fetch_add(1, std::memory_order_relaxed))
 {
-    capart_assert(sample_capacity >= 2);
-    capart_assert(journal_capacity >= 2);
 }
 
 TimeSeries::~TimeSeries() = default;
@@ -189,8 +185,7 @@ TimeSeries::scope()
             return *s;
     }
     std::lock_guard<std::mutex> lock(mutex_);
-    scopes_.push_back(
-        std::make_unique<Scope>(sampleCapacity_, journalCapacity_));
+    scopes_.push_back(std::make_unique<Scope>());
     Scope *s = scopes_.back().get();
     cache.emplace_back(id_, s);
     return *s;

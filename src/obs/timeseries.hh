@@ -10,8 +10,9 @@
  * @ref AttributionSample: per-owner LLC occupancy, the per-owner stall
  * breakdown, per-owner/per-channel DRAM bytes, and per-owner energy.
  * Control-plane components append @ref JournalEntry records (one per
- * partitioner decision or SLO evaluation) to the same per-thread
- * scope, so a point's samples and its decisions drain together.
+ * partitioner decision, SLO evaluation or System run) to the same
+ * per-thread scope, so a point's samples and its decisions drain
+ * together.
  *
  * Gating follows the tracer exactly: obs::enabled() plus a non-zero
  * period arm recording, and nothing recorded here ever feeds back into
@@ -90,14 +91,15 @@ struct AttributionSample
 };
 
 /**
- * One structured control-plane record: a partitioner decision or an
- * SLO evaluation. Flat name->number fields keep the schema open (and
- * map 1:1 onto run-ledger metric pairs for replay).
+ * One structured control-plane record: a partitioner decision, an SLO
+ * evaluation, or the start of one System run of a study point. Flat
+ * name->number fields keep the schema open (and map 1:1 onto
+ * run-ledger metric pairs for replay).
  */
 struct JournalEntry
 {
     double tUs = 0.0;
-    std::string kind; //!< "decision" or "slo"
+    std::string kind; //!< "decision", "npartition_decision", "slo", "run"
     std::string rule; //!< rule that fired / transition that occurred
     std::vector<std::pair<std::string, double>> fields;
 
@@ -118,12 +120,7 @@ struct AttributionBatch
 class TimeSeries
 {
   public:
-    /**
-     * @param sample_capacity  samples retained per recording thread.
-     * @param journal_capacity journal entries retained per thread.
-     */
-    explicit TimeSeries(std::size_t sample_capacity = 1 << 12,
-                        std::size_t journal_capacity = 1 << 14);
+    TimeSeries();
     ~TimeSeries();
 
     TimeSeries(const TimeSeries &) = delete;
@@ -167,17 +164,20 @@ class TimeSeries
     void clear();
 
   private:
+    /** Samples retained per recording thread. */
+    static constexpr std::size_t kSampleCapacity = 1 << 12;
+    /** Journal entries retained per recording thread. */
+    static constexpr std::size_t kJournalCapacity = 1 << 14;
+
     struct Scope
     {
-        Scope(std::size_t sample_cap, std::size_t journal_cap)
-            : samples(sample_cap), journal(journal_cap)
-        {
-        }
 
-        std::vector<AttributionSample> samples;
+        std::vector<AttributionSample> samples =
+            std::vector<AttributionSample>(kSampleCapacity);
         std::size_t sampleNext = 0;
         std::uint64_t samplesRecorded = 0;
-        std::vector<JournalEntry> journal;
+        std::vector<JournalEntry> journal =
+            std::vector<JournalEntry>(kJournalCapacity);
         std::size_t journalNext = 0;
         std::uint64_t journalRecorded = 0;
     };
@@ -185,8 +185,6 @@ class TimeSeries
     Scope &scope();
     static void drainRing(Scope &s, AttributionBatch *out);
 
-    const std::size_t sampleCapacity_;
-    const std::size_t journalCapacity_;
     const std::uint64_t id_; //!< distinguishes instances in TLS cache
     std::atomic<std::uint64_t> period_{0};
 

@@ -5,58 +5,6 @@
 namespace capart
 {
 
-const char *
-perfEventName(PerfEvent ev)
-{
-    switch (ev) {
-      case PerfEvent::Instructions:
-        return "instructions";
-      case PerfEvent::Cycles:
-        return "cycles";
-      case PerfEvent::LlcReferences:
-        return "LLC-references";
-      case PerfEvent::LlcMisses:
-        return "LLC-misses";
-      case PerfEvent::DramReads:
-        return "dram-reads";
-      case PerfEvent::DramWrites:
-        return "dram-writes";
-      case PerfEvent::kCount:
-        break;
-    }
-    capart_panic("unknown perf event");
-}
-
-double
-PerfCounterSet::mpki() const
-{
-    const std::uint64_t insts = read(PerfEvent::Instructions);
-    if (insts == 0)
-        return 0.0;
-    return 1000.0 * static_cast<double>(read(PerfEvent::LlcMisses)) /
-           static_cast<double>(insts);
-}
-
-double
-PerfCounterSet::apki() const
-{
-    const std::uint64_t insts = read(PerfEvent::Instructions);
-    if (insts == 0)
-        return 0.0;
-    return 1000.0 * static_cast<double>(read(PerfEvent::LlcReferences)) /
-           static_cast<double>(insts);
-}
-
-double
-PerfCounterSet::ipc() const
-{
-    const std::uint64_t cycles = read(PerfEvent::Cycles);
-    if (cycles == 0)
-        return 0.0;
-    return static_cast<double>(read(PerfEvent::Instructions)) /
-           static_cast<double>(cycles);
-}
-
 PerfMonitor::PerfMonitor(Seconds window_length)
     : windowLength_(window_length)
 {

@@ -1,71 +1,24 @@
 /**
  * @file
- * Performance-monitoring framework modeled on libpfm/perf_events (§2.2).
+ * Windowed performance monitoring, modeled on the libpfm sampling loop
+ * of the paper's framework (§2.2).
  *
- * The simulator feeds raw event deltas; software (the dynamic
- * partitioning framework, the benches) reads counters and windowed
- * derived metrics such as MPKI over 100 ms intervals (§6.2).
+ * The simulator feeds one application's raw event deltas; software
+ * (the dynamic partitioning framework, the SLO monitor) reads the
+ * derived metrics of each completed window, such as MPKI over 100 ms
+ * intervals (§6.2).
  */
 
 #ifndef CAPART_PERF_PERF_COUNTERS_HH
 #define CAPART_PERF_PERF_COUNTERS_HH
 
-#include <array>
 #include <cstdint>
-#include <string>
 #include <vector>
 
 #include "common/types.hh"
 
 namespace capart
 {
-
-/** Hardware events the framework exposes. */
-enum class PerfEvent : unsigned
-{
-    Instructions = 0,
-    Cycles,
-    LlcReferences,
-    LlcMisses,
-    DramReads,
-    DramWrites,
-    kCount
-};
-
-/** Human-readable event name (perf-style). */
-const char *perfEventName(PerfEvent ev);
-
-/** One application's (or thread-group's) free-running counters. */
-class PerfCounterSet
-{
-  public:
-    void
-    add(PerfEvent ev, std::uint64_t delta)
-    {
-        counts_[static_cast<unsigned>(ev)] += delta;
-    }
-
-    std::uint64_t
-    read(PerfEvent ev) const
-    {
-        return counts_[static_cast<unsigned>(ev)];
-    }
-
-    void reset() { counts_.fill(0); }
-
-    /** Misses per kilo-instruction since counter reset. */
-    double mpki() const;
-
-    /** LLC accesses per kilo-instruction since counter reset. */
-    double apki() const;
-
-    /** Instructions per cycle since counter reset. */
-    double ipc() const;
-
-  private:
-    std::array<std::uint64_t, static_cast<unsigned>(PerfEvent::kCount)>
-        counts_{};
-};
 
 /** Derived metrics for one completed sampling window. */
 struct PerfWindow

@@ -10,8 +10,8 @@
  *  4. MLC streamer            — per-page stream detection, prefetches
  *                               ahead into the L2.
  *
- * Enable/disable mirrors MSR 0x1A4 (a set bit *disables* the prefetcher,
- * as on real hardware).
+ * Each unit can be switched on or off, as MSR 0x1A4 allows on real
+ * hardware; a System fixes the set when it is built.
  */
 
 #ifndef CAPART_PREFETCH_PREFETCHERS_HH
@@ -40,14 +40,6 @@ struct PrefetchConfig
     {
         return PrefetchConfig{on, on, on, on};
     }
-
-    /**
-     * Encode as MSR 0x1A4 low bits. Bit semantics follow Intel's
-     * documentation: bit0 MLC streamer, bit1 MLC spatial, bit2 DCU
-     * streamer, bit3 DCU IP — a *set* bit disables the unit.
-     */
-    std::uint32_t toMsrBits() const;
-    static PrefetchConfig fromMsrBits(std::uint32_t bits);
 
     bool operator==(const PrefetchConfig &) const = default;
 };
@@ -97,8 +89,6 @@ class PrefetcherBank
     void observe(std::uint64_t pc, Addr line, bool missed_l1,
                  std::vector<PrefetchRequest> &out);
 
-    void setConfig(const PrefetchConfig &cfg) { cfg_ = cfg; }
-    const PrefetchConfig &config() const { return cfg_; }
     const PrefetchStats &stats() const { return stats_; }
     void resetStats() { stats_ = PrefetchStats{}; }
 

@@ -16,6 +16,13 @@ namespace capart::report
 namespace
 {
 
+/** Relative worse-direction mean delta that warns. */
+constexpr double kWarnDelta = 0.02;
+/** Relative worse-direction mean delta that fails. */
+constexpr double kFailDelta = 0.05;
+/** Sign-test significance level for a FAIL. */
+constexpr double kAlpha = 0.05;
+
 /** Suffix test for metric-direction classification. */
 bool
 endsWith(const std::string &s, const std::string &suffix)
@@ -194,8 +201,7 @@ verdictName(Verdict v)
 }
 
 RunComparison
-compareRuns(const RunGroup &baseline, const RunGroup &current,
-            const GateOptions &gate)
+compareRuns(const RunGroup &baseline, const RunGroup &current)
 {
     RunComparison cmp;
     cmp.baselineRun = baseline.run;
@@ -263,10 +269,10 @@ compareRuns(const RunGroup &baseline, const RunGroup &current,
             // test can reach p <= 0.05 (2^-6 < 0.05 <= 2^-5); below
             // that the threshold and majority alone must decide.
             const bool testable = mc.worse + mc.better >= 6;
-            if (worse_delta >= gate.failDelta && majority_worse &&
-                (!testable || mc.pValue <= gate.alpha)) {
+            if (worse_delta >= kFailDelta && majority_worse &&
+                (!testable || mc.pValue <= kAlpha)) {
                 mc.verdict = Verdict::Fail;
-            } else if (worse_delta >= gate.warnDelta &&
+            } else if (worse_delta >= kWarnDelta &&
                        mc.worse >= mc.better) {
                 mc.verdict = Verdict::Warn;
             }
@@ -281,7 +287,7 @@ compareRuns(const RunGroup &baseline, const RunGroup &current,
 
 void
 writeMarkdown(std::ostream &os, const std::vector<RunGroup> &groups,
-              const RunComparison *cmp, const GateOptions &gate)
+              const RunComparison *cmp)
 {
     os << "# capart benchmark report\n\n";
 
@@ -309,10 +315,10 @@ writeMarkdown(std::ostream &os, const std::vector<RunGroup> &groups,
     os << "\n## Regression gate: " << verdictName(cmp->verdict) << "\n\n";
     os << "Baseline `" << cmp->baselineRun << "` vs current `"
        << cmp->currentRun << "`; warn at "
-       << formatDouble(gate.warnDelta * 100.0, "%.3g") << "%, fail at "
-       << formatDouble(gate.failDelta * 100.0, "%.3g")
+       << formatDouble(kWarnDelta * 100.0, "%.3g") << "%, fail at "
+       << formatDouble(kFailDelta * 100.0, "%.3g")
        << "% worse-direction mean delta (sign test alpha "
-       << formatDouble(gate.alpha, "%.3g")
+       << formatDouble(kAlpha, "%.3g")
        << "). Directions: `+` higher is worse, `-` higher is better, "
           "`.` not gated.\n\n";
     os << "| metric | dir | baseline | current | delta | pairs "

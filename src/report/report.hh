@@ -105,17 +105,6 @@ enum class Verdict
 
 const char *verdictName(Verdict v);
 
-/** Thresholds of the regression gate. */
-struct GateOptions
-{
-    /** Relative worse-direction mean delta that warns. */
-    double warnDelta = 0.02;
-    /** Relative worse-direction mean delta that fails. */
-    double failDelta = 0.05;
-    /** Sign-test significance level for a FAIL. */
-    double alpha = 0.05;
-};
-
 /** One metric's baseline-vs-current comparison. */
 struct MetricComparison
 {
@@ -154,22 +143,23 @@ struct RunComparison
 
 /**
  * Compare @p current against @p baseline: pair points by spec hash,
- * compare every directional metric the runs share, and apply the
- * @p gate thresholds. A FAIL additionally requires the majority of
- * pairs to have moved in the worse direction and — when at least six
- * untied pairs exist, the minimum for a sign test to reach p <= 0.05
- * — a significant sign test; with fewer pairs the mean threshold and
- * majority alone decide, since significance is unreachable.
+ * compare every directional metric the runs share, and apply the gate
+ * thresholds: a worse-direction mean delta of 2 % warns and one of
+ * 5 % fails. A FAIL additionally requires the majority of pairs to
+ * have moved in the worse direction and — when at least six untied
+ * pairs exist, the minimum for a sign test to reach p <= 0.05 — a
+ * sign test significant at 0.05; with fewer pairs the mean threshold
+ * and majority alone decide, since significance is unreachable.
  */
-RunComparison compareRuns(const RunGroup &baseline, const RunGroup &current,
-                          const GateOptions &gate = GateOptions{});
+RunComparison compareRuns(const RunGroup &baseline,
+                          const RunGroup &current);
 
 /**
  * Write the human-readable markdown report: run inventory, and — when
  * @p cmp is non-null — the per-metric delta table and overall verdict.
  */
 void writeMarkdown(std::ostream &os, const std::vector<RunGroup> &groups,
-                   const RunComparison *cmp, const GateOptions &gate);
+                   const RunComparison *cmp);
 
 } // namespace capart::report
 

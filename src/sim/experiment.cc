@@ -1,6 +1,7 @@
 #include "sim/experiment.hh"
 
 #include "common/logging.hh"
+#include "obs/timeseries.hh"
 
 namespace capart
 {
@@ -13,6 +14,23 @@ splitWays(unsigned fg_ways, unsigned total_ways)
     m.fg = WayMask::range(0, fg_ways);
     m.bg = WayMask::range(fg_ways, total_ways - fg_ways);
     return m;
+}
+
+void
+journalRunStart(const char *rule, std::size_t num_apps, unsigned total_ways,
+                std::vector<std::pair<std::string, double>> extra)
+{
+    if (!obs::enabled())
+        return;
+    obs::JournalEntry e;
+    e.tUs = 0.0;
+    e.kind = "run";
+    e.rule = rule;
+    e.fields.emplace_back("num_apps", static_cast<double>(num_apps));
+    e.fields.emplace_back("total_ways", total_ways);
+    for (auto &field : extra)
+        e.fields.push_back(std::move(field));
+    obs::timeseries().journal(std::move(e));
 }
 
 SoloResult

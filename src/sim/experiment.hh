@@ -11,6 +11,8 @@
 
 #include <cstdint>
 #include <functional>
+#include <string>
+#include <utility>
 #include <vector>
 
 #include "mem/way_mask.hh"
@@ -101,6 +103,20 @@ struct SplitMasks
 
 /** Split @p total_ways giving the low @p fg_ways to the foreground. */
 SplitMasks splitWays(unsigned fg_ways, unsigned total_ways);
+
+/**
+ * Mark the start of one System run of a study point in the calling
+ * thread's attribution scope. A point's scope spans every run of its
+ * study (its policy runs, solo baselines and biased-search splits),
+ * each restarting simulated time and the quantum counter at zero, so
+ * one `run` journal record per run, in run order, lets a reader split
+ * the point's samples and journal by run. @p rule names the run (a
+ * policy, or "solo"); the fields are `num_apps`, `total_ways` and then
+ * @p extra. A no-op while observability is off.
+ */
+void journalRunStart(const char *rule, std::size_t num_apps,
+                     unsigned total_ways,
+                     std::vector<std::pair<std::string, double>> extra = {});
 
 } // namespace capart
 

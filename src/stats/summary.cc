@@ -9,41 +9,6 @@ namespace capart
 {
 
 double
-RunningStat::stddev() const
-{
-    return std::sqrt(variance());
-}
-
-Histogram::Histogram(double lo, double hi, std::size_t bins)
-    : lo_(lo), hi_(hi), counts_(bins, 0)
-{
-    capart_assert(hi > lo);
-    capart_assert(bins > 0);
-}
-
-void
-Histogram::add(double x)
-{
-    const double span = hi_ - lo_;
-    double frac = (x - lo_) / span;
-    frac = std::clamp(frac, 0.0, 1.0);
-    auto idx = static_cast<std::size_t>(
-        frac * static_cast<double>(counts_.size()));
-    if (idx >= counts_.size())
-        idx = counts_.size() - 1;
-    ++counts_[idx];
-    ++total_;
-}
-
-double
-Histogram::binLo(std::size_t i) const
-{
-    capart_assert(i < counts_.size());
-    const double step = (hi_ - lo_) / static_cast<double>(counts_.size());
-    return lo_ + step * static_cast<double>(i);
-}
-
-double
 mean(const std::vector<double> &xs)
 {
     if (xs.empty())
@@ -52,27 +17,6 @@ mean(const std::vector<double> &xs)
     for (double x : xs)
         sum += x;
     return sum / static_cast<double>(xs.size());
-}
-
-double
-geomean(const std::vector<double> &xs)
-{
-    if (xs.empty())
-        return 0.0;
-    double log_sum = 0.0;
-    for (double x : xs) {
-        capart_assert(x > 0.0);
-        log_sum += std::log(x);
-    }
-    return std::exp(log_sum / static_cast<double>(xs.size()));
-}
-
-double
-maxOf(const std::vector<double> &xs)
-{
-    if (xs.empty())
-        return 0.0;
-    return *std::max_element(xs.begin(), xs.end());
 }
 
 double

@@ -1,13 +1,13 @@
 /**
  * @file
- * Small statistics helpers: running aggregates, histograms, and the
- * geometric/weighted means the paper's evaluation metrics use.
+ * Small statistics helpers: running aggregates, the mean and weighted
+ * speedup the paper's evaluation metrics use, and the sign test the
+ * report's regression gate uses.
  */
 
 #ifndef CAPART_STATS_SUMMARY_HH
 #define CAPART_STATS_SUMMARY_HH
 
-#include <cstddef>
 #include <cstdint>
 #include <limits>
 #include <vector>
@@ -15,7 +15,7 @@
 namespace capart
 {
 
-/** Incremental mean / min / max / variance (Welford's algorithm). */
+/** Incremental count / mean / min / max. */
 class RunningStat
 {
   public:
@@ -26,7 +26,6 @@ class RunningStat
         ++n_;
         const double delta = x - mean_;
         mean_ += delta / static_cast<double>(n_);
-        m2_ += delta * (x - mean_);
         if (x < min_)
             min_ = x;
         if (x > max_)
@@ -38,53 +37,15 @@ class RunningStat
     double min() const { return n_ ? min_ : 0.0; }
     double max() const { return n_ ? max_ : 0.0; }
 
-    /** Population variance. */
-    double
-    variance() const
-    {
-        return n_ ? m2_ / static_cast<double>(n_) : 0.0;
-    }
-
-    double stddev() const;
-
   private:
     std::uint64_t n_ = 0;
     double mean_ = 0.0;
-    double m2_ = 0.0;
     double min_ = std::numeric_limits<double>::infinity();
     double max_ = -std::numeric_limits<double>::infinity();
 };
 
-/** Fixed-bin histogram over [lo, hi); out-of-range samples clamp. */
-class Histogram
-{
-  public:
-    Histogram(double lo, double hi, std::size_t bins);
-
-    void add(double x);
-
-    std::size_t bins() const { return counts_.size(); }
-    std::uint64_t binCount(std::size_t i) const { return counts_.at(i); }
-    std::uint64_t total() const { return total_; }
-
-    /** Lower edge of bin i. */
-    double binLo(std::size_t i) const;
-
-  private:
-    double lo_;
-    double hi_;
-    std::vector<std::uint64_t> counts_;
-    std::uint64_t total_ = 0;
-};
-
 /** Arithmetic mean of a vector; 0 for empty input. */
 double mean(const std::vector<double> &xs);
-
-/** Geometric mean; all inputs must be positive. */
-double geomean(const std::vector<double> &xs);
-
-/** Maximum element; 0 for empty input. */
-double maxOf(const std::vector<double> &xs);
 
 /**
  * Weighted speedup of a co-run versus sequential execution (Fig. 11):

@@ -732,17 +732,6 @@ Catalog::contains(std::string_view name)
 }
 
 std::vector<AppParams>
-Catalog::bySuite(Suite suite)
-{
-    std::vector<AppParams> out;
-    for (const auto &a : all()) {
-        if (a.suite == suite)
-            out.push_back(a);
-    }
-    return out;
-}
-
-std::vector<AppParams>
 Catalog::nAppMix(std::size_t n, unsigned variant)
 {
     capart_assert(n >= 1);

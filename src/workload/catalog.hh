@@ -35,9 +35,6 @@ class Catalog
     /** True if @p name exists in the catalog. */
     static bool contains(std::string_view name);
 
-    /** All applications from one suite. */
-    static std::vector<AppParams> bySuite(Suite suite);
-
     /**
      * The six cluster representatives of Table 3 (closest to each
      * cluster centroid): C1=429.mcf, C2=459.GemsFDTD, C3=ferret,

@@ -616,6 +616,96 @@ TEST(AttributionEndToEnd, SweepRunnerWritesSideFilesAndDecisions)
     fs::remove_all(dir);
 }
 
+TEST(AttributionEndToEnd, StudyPointMarksEveryRunInRunOrder)
+{
+    // A fig13 point performs 19 System runs: shared (continuous), the
+    // FG's half-machine solo, shared (run once), the FG's and the BG's
+    // whole-machine solos, the 11 biased-search splits, biased (run
+    // once; the continuous run reuses the search winner), and dynamic
+    // (continuous, run once). Each restarts simulated time and the
+    // quantum counter, so each must open with one `run` record, and
+    // the point's samples must split into one segment per run.
+    SamplingGuard armed(8);
+    const fs::path dir =
+        fs::path(testing::TempDir()) / "capart_attr_runs";
+    fs::remove_all(dir);
+    fs::create_directories(dir);
+    exec::SweepRunnerOptions ro;
+    ro.benchName = "fig13_dynamic";
+    ro.attrDir = dir.string();
+    const exec::ExperimentSpec spec = exec::consolidationSpec(
+        "ferret", "dedup",
+        exec::policyBit(Policy::Shared) | exec::policyBit(Policy::Biased) |
+            exec::policyBit(Policy::Dynamic),
+        0.02, 15e-6);
+    exec::SweepRunner(ro).run({spec});
+
+    std::vector<fs::path> files;
+    for (const auto &entry : fs::directory_iterator(dir))
+        files.push_back(entry.path());
+    ASSERT_EQ(files.size(), 1u);
+    std::ifstream in(files[0]);
+    std::ostringstream text;
+    text << in.rdbuf();
+    obs::AttributionBatch batch;
+    ASSERT_TRUE(obs::parseAttributionJson(text.str(), &batch));
+
+    // (rule, app or FG ways, continuous background) of each run.
+    struct Run
+    {
+        std::string rule;
+        double detail;
+        double continuous;
+    };
+    std::vector<Run> want = {{"shared", 12, 1},
+                             {"solo", 0, -1},
+                             {"shared", 12, 0},
+                             {"solo", 0, -1},
+                             {"solo", 1, -1}};
+    for (unsigned ways = 1; ways <= 11; ++ways)
+        want.push_back({"biased", static_cast<double>(ways), 1});
+    want.push_back({"biased", -1, 0});
+    want.push_back({"dynamic", -1, 1});
+    want.push_back({"dynamic", -1, 0});
+
+    std::vector<const obs::JournalEntry *> runs;
+    for (const obs::JournalEntry &e : batch.journal) {
+        if (e.kind == "run")
+            runs.push_back(&e);
+    }
+    ASSERT_EQ(runs.size(), 19u);
+    for (std::size_t i = 0; i < runs.size(); ++i) {
+        const obs::JournalEntry &e = *runs[i];
+        EXPECT_EQ(e.rule, want[i].rule) << "run " << i;
+        EXPECT_EQ(e.field("num_apps"), 2.0) << "run " << i;
+        EXPECT_EQ(e.field("total_ways"), 12.0) << "run " << i;
+        if (want[i].rule == "solo") {
+            EXPECT_EQ(e.field("app", -1), want[i].detail) << "run " << i;
+            EXPECT_EQ(e.field("threads"), i == 1 ? 4.0 : 8.0)
+                << "run " << i;
+            continue;
+        }
+        EXPECT_EQ(e.field("bg_continuous", -1), want[i].continuous)
+            << "run " << i;
+        if (want[i].detail >= 0) {
+            EXPECT_EQ(e.field("fg_ways"), want[i].detail) << "run " << i;
+        }
+        EXPECT_EQ(e.field("search"), i >= 5 && i <= 15 ? 1.0 : 0.0)
+            << "run " << i;
+    }
+
+    std::size_t segments = 0;
+    for (std::size_t i = 0; i < batch.samples.size(); ++i) {
+        if (i == 0 ||
+            batch.samples[i].quantum <= batch.samples[i - 1].quantum)
+            ++segments;
+    }
+    EXPECT_EQ(segments, runs.size())
+        << "every run must open one segment of the point's samples";
+    obs::metrics().reset();
+    fs::remove_all(dir);
+}
+
 // ---------------------------------------------------- dashboard -------
 
 /** The parsed embedded JSON blob of a rendered dashboard page. */

@@ -1,10 +1,9 @@
 /**
  * @file
  * Tests for the plumbing the figure binaries share (bench/
- * bench_common): runDistinct runs a spec listed twice once and hands
- * both listings its result; every bench keeps its results in one
- * cache file per cache directory, so a bench replays the points
- * another bench computed; and only --obs-dir arms observability.
+ * bench_common): every bench keeps its results in one cache file per
+ * cache directory, so a bench replays the points another bench
+ * computed; and only --obs-dir arms observability.
  */
 
 #include <gtest/gtest.h>
@@ -51,26 +50,6 @@ lineCount(const std::string &path)
     for (std::string line; std::getline(in, line);)
         ++n;
     return n;
-}
-
-TEST(RunDistinct, RepeatedSpecRunsOnceAndEveryListingReadsIt)
-{
-    const BenchOptions opts = cachedOptions("capart_run_distinct");
-    const exec::ExperimentSpec shared =
-        exec::soloSpec("ferret", 4, 12, kTestScale);
-    const std::vector<exec::ExperimentSpec> specs = {
-        exec::soloSpec("ferret", 1, 12, kTestScale), shared, shared,
-        exec::soloSpec("ferret", 4, 12, kTestScale,
-                       /*prefetch_all=*/false)};
-
-    const std::vector<exec::SweepResult> res = runDistinct(opts, specs);
-    ASSERT_EQ(res.size(), specs.size());
-    EXPECT_EQ(res[1].time, exec::runSpec(shared, opts.seed).time);
-    EXPECT_EQ(res[2].time, res[1].time);
-    EXPECT_NE(res[3].time, res[2].time);
-    // One stored point per distinct spec, after the header.
-    EXPECT_EQ(lineCount(opts.cacheDir + "/sweep.cache"), 1u + 3u);
-    std::filesystem::remove_all(opts.cacheDir);
 }
 
 TEST(MakeRunner, EveryBenchSharesOneCacheFilePerDirectory)
@@ -122,7 +101,7 @@ parseThenExitWithArmedState(std::vector<std::string> flags)
     std::exit(obs::enabled() ? 0 : 3);
 }
 
-TEST(ParseArgs, LedgerAloneArmsNothingAndLedgersNoCounters)
+TEST(ParseArgs, LedgerAloneArmsNothing)
 {
     const std::string ledger =
         (std::filesystem::temp_directory_path() / "capart_ledger_only.jsonl")
@@ -135,7 +114,6 @@ TEST(ParseArgs, LedgerAloneArmsNothingAndLedgersNoCounters)
     const obs::RunLedger::LoadResult loaded = obs::RunLedger::load(ledger);
     ASSERT_EQ(loaded.records.size(), 1u);
     EXPECT_EQ(loaded.records[0].kind, "bench");
-    EXPECT_TRUE(loaded.records[0].counters.empty());
     std::filesystem::remove(ledger);
 }
 

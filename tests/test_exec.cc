@@ -482,6 +482,47 @@ TEST(SweepRunner, ThrowingProgressIsRethrownByRun)
     }
 }
 
+TEST(SweepRunner, RepeatedSpecRunsOnceAndEveryListingReadsIt)
+{
+    // A figure whose measurements share points lists a spec more than
+    // once: it runs, caches and ledgers once, every listing reads its
+    // result, and progress still counts every listing.
+    const std::filesystem::path dir =
+        std::filesystem::temp_directory_path() / "capart_repeated_spec";
+    std::filesystem::remove_all(dir);
+    std::filesystem::create_directories(dir);
+    const ExperimentSpec shared = soloSpec("ferret", 4, 12, kTestScale);
+    const std::vector<ExperimentSpec> specs = {
+        soloSpec("ferret", 1, 12, kTestScale), shared, shared,
+        soloSpec("ferret", 4, 12, kTestScale, /*prefetch_all=*/false)};
+
+    std::vector<std::size_t> done_marks;
+    std::vector<SweepResult> res;
+    {
+        obs::RunLedger ledger((dir / "ledger.jsonl").string());
+        SweepRunnerOptions o;
+        o.jobs = 2;
+        o.cachePath = (dir / "sweep.cache").string();
+        o.ledger = &ledger;
+        o.progress = [&](std::size_t done, std::size_t total) {
+            EXPECT_EQ(total, specs.size());
+            done_marks.push_back(done);
+        };
+        res = SweepRunner(o).run(specs);
+    }
+    ASSERT_EQ(res.size(), specs.size());
+    EXPECT_EQ(res[1].time, runSpec(shared, 12345).time);
+    EXPECT_EQ(res[2].time, res[1].time);
+    EXPECT_NE(res[3].time, res[2].time);
+    EXPECT_EQ(done_marks, (std::vector<std::size_t>{1, 2, 3, 4}));
+    // One stored point and one ledger record per distinct spec.
+    EXPECT_EQ(ResultCache((dir / "sweep.cache").string()).size(), 3u);
+    EXPECT_EQ(
+        obs::RunLedger::load((dir / "ledger.jsonl").string()).records.size(),
+        3u);
+    std::filesystem::remove_all(dir);
+}
+
 TEST(SweepRunner, CacheSkipsCompletedPointsBitExactly)
 {
     const std::string path =

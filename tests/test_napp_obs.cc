@@ -20,7 +20,7 @@
  *
  * The end-to-end test drives a five-policy N-app spec through a
  * SweepRunner twice and checks every promised artifact: a ledger
- * holding only the point record, its side file with `napp_run`
+ * holding only the point record, its side file with `run`
  * segmentation markers and journaled decisions for every policy,
  * replay from that side file, and a byte-deterministic dashboard.
  */
@@ -417,11 +417,11 @@ TEST(NAppEndToEnd, LedgersReplayableDecisionsAndDeterministicDashboard)
             << npolicyName(p) << " journaled no decision";
     EXPECT_GE(replayed, 5u);
 
-    // ---- the side file carries the napp_run segmentation markers,
+    // ---- the side file carries the `run` segmentation markers,
     // ---- one per System run, policies in run order.
     std::vector<std::string> run_order;
     for (const obs::JournalEntry &e : batch.journal) {
-        if (e.kind == "napp_run")
+        if (e.kind == "run")
             run_order.push_back(e.rule);
     }
     // 5 policy runs + 3 solo baselines, every policy present exactly

@@ -506,20 +506,6 @@ TEST(ObsMetrics, ExportsIncludePercentiles)
     EXPECT_GT(h.at("p99").num, 255.0) << "p99 must reflect the slow tail";
 }
 
-TEST(ObsMetrics, CounterSnapshotListsAllCounters)
-{
-    obs::MetricsRegistry reg;
-    reg.counter("a").inc(2);
-    reg.counter("b").inc(5);
-    reg.histogram("h").record(9); // histograms are not part of it
-    const auto snap = reg.counterSnapshot();
-    ASSERT_EQ(snap.size(), 2u);
-    double total = 0;
-    for (const auto &[name, v] : snap)
-        total += v;
-    EXPECT_DOUBLE_EQ(total, 7.0);
-}
-
 // ------------------------------------------------------------- tracer --
 
 TEST(ObsTracer, RecordsNothingWhileDisabled)

@@ -1,7 +1,6 @@
 /**
  * @file
- * Unit tests for the perf-counter framework: free-running counters,
- * derived metrics, and the windowed monitor the dynamic partitioning
+ * Unit tests for the windowed perf monitor the dynamic partitioning
  * framework polls (§6.2).
  */
 
@@ -13,45 +12,6 @@ namespace capart
 {
 namespace
 {
-
-TEST(PerfCounterSet, AccumulateAndReset)
-{
-    PerfCounterSet c;
-    c.add(PerfEvent::Instructions, 1000);
-    c.add(PerfEvent::Instructions, 500);
-    c.add(PerfEvent::LlcMisses, 30);
-    EXPECT_EQ(c.read(PerfEvent::Instructions), 1500u);
-    EXPECT_EQ(c.read(PerfEvent::LlcMisses), 30u);
-    c.reset();
-    EXPECT_EQ(c.read(PerfEvent::Instructions), 0u);
-}
-
-TEST(PerfCounterSet, DerivedMetrics)
-{
-    PerfCounterSet c;
-    c.add(PerfEvent::Instructions, 10000);
-    c.add(PerfEvent::Cycles, 20000);
-    c.add(PerfEvent::LlcReferences, 500);
-    c.add(PerfEvent::LlcMisses, 100);
-    EXPECT_DOUBLE_EQ(c.mpki(), 10.0);
-    EXPECT_DOUBLE_EQ(c.apki(), 50.0);
-    EXPECT_DOUBLE_EQ(c.ipc(), 0.5);
-}
-
-TEST(PerfCounterSet, ZeroInstructionsSafe)
-{
-    PerfCounterSet c;
-    EXPECT_DOUBLE_EQ(c.mpki(), 0.0);
-    EXPECT_DOUBLE_EQ(c.apki(), 0.0);
-    EXPECT_DOUBLE_EQ(c.ipc(), 0.0);
-}
-
-TEST(PerfEventNames, AllNamed)
-{
-    EXPECT_STREQ(perfEventName(PerfEvent::Instructions), "instructions");
-    EXPECT_STREQ(perfEventName(PerfEvent::LlcMisses), "LLC-misses");
-    EXPECT_STREQ(perfEventName(PerfEvent::DramWrites), "dram-writes");
-}
 
 TEST(PerfMonitor, ClosesWindowsOnSchedule)
 {

@@ -1,7 +1,7 @@
 /**
  * @file
  * Unit tests for the four Sandy Bridge prefetcher models and their
- * MSR-style control bits (§3.3).
+ * per-unit enables (§3.3).
  */
 
 #include <gtest/gtest.h>
@@ -23,17 +23,6 @@ observeAll(PrefetcherBank &bank, std::uint64_t pc,
     for (const Addr line : lines)
         bank.observe(pc, line, missed_l1, out);
     return out;
-}
-
-TEST(PrefetchConfig, MsrBitsRoundTrip)
-{
-    for (std::uint32_t bits = 0; bits < 16; ++bits) {
-        const PrefetchConfig cfg = PrefetchConfig::fromMsrBits(bits);
-        EXPECT_EQ(cfg.toMsrBits(), bits);
-    }
-    // A set bit disables the unit, as on real hardware.
-    EXPECT_EQ(PrefetchConfig::allEnabled(true).toMsrBits(), 0u);
-    EXPECT_EQ(PrefetchConfig::allEnabled(false).toMsrBits(), 0xfu);
 }
 
 TEST(DcuIpPrefetcher, DetectsConstantStride)
@@ -169,14 +158,6 @@ TEST(PrefetcherBank, StatsResetClearsCounters)
     EXPECT_GT(bank.stats().totalIssued(), 0u);
     bank.resetStats();
     EXPECT_EQ(bank.stats().totalIssued(), 0u);
-}
-
-TEST(PrefetcherBank, ReconfigureAtRuntime)
-{
-    PrefetcherBank bank(PrefetchConfig::allEnabled(true));
-    bank.setConfig(PrefetchConfig::allEnabled(false));
-    const auto reqs = observeAll(bank, 3, {1, 2, 3, 4, 5, 5});
-    EXPECT_TRUE(reqs.empty());
 }
 
 } // namespace

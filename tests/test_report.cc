@@ -52,7 +52,6 @@ makeRecord()
     rec.fromCache = true;
     rec.metrics = {{"dynamic.fg_slowdown", 1.015},
                    {"dynamic.bg_throughput_ips", 3.2e9}};
-    rec.counters = {{"sim.quanta", 421.0}};
     return rec;
 }
 
@@ -106,8 +105,34 @@ TEST(RunLedger, EncodeDecodeRoundTripsEveryField)
     ASSERT_EQ(back.metrics.size(), rec.metrics.size());
     EXPECT_EQ(back.metrics[0].first, "dynamic.fg_slowdown");
     EXPECT_DOUBLE_EQ(back.metrics[0].second, 1.015);
-    ASSERT_EQ(back.counters.size(), 1u);
-    EXPECT_DOUBLE_EQ(back.counters[0].second, 421.0);
+}
+
+TEST(RunLedger, BenchRecordsWithCountersStillLoad)
+{
+    // Older builds copied the obs counters into every `bench` record.
+    // A fig13 bench line as they wrote it must still load whole; new
+    // records carry no `counters` key.
+    const std::string old_bench =
+        R"({"v":1,"kind":"bench","bench":"fig13_dynamic","run":"fig13_dyna)"
+        R"(mic-1-1792208749896","spec_hash":"0x0000000000000000","seed":"1)"
+        R"(","ts_ms":1792208785407,"wall_ms":35511.112194000001,"sim_s":0,)"
+        R"("cached":false,"spec":"","metrics":{},"counters":{"exec.points_)"
+        R"(computed":36,"partitioner.decisions_journaled":1316,"sim.quanta")"
+        R"(:273479,"slo.windows":1774}})";
+    const std::string path = tempPath("old_bench.jsonl");
+    {
+        std::ofstream out(path, std::ios::trunc);
+        out << old_bench << '\n';
+    }
+    const auto loaded = obs::RunLedger::load(path);
+    std::remove(path.c_str());
+    EXPECT_EQ(loaded.skipped, 0u);
+    ASSERT_EQ(loaded.records.size(), 1u);
+    EXPECT_EQ(loaded.records[0].kind, "bench");
+    EXPECT_DOUBLE_EQ(loaded.records[0].wallMs, 35511.112194000001);
+    EXPECT_TRUE(loaded.records[0].metrics.empty());
+    EXPECT_EQ(obs::RunLedger::encode(loaded.records[0]).find("counters"),
+              std::string::npos);
 }
 
 TEST(RunLedger, DecodeRejectsGarbageAndWrongVersions)
@@ -322,7 +347,7 @@ TEST(Report, RunWallTimeComesFromTheBenchRecord)
     EXPECT_FALSE(runs.arr[1].has("wall_ms"));
 
     std::ostringstream md;
-    report::writeMarkdown(md, groups, nullptr, report::GateOptions{});
+    report::writeMarkdown(md, groups, nullptr);
     EXPECT_NE(md.str().find("| run-a | fig13_dynamic | 4 | 4 | 1.25 |  |"),
               std::string::npos)
         << md.str();
@@ -339,7 +364,7 @@ TEST(Report, WorstPairLinksItsSideFile)
     cur.points[3].attrFile = "obs/attr/cur-0000000000001003.json";
     const auto cmp = report::compareRuns(base, cur);
     std::ostringstream os;
-    report::writeMarkdown(os, {base, cur}, &cmp, report::GateOptions{});
+    report::writeMarkdown(os, {base, cur}, &cmp);
     EXPECT_NE(os.str().find("### Worst pairs\n\n- `dynamic.fg_slowdown`: "
                             "spec `0x0000000000001003` — attribution "
                             "timeline `obs/attr/cur-0000000000001003.json`"
@@ -480,7 +505,7 @@ TEST(Report, MarkdownContainsVerdictAndDeltas)
     const auto cur = syntheticRun("cur", 2000.0, 8, 1.01 * 1.20, 3e9);
     const auto cmp = report::compareRuns(base, cur);
     std::ostringstream os;
-    report::writeMarkdown(os, {base, cur}, &cmp, report::GateOptions{});
+    report::writeMarkdown(os, {base, cur}, &cmp);
     const std::string md = os.str();
     EXPECT_NE(md.find("Regression gate: FAIL"), std::string::npos);
     EXPECT_NE(md.find("dynamic.fg_slowdown"), std::string::npos);

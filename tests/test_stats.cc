@@ -1,6 +1,6 @@
 /**
  * @file
- * Unit tests for the stats module: aggregates, histograms, tables, and
+ * Unit tests for the stats module: aggregates, tables, and
  * the sliding rate window used for bandwidth accounting.
  */
 
@@ -28,7 +28,6 @@ TEST(RunningStat, BasicAggregates)
     EXPECT_DOUBLE_EQ(s.mean(), 5.0);
     EXPECT_DOUBLE_EQ(s.min(), 2.0);
     EXPECT_DOUBLE_EQ(s.max(), 9.0);
-    EXPECT_NEAR(s.stddev(), 2.0, 1e-12);
 }
 
 TEST(RunningStat, EmptyIsZero)
@@ -36,30 +35,12 @@ TEST(RunningStat, EmptyIsZero)
     RunningStat s;
     EXPECT_EQ(s.count(), 0u);
     EXPECT_DOUBLE_EQ(s.mean(), 0.0);
-    EXPECT_DOUBLE_EQ(s.variance(), 0.0);
-}
-
-TEST(Histogram, BinningAndClamping)
-{
-    Histogram h(0.0, 10.0, 5);
-    h.add(0.5);   // bin 0
-    h.add(3.0);   // bin 1
-    h.add(9.99);  // bin 4
-    h.add(-5.0);  // clamps to bin 0
-    h.add(100.0); // clamps to bin 4
-    EXPECT_EQ(h.total(), 5u);
-    EXPECT_EQ(h.binCount(0), 2u);
-    EXPECT_EQ(h.binCount(1), 1u);
-    EXPECT_EQ(h.binCount(4), 2u);
-    EXPECT_DOUBLE_EQ(h.binLo(1), 2.0);
 }
 
 TEST(Summary, MeanAndGeomean)
 {
     EXPECT_DOUBLE_EQ(mean({1.0, 2.0, 3.0}), 2.0);
     EXPECT_DOUBLE_EQ(mean({}), 0.0);
-    EXPECT_NEAR(geomean({1.0, 4.0}), 2.0, 1e-12);
-    EXPECT_NEAR(geomean({2.0, 2.0, 2.0}), 2.0, 1e-12);
 }
 
 TEST(Summary, WeightedSpeedupDefinition)
@@ -251,17 +232,6 @@ TEST(Table, EmptyTableStillPrintsHeader)
     std::ostringstream csv;
     t.printCsv(csv);
     EXPECT_EQ(csv.str(), "col\n");
-}
-
-TEST(Summary, StddevAndMaxOf)
-{
-    RunningStat s;
-    for (double x : {2.0, 4.0, 4.0, 4.0, 5.0, 5.0, 7.0, 9.0})
-        s.add(x);
-    EXPECT_DOUBLE_EQ(s.mean(), 5.0);
-    EXPECT_DOUBLE_EQ(s.stddev(), 2.0); // classic population-stddev set
-    EXPECT_DOUBLE_EQ(maxOf({1.0, 3.0, 2.0}), 3.0);
-    EXPECT_DOUBLE_EQ(maxOf({}), 0.0);
 }
 
 } // namespace
