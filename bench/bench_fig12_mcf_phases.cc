@@ -12,6 +12,7 @@
 
 #include "bench_common.hh"
 #include "core/dynamic_partitioner.hh"
+#include "sim/experiment.hh"
 #include "sim/system.hh"
 #include "workload/catalog.hh"
 
@@ -28,6 +29,7 @@ mcfWindows(unsigned ways, const BenchOptions &opts)
     SystemConfig cfg;
     cfg.seed = opts.seed;
     cfg.perfWindow = 20e-6;
+    journalRunStart("solo", 1, cfg.hierarchy.llc.ways, {{"ways", ways}});
     System sys(cfg);
     const AppParams mcf =
         Catalog::byName("429.mcf").scaled(opts.scale);
@@ -68,6 +70,7 @@ main(int argc, char **argv)
     SystemConfig cfg;
     cfg.seed = opts.seed;
     cfg.perfWindow = 20e-6;
+    journalRunStart("dynamic", 2, cfg.hierarchy.llc.ways);
     System sys(cfg);
     const AppId fg = sys.addAppThreads(
         Catalog::byName("429.mcf").scaled(opts.scale), 0, 1);

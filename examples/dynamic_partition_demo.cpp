@@ -93,7 +93,7 @@ main()
                 "half the LLC):\n  %llu windows evaluated, %llu "
                 "breach(es), %llu window(s) in breach;\n  final "
                 "slowdown %.3f, short/long burn %.2f/%.2f -> %s\n",
-                (slo.config().slo - 1.0) * 100.0,
+                (SloMonitor::kObjective - 1.0) * 100.0,
                 static_cast<unsigned long long>(slo.windows()),
                 static_cast<unsigned long long>(slo.breaches()),
                 static_cast<unsigned long long>(slo.breachWindows()),

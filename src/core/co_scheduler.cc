@@ -124,7 +124,7 @@ CoScheduler::runPolicy(Policy policy, bool bg_continuous)
     if (opts_.monitorSlo && bg_continuous) {
         // The monitor only observes, so it evaluates the foreground's
         // windows once the run is over, each stamped with its end.
-        sloMonitor_ = std::make_unique<SloMonitor>(opts_.slo);
+        sloMonitor_ = std::make_unique<SloMonitor>();
         sloMonitor_->setBaseline(fgSoloHalf().app.throughputIps);
         for (const PerfWindow &w : run.fgWindows)
             sloMonitor_->onWindow(w.end, w);

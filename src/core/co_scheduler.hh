@@ -40,7 +40,6 @@ struct CoScheduleOptions
      * no simulation, and results are bit-identical with it on or off.
      */
     bool monitorSlo = false;
-    SloMonitorConfig slo{};
 };
 
 /** Everything the paper reports about one (pair, policy) cell. */

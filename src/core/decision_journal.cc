@@ -82,11 +82,11 @@ decidePartition(const DecisionInputs &in)
         // The shrink probe compares *raw* successive windows: the
         // reaction to a one-way shrink must not be averaged away.
         const double denom =
-            std::max(std::abs(in.lastMpki), in.minDenominator);
+            std::max(std::abs(in.lastMpki), kMinMpkiDenominator);
         d.delta =
             in.haveLast ? std::abs(in.lastMpki - in.rawMpki) / denom : 0.0;
         if (d.delta < in.thr3) {
-            if (in.fgWays > in.minFgWays) {
+            if (in.fgWays > kMinFgWays) {
                 d.rule = DecisionRule::ProbeShrink;
                 d.targetFgWays = in.fgWays - 1;
                 d.probingAfter = true;
@@ -127,14 +127,12 @@ makeDecisionEntry(double t_us, const DecisionInputs &in, const Decision &out,
     f("retry_ways", in.retryWays);
     f("fg_ways", in.fgWays);
     f("thr3", in.thr3);
-    f("min_denominator", in.minDenominator);
-    f("min_fg_ways", in.minFgWays);
     f("max_fg_ways", in.maxFgWays);
     // The candidate allocations Algorithm 6.2 ever weighs from this
     // state (hold / one-way shrink / one-way grow / full re-probe),
     // each as the foreground way mask it would install.
     const unsigned shrink = std::max(in.fgWays > 0 ? in.fgWays - 1 : 0u,
-                                     in.minFgWays);
+                                     kMinFgWays);
     const unsigned grow = std::min(in.fgWays + 1, in.maxFgWays);
     f("cand_hold_mask", splitWays(in.fgWays, total_ways).fg.bits());
     f("cand_shrink_mask", splitWays(shrink, total_ways).fg.bits());
@@ -168,8 +166,6 @@ decisionInputsFromEntry(const obs::JournalEntry &entry)
     in.retryWays = static_cast<unsigned>(entry.field("retry_ways"));
     in.fgWays = static_cast<unsigned>(entry.field("fg_ways"));
     in.thr3 = entry.field("thr3");
-    in.minDenominator = entry.field("min_denominator");
-    in.minFgWays = static_cast<unsigned>(entry.field("min_fg_ways"));
     in.maxFgWays = static_cast<unsigned>(entry.field("max_fg_ways"));
     return in;
 }

@@ -30,6 +30,12 @@
 namespace capart
 {
 
+/**
+ * Smallest foreground allocation the shrink probe reaches (2 ways =
+ * 1 MB on the paper's 12 x 0.5 MB LLC).
+ */
+inline constexpr unsigned kMinFgWays = 2;
+
 /** Which rule of the control algorithm fired for a window. */
 enum class DecisionRule
 {
@@ -37,7 +43,7 @@ enum class DecisionRule
     PhaseStartMax, //!< new phase: give the FG everything (§6.3)
     ProbeShrink,   //!< no MPKI reaction: release one more way
     SettleBack,    //!< MPKI reacted: give the way back and settle
-    SettleFloor,   //!< probe hit minFgWays without a reaction
+    SettleFloor,   //!< probe hit kMinFgWays without a reaction
     Retry,         //!< a failed remask is in flight; no new decision
     RejectHold,    //!< telemetry rejected; allocation held
     FallbackHold,  //!< watchdog fallback active; fair split held
@@ -73,10 +79,9 @@ struct DecisionInputs
     unsigned retryWays = 0;
     /** Foreground ways currently installed. */
     unsigned fgWays = 0;
-    // Config the decision reads.
+    /** MPKI_THR3 (the one setting the decision reads). */
     double thr3 = 0.0;
-    double minDenominator = 0.0;
-    unsigned minFgWays = 0;
+    /** The probe ceiling: the machine's LLC ways minus one. */
     unsigned maxFgWays = 0;
 };
 

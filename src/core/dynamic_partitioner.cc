@@ -26,20 +26,6 @@ constexpr unsigned kRetryBackoffWindows = 1;
 void
 DynamicPartitionerConfig::validate() const
 {
-    if (minFgWays < 1) {
-        capart_panic("DynamicPartitionerConfig: minFgWays must be >= 1"
-                     " (got " << minFgWays << ")");
-    }
-    if (minFgWays > maxFgWays) {
-        capart_panic("DynamicPartitionerConfig: minFgWays ("
-                     << minFgWays << ") must not exceed maxFgWays ("
-                     << maxFgWays << ")");
-    }
-    if (maxFgWays <= minFgWays) {
-        capart_panic("DynamicPartitionerConfig: maxFgWays ("
-                     << maxFgWays << ") must exceed minFgWays ("
-                     << minFgWays << ") or the probe cannot move");
-    }
     if (thr3 <= 0.0) {
         capart_panic("DynamicPartitionerConfig: thr3 must be positive"
                      " (got " << thr3 << ")");
@@ -48,24 +34,6 @@ DynamicPartitionerConfig::validate() const
         capart_panic("DynamicPartitionerConfig: detector thresholds "
                      "thr1/thr2 must be positive (got "
                      << detector.thr1 << "/" << detector.thr2 << ")");
-    }
-    if (minDenominator <= 0.0) {
-        capart_panic("DynamicPartitionerConfig: minDenominator must be "
-                     "positive (got " << minDenominator << ")");
-    }
-    if (mpkiSmoothing <= 0.0 || mpkiSmoothing > 1.0) {
-        capart_panic("DynamicPartitionerConfig: mpkiSmoothing must be "
-                     "in (0, 1] (got " << mpkiSmoothing << ")");
-    }
-    if (spikeRejectFactor <= 1.0) {
-        capart_panic("DynamicPartitionerConfig: spikeRejectFactor must "
-                     "exceed 1 (got " << spikeRejectFactor << ")");
-    }
-    if (watchdogThreshold < 1 || telemetryTimeoutWindows < 1 ||
-        recoveryWindows < 1) {
-        capart_panic("DynamicPartitionerConfig: watchdogThreshold, "
-                     "telemetryTimeoutWindows and recoveryWindows must "
-                     "all be >= 1");
     }
 }
 
@@ -76,14 +44,12 @@ DynamicPartitioner::DynamicPartitioner(AppId fg, std::vector<AppId> bgs,
       remasker_(remasker ? remasker : &direct_)
 {
     cfg_.validate();
-    fgWays_ = cfg_.maxFgWays;
 }
 
 bool
 DynamicPartitioner::apply(System &sys, unsigned fg_ways)
 {
-    capart_assert(fg_ways >= cfg_.minFgWays &&
-                  fg_ways <= cfg_.maxFgWays);
+    capart_assert(fg_ways >= kMinFgWays && fg_ways <= maxFgWays_);
     const unsigned total = sys.llcWays();
     capart_assert(fg_ways < total);
     const SplitMasks masks = splitWays(fg_ways, total);
@@ -134,7 +100,7 @@ DynamicPartitioner::requestWays(System &sys, unsigned fg_ways)
     }
     ++consecRemaskFails_;
     pushHealth(sys, HealthEventKind::RemaskFailed, consecRemaskFails_);
-    if (remaskProbation_ || consecRemaskFails_ >= cfg_.watchdogThreshold) {
+    if (remaskProbation_ || consecRemaskFails_ >= kWatchdogThreshold) {
         enterFallback(sys, consecRemaskFails_, true);
         return;
     }
@@ -162,7 +128,7 @@ DynamicPartitioner::serviceRetry(System &sys)
     }
     ++consecRemaskFails_;
     pushHealth(sys, HealthEventKind::RemaskFailed, consecRemaskFails_);
-    if (consecRemaskFails_ >= cfg_.watchdogThreshold) {
+    if (consecRemaskFails_ >= kWatchdogThreshold) {
         enterFallback(sys, consecRemaskFails_, true);
         return;
     }
@@ -209,9 +175,6 @@ DynamicPartitioner::enterFallback(System &sys, unsigned count,
         journalDecision(
             sys, snapshotInputs(0.0, smoothed_, PhaseEvent::Stable), fell);
     }
-    capart_warn("dynamic partitioner: watchdog tripped after "
-                << count << " consecutive failures; falling back to "
-                "fair " << fair << "/" << (total - fair) << " split");
 }
 
 void
@@ -233,11 +196,11 @@ DynamicPartitioner::resumeDynamic(System &sys)
     // control plane: its failure re-trips the watchdog immediately.
     remaskProbation_ = remaskCausedFallback_;
     phaseStarts_ = true;
-    requestWays(sys, cfg_.maxFgWays);
+    requestWays(sys, maxFgWays_);
     if (obs::enabled()) {
         Decision probe;
         probe.rule = DecisionRule::ResumeProbe;
-        probe.targetFgWays = cfg_.maxFgWays;
+        probe.targetFgWays = maxFgWays_;
         probe.probingAfter = true;
         journalDecision(
             sys, snapshotInputs(0.0, smoothed_, PhaseEvent::NewPhase),
@@ -259,7 +222,7 @@ DynamicPartitioner::classify(const PerfWindow &w)
     }
     if (haveSmoothed_) {
         const double level = std::max(smoothed_, kSpikeFloor);
-        if (w.mpki > cfg_.spikeRejectFactor * level) {
+        if (w.mpki > kSpikeRejectFactor * level) {
             if (haveSuspect_) {
                 // Two outliers in a row: the application really moved.
                 haveSuspect_ = false;
@@ -290,9 +253,7 @@ DynamicPartitioner::snapshotInputs(double raw_mpki, double smoothed_mpki,
     in.retryWays = retryWays_;
     in.fgWays = fgWays_;
     in.thr3 = cfg_.thr3;
-    in.minDenominator = cfg_.minDenominator;
-    in.minFgWays = cfg_.minFgWays;
-    in.maxFgWays = cfg_.maxFgWays;
+    in.maxFgWays = maxFgWays_;
     return in;
 }
 
@@ -314,6 +275,17 @@ DynamicPartitioner::journalDecision(System &sys, const DecisionInputs &in,
 void
 DynamicPartitioner::onWindow(System &sys, AppId app, const PerfWindow &w)
 {
+    if (maxFgWays_ == 0) {
+        // The background keeps one way: 11 of 12 on the paper's machine.
+        const unsigned total = sys.llcWays();
+        if (total <= kMinFgWays + 1) {
+            capart_panic("DynamicPartitioner: the probe needs an LLC of"
+                         " at least " << kMinFgWays + 2 << " ways (got "
+                         << total << ")");
+        }
+        maxFgWays_ = total - 1;
+        fgWays_ = maxFgWays_;
+    }
     remasker_->tick(sys);
 
     if (app != fg_) {
@@ -323,7 +295,7 @@ DynamicPartitioner::onWindow(System &sys, AppId app, const PerfWindow &w)
         if (!bgs_.empty() && app == bgs_.front()) {
             ++fgSilence_;
             if (mode_ == ControlMode::Dynamic &&
-                fgSilence_ >= cfg_.telemetryTimeoutWindows)
+                fgSilence_ >= kTelemetryTimeoutWindows)
                 enterFallback(sys, fgSilence_, false);
         }
         return;
@@ -335,7 +307,7 @@ DynamicPartitioner::onWindow(System &sys, AppId app, const PerfWindow &w)
     // — application start counts as a phase start, so the controller
     // immediately begins probing downward.
     if (!installed_ && !retryPending_ && mode_ == ControlMode::Dynamic) {
-        requestWays(sys, cfg_.maxFgWays);
+        requestWays(sys, maxFgWays_);
         phaseStarts_ = true;
     }
 
@@ -368,14 +340,14 @@ DynamicPartitioner::onWindow(System &sys, AppId app, const PerfWindow &w)
                 held);
         }
         if (mode_ == ControlMode::Dynamic &&
-            badTelemetry_ >= cfg_.watchdogThreshold)
+            badTelemetry_ >= kWatchdogThreshold)
             enterFallback(sys, badTelemetry_, false);
         history_.push_back(AllocationEvent{w.end, fgWays_, smoothed_,
                                            PhaseEvent::Stable});
         return;
     }
     if (mode_ == ControlMode::Dynamic &&
-        badTelemetry_ >= cfg_.watchdogThreshold) {
+        badTelemetry_ >= kWatchdogThreshold) {
         // A gap alone (without an invalid sample) can trip the watchdog.
         enterFallback(sys, badTelemetry_, false);
     }
@@ -392,7 +364,7 @@ DynamicPartitioner::onWindow(System &sys, AppId app, const PerfWindow &w)
                 sys, snapshotInputs(w.mpki, smoothed_, PhaseEvent::Stable),
                 held);
         }
-        if (healthyStreak_ >= cfg_.recoveryWindows)
+        if (healthyStreak_ >= kRecoveryWindows)
             resumeDynamic(sys);
         history_.push_back(AllocationEvent{w.end, fgWays_, w.mpki,
                                            PhaseEvent::Stable});
@@ -400,12 +372,12 @@ DynamicPartitioner::onWindow(System &sys, AppId app, const PerfWindow &w)
     }
 
     // Smooth the windowed MPKI: scaled-down runs have real sampling
-    // noise per window (see DynamicPartitionerConfig).
+    // noise per window (see kMpkiSmoothing).
     if (!haveSmoothed_) {
         smoothed_ = w.mpki;
         haveSmoothed_ = true;
     } else {
-        smoothed_ += cfg_.mpkiSmoothing * (w.mpki - smoothed_);
+        smoothed_ += kMpkiSmoothing * (w.mpki - smoothed_);
     }
     const double mpki = smoothed_;
 

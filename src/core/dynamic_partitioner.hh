@@ -25,6 +25,11 @@
  *    consecutive telemetry or remask failures (or prolonged telemetry
  *    silence), and resumes dynamic control once signals stabilize;
  *  - every degradation decision lands in a structured health log.
+ *
+ * The controller's only settings are the paper's three thresholds
+ * (@ref DynamicPartitionerConfig). The smoothing weight, the floors
+ * and the hardening values are named constants, and the probe ceiling
+ * is the machine's LLC ways minus one.
  */
 
 #ifndef CAPART_CORE_DYNAMIC_PARTITIONER_HH
@@ -43,50 +48,31 @@ namespace capart
 {
 
 /**
- * Tunables of Algorithm 6.2.
+ * EWMA weight of the newest window's MPKI (1 = no smoothing). Both
+ * online controllers smooth with it: Algorithm 6.2 and N-app's LFOC
+ * controller (core/napp), so they react on the same timescale.
+ */
+inline constexpr double kMpkiSmoothing = 0.25;
+
+/**
+ * The settings of Algorithm 6.2: the paper's three thresholds.
  *
- * The paper's thresholds are 0.02/0.02/0.05 on 100 ms windows of a
- * ~100 s application (§6.3). Our scaled applications sample windows
- * covering ~10^4x fewer instructions, so per-window MPKI carries real
- * sampling noise; the defaults here widen the thresholds and smooth
- * the MPKI with an EWMA to keep the *algorithm's* behaviour (probe
- * down, react, settle) identical under scaling. See EXPERIMENTS.md.
+ * The paper's values are 0.02/0.02/0.05 on 100 ms windows of a ~100 s
+ * application (§6.3). Our scaled applications sample windows covering
+ * ~10^4x fewer instructions, so per-window MPKI carries real sampling
+ * noise; the defaults here widen the thresholds, and the controller
+ * smooths the MPKI (kMpkiSmoothing), to keep the *algorithm's*
+ * behaviour (probe down, react, settle) identical under scaling. See
+ * EXPERIMENTS.md. Everything else the controller reads is a named
+ * constant, and its probe ceiling comes from the machine.
  */
 struct DynamicPartitionerConfig
 {
     PhaseDetectorConfig detector{.thr1 = 0.08, .thr2 = 0.08};
     /** Relative MPKI change treated as "no reaction" (MPKI_THR3). */
     double thr3 = 0.10;
-    /** EWMA weight of the newest window's MPKI (1 = no smoothing). */
-    double mpkiSmoothing = 0.25;
-    /** Floor for the relative-change denominator (MPKI units). */
-    double minDenominator = 0.5;
-    /** Smallest foreground allocation (2 ways = 1 MB on 12x0.5 MB). */
-    unsigned minFgWays = 2;
-    /** Largest foreground allocation (11 ways: background keeps one). */
-    unsigned maxFgWays = 11;
 
-    // ---- graceful degradation under faulty telemetry/control --------
-    /**
-     * A window whose MPKI exceeds this multiple of the smoothed level
-     * is quarantined as a suspected counter glitch; a second
-     * consecutive outlier confirms a genuine phase shift and passes.
-     */
-    double spikeRejectFactor = 8.0;
-    /**
-     * Consecutive telemetry rejections — or consecutive failed remask
-     * attempts — that trip the watchdog into the fair fallback.
-     */
-    unsigned watchdogThreshold = 4;
-    /**
-     * Background windows without any foreground telemetry before the
-     * watchdog declares the foreground's monitoring dead.
-     */
-    unsigned telemetryTimeoutWindows = 8;
-    /** Consecutive healthy windows needed to resume dynamic mode. */
-    unsigned recoveryWindows = 3;
-
-    /** Panics with a precise message on an impossible configuration. */
+    /** Panics with a precise message on a non-positive threshold. */
     void validate() const;
 };
 
@@ -103,10 +89,35 @@ struct AllocationEvent
 class DynamicPartitioner : public PartitionController
 {
   public:
+    // ---- graceful degradation under faulty telemetry/control --------
     /**
+     * A window whose MPKI exceeds this multiple of the smoothed level
+     * is quarantined as a suspected counter glitch; a second
+     * consecutive outlier confirms a genuine phase shift and passes.
+     */
+    static constexpr double kSpikeRejectFactor = 8.0;
+    /**
+     * Consecutive telemetry rejections — or consecutive failed remask
+     * attempts — that trip the watchdog into the fair fallback.
+     */
+    static constexpr unsigned kWatchdogThreshold = 4;
+    /**
+     * Background windows without any foreground telemetry before the
+     * watchdog declares the foreground's monitoring dead.
+     */
+    static constexpr unsigned kTelemetryTimeoutWindows = 8;
+    /** Consecutive healthy windows needed to resume dynamic mode. */
+    static constexpr unsigned kRecoveryWindows = 3;
+
+    /**
+     * The probe ceiling (11 of 12 ways on the paper's machine: the
+     * background keeps one) is the machine's LLC ways minus one, taken
+     * at the first window; a machine with fewer than 4 ways panics
+     * there, as the probe could not move.
+     *
      * @param fg       the latency-sensitive foreground application.
      * @param bgs      background peers sharing the complement partition.
-     * @param cfg      algorithm tunables (validated at construction).
+     * @param cfg      the thresholds (validated at construction).
      * @param remasker mask-application path; nullptr = the infallible
      *                 direct path (the paper's prototype semantics).
      */
@@ -117,6 +128,7 @@ class DynamicPartitioner : public PartitionController
 
     void onWindow(System &sys, AppId app, const PerfWindow &w) override;
 
+    /** Foreground ways held (0 until the first window). */
     unsigned fgWays() const { return fgWays_; }
     const PhaseDetector &detector() const { return detector_; }
     std::uint64_t reallocations() const { return reallocations_; }
@@ -160,6 +172,8 @@ class DynamicPartitioner : public PartitionController
     DirectRemasker direct_;
     Remasker *remasker_;
 
+    /** The probe ceiling; 0 until the first window sets it. */
+    unsigned maxFgWays_ = 0;
     bool installed_ = false;
     bool phaseStarts_ = false;
     bool haveLast_ = false;

@@ -9,28 +9,20 @@ namespace capart
 {
 
 AppClass
-lfocClassify(const AppObservation &app, unsigned total_ways,
-             const LfocConfig &cfg)
+lfocClassify(const AppObservation &app, unsigned total_ways)
 {
     if (app.missCurve.empty())
-        return app.mpki < cfg.lightMpki ? AppClass::Light
-                                        : AppClass::Sensitive;
+        return app.mpki < kLfocLightMpki ? AppClass::Light
+                                         : AppClass::Sensitive;
     const double floor = app.curveAt(total_ways);
-    if (floor < cfg.lightMpki)
+    if (floor < kLfocLightMpki)
         return AppClass::Light;
     const double one_way = app.curveAt(1);
     if (one_way <= 0.0)
         return AppClass::Streaming; // heavy floor, no gain from capacity
     const double gain = (one_way - floor) / one_way;
-    return gain < cfg.flatCurveGain ? AppClass::Streaming
-                                    : AppClass::Sensitive;
-}
-
-LfocPartitioner::LfocPartitioner(LfocConfig cfg) : cfg_(cfg)
-{
-    assert(cfg_.lightWays >= 1 && cfg_.streamWays >= 1);
-    assert(cfg_.lightMpki >= 0.0);
-    assert(cfg_.flatCurveGain > 0.0 && cfg_.flatCurveGain < 1.0);
+    return gain < kLfocFlatCurveGain ? AppClass::Streaming
+                                     : AppClass::Sensitive;
 }
 
 std::vector<WayMask>
@@ -46,7 +38,7 @@ LfocPartitioner::decide(const std::vector<AppObservation> &apps,
 
     std::vector<std::size_t> sens, light, stream;
     for (std::size_t i = 0; i < n; ++i) {
-        classes_[i] = lfocClassify(apps[i], total_ways, cfg_);
+        classes_[i] = lfocClassify(apps[i], total_ways);
         switch (classes_[i]) {
           case AppClass::Light:
             light.push_back(i);
@@ -78,8 +70,8 @@ LfocPartitioner::decide(const std::vector<AppObservation> &apps,
     // Cluster reservations: shrink both clusters to one way apiece if
     // the sensitive apps would otherwise starve, and hand the whole
     // sensitive budget to a cluster when no app is sensitive.
-    unsigned light_w = light.empty() ? 0 : cfg_.lightWays;
-    unsigned stream_w = stream.empty() ? 0 : cfg_.streamWays;
+    unsigned light_w = light.empty() ? 0 : kLfocLightWays;
+    unsigned stream_w = stream.empty() ? 0 : kLfocStreamWays;
     const auto sens_budget = [&] {
         return static_cast<long>(total_ways) - light_w - stream_w;
     };

@@ -47,28 +47,24 @@ enum class AppClass
     Sensitive  //!< steep curve: dedicated ways pay off
 };
 
-/** Tunables of the LFOC-style policy. */
-struct LfocConfig
-{
-    /**
-     * MPKI floor below which an app is light (LFOC's "light sharers").
-     * Judged cache-rich — against the miss curve's value at the whole
-     * LLC — because a small-footprint app squeezed into a thin slice
-     * looks heavy right up until the light slice fits it. Falls back
-     * to the observed MPKI when no curve was profiled.
-     */
-    double lightMpki = 10.0;
-    /**
-     * An app whose miss curve drops by less than this fraction between
-     * 1 way and the whole cache is flat — capacity does not help it.
-     * Combined with a non-light MPKI floor that means streaming.
-     */
-    double flatCurveGain = 0.25;
-    /** Ways of the shared partition all light apps occupy. */
-    unsigned lightWays = 2;
-    /** Ways of the isolation partition all streaming apps share. */
-    unsigned streamWays = 1;
-};
+/**
+ * MPKI floor below which an app is light (LFOC's "light sharers").
+ * Judged cache-rich — against the miss curve's value at the whole LLC
+ * — because a small-footprint app squeezed into a thin slice looks
+ * heavy right up until the light slice fits it. Falls back to the
+ * observed MPKI when no curve was profiled.
+ */
+inline constexpr double kLfocLightMpki = 10.0;
+/**
+ * An app whose miss curve drops by less than this fraction between
+ * 1 way and the whole cache is flat — capacity does not help it.
+ * Combined with a non-light MPKI floor that means streaming.
+ */
+inline constexpr double kLfocFlatCurveGain = 0.25;
+/** Ways of the shared partition all light apps occupy. */
+inline constexpr unsigned kLfocLightWays = 2;
+/** Ways of the isolation partition all streaming apps share. */
+inline constexpr unsigned kLfocStreamWays = 1;
 
 /**
  * Classify one app. Light wins on a low cache-rich MPKI floor alone; a
@@ -76,15 +72,12 @@ struct LfocConfig
  * are the safe misclassification: a streamer wastes them, a sensitive
  * app starved of them breaches its SLO).
  */
-AppClass lfocClassify(const AppObservation &app, unsigned total_ways,
-                      const LfocConfig &cfg = LfocConfig{});
+AppClass lfocClassify(const AppObservation &app, unsigned total_ways);
 
 /** LFOC-style clustering as a (stateful) @ref Partitioner. */
 class LfocPartitioner : public Partitioner
 {
   public:
-    explicit LfocPartitioner(LfocConfig cfg = LfocConfig{});
-
     const char *name() const override { return "lfoc"; }
     std::vector<WayMask> decide(const std::vector<AppObservation> &apps,
                                 unsigned total_ways) override;
@@ -114,7 +107,6 @@ class LfocPartitioner : public Partitioner
     }
 
   private:
-    LfocConfig cfg_;
     std::vector<AppClass> classes_;
     std::vector<double> targets_;
     /** Per-app fractional-way error carried across windows. */

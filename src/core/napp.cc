@@ -1,17 +1,14 @@
 #include "core/napp.hh"
 
 #include <algorithm>
-#include <chrono>
 #include <limits>
 #include <memory>
-#include <string>
 
 #include "analysis/mrc.hh"
 #include "common/logging.hh"
 #include "common/units.hh"
 #include "core/npartition_journal.hh"
 #include "core/ucp.hh"
-#include "obs/metrics.hh"
 #include "obs/timeseries.hh"
 #include "obs/trace.hh"
 #include "sim/experiment.hh"
@@ -24,26 +21,8 @@ namespace capart
 namespace
 {
 
-/** EWMA weight of the newest window's MPKI (matches the dynamic
- *  controller's smoothing so both react on the same timescale). */
-constexpr double kMpkiSmoothing = 0.25;
-
 /** Slowdown above which an app counts as an SLO breach. */
 constexpr double kSloSlowdown = 1.10;
-
-/** Record one decide() latency in the per-policy histogram (ns). */
-void
-recordDecideLatency(NPolicy policy,
-                    std::chrono::steady_clock::time_point t0)
-{
-    const auto ns =
-        std::chrono::duration_cast<std::chrono::nanoseconds>(
-            std::chrono::steady_clock::now() - t0)
-            .count();
-    obs::metrics()
-        .histogram(std::string("napp.decide_ns.") + npolicyName(policy))
-        .record(static_cast<std::uint64_t>(ns));
-}
 
 /**
  * Drives a @ref Partitioner online: folds each app's perf windows into
@@ -59,11 +38,9 @@ class NAppController final : public PartitionController
      * ordinal sequence started by runNApp's up-front decision.
      */
     NAppController(Partitioner *part, LfocPartitioner *lfoc,
-                   NPolicy policy, const LfocConfig &lfoc_cfg,
-                   std::vector<AppObservation> obs,
+                   NPolicy policy, std::vector<AppObservation> obs,
                    std::vector<WayMask> current, std::uint64_t first_seq)
-        : part_(part), lfoc_(lfoc), policy_(policy),
-          lfocCfg_(lfoc_cfg), obs_(std::move(obs)),
+        : part_(part), lfoc_(lfoc), policy_(policy), obs_(std::move(obs)),
           current_(std::move(current)),
           seen_(obs_.size(), false), seq_(first_seq)
     {
@@ -97,20 +74,15 @@ class NAppController final : public PartitionController
             jin.policy = policy_;
             jin.totalWays = sys.llcWays();
             jin.apps = obs_;
-            jin.lfoc = lfocCfg_;
             if (lfoc_)
                 jin.lfocErrBefore = lfoc_->bounceError();
         }
-        std::chrono::steady_clock::time_point t0{};
-        if (rec)
-            t0 = std::chrono::steady_clock::now();
         std::vector<WayMask> masks;
         {
             obs::TraceSpan span("napp.decide", "partition");
             masks = part_->decide(obs_, sys.llcWays());
         }
         if (rec) {
-            recordDecideLatency(policy_, t0);
             NPartitionDecision jout;
             jout.masks = masks;
             if (lfoc_) {
@@ -136,7 +108,6 @@ class NAppController final : public PartitionController
     Partitioner *part_;
     LfocPartitioner *lfoc_;
     NPolicy policy_;
-    LfocConfig lfocCfg_;
     std::vector<AppObservation> obs_;
     std::vector<WayMask> current_;
     std::vector<bool> seen_;
@@ -298,21 +269,19 @@ runWithCurves(const std::vector<NAppMember> &members, NPolicy policy,
         part = std::make_unique<UcpPartitioner>();
         break;
       case NPolicy::Lfoc:
-        part = std::make_unique<LfocPartitioner>(opts.lfoc);
+        part = std::make_unique<LfocPartitioner>();
         break;
       case NPolicy::Dynamic: {
-        DynamicPartitionerConfig dc = opts.dynamic;
-        dc.maxFgWays = total - 1;
-        // The controller's starting allocation, installed statically so
-        // a run with no windows still has the paper's initial split.
-        masks.push_back(WayMask::range(0, dc.maxFgWays));
+        // The controller's starting allocation — its probe ceiling, the
+        // paper's 11 of 12 ways generalized — installed statically so a
+        // run with no windows still has the paper's initial split.
+        const unsigned max_fg = total - 1;
+        masks.push_back(WayMask::range(0, max_fg));
         for (std::size_t i = 1; i < members.size(); ++i)
-            masks.push_back(
-                WayMask::range(dc.maxFgWays, total - dc.maxFgWays));
+            masks.push_back(WayMask::range(max_fg, total - max_fg));
         if (members.size() > 1) {
             dyn = std::make_unique<DynamicPartitioner>(
-                ids[0], std::vector<AppId>(ids.begin() + 1, ids.end()),
-                dc);
+                ids[0], std::vector<AppId>(ids.begin() + 1, ids.end()));
         }
         break;
       }
@@ -326,7 +295,6 @@ runWithCurves(const std::vector<NAppMember> &members, NPolicy policy,
             jin.policy = policy;
             jin.totalWays = total;
             jin.apps = obs;
-            jin.lfoc = opts.lfoc;
             if (policy == NPolicy::Biased)
                 jin.biasedFgWays =
                     opts.biasedFgWays > 0 ? opts.biasedFgWays
@@ -334,15 +302,11 @@ runWithCurves(const std::vector<NAppMember> &members, NPolicy policy,
             // A fresh LFOC carries no bounce state yet, so
             // lfocErrBefore stays empty.
         }
-        std::chrono::steady_clock::time_point t0{};
-        if (rec)
-            t0 = std::chrono::steady_clock::now();
         {
             obs::TraceSpan span("napp.decide", "partition");
             masks = part->decide(obs, total);
         }
         if (rec) {
-            recordDecideLatency(policy, t0);
             NPartitionDecision jout;
             jout.masks = masks;
             if (policy == NPolicy::Lfoc) {
@@ -383,7 +347,7 @@ runWithCurves(const std::vector<NAppMember> &members, NPolicy policy,
     } else if (policy == NPolicy::Lfoc) {
         ctrl = std::make_unique<NAppController>(
             part.get(), static_cast<LfocPartitioner *>(part.get()),
-            policy, opts.lfoc, obs, masks, seq);
+            policy, obs, masks, seq);
         sys.setController(ctrl.get());
     }
 

@@ -84,14 +84,6 @@ struct NAppOptions
     double scale = 1.0;
     /** Foreground ways of the Biased policy; 0 = half the LLC. */
     unsigned biasedFgWays = 0;
-    /**
-     * The dynamic controller's config. Its probe ceiling is always
-     * scaled to the machine: maxFgWays = llc ways - 1 (the paper's
-     * 11-of-12 generalized), which on the 12-way default machine
-     * equals the stock config, so N = 2 stays bit-identical to a pair.
-     */
-    DynamicPartitionerConfig dynamic{};
-    LfocConfig lfoc{};
     /** Reference cap of each miss-curve profile. */
     std::uint64_t profileAccesses = 200'000;
 };

@@ -50,7 +50,7 @@ decideNPartition(const NPartitionInputs &in)
         out.masks = UcpPartitioner{}.decide(in.apps, in.totalWays);
         break;
       case NPolicy::Lfoc: {
-        LfocPartitioner p(in.lfoc);
+        LfocPartitioner p;
         p.restoreBounceError(in.lfocErrBefore);
         out.masks = p.decide(in.apps, in.totalWays);
         out.classes = p.lastClasses();
@@ -80,12 +80,6 @@ makeNPartitionEntry(double t_us, const NPartitionInputs &in,
     f("seq", static_cast<double>(seq));
     f("applied", applied ? 1.0 : 0.0);
     // Policy configuration (only what the policy actually reads).
-    if (in.policy == NPolicy::Lfoc) {
-        f("lfoc.light_mpki", in.lfoc.lightMpki);
-        f("lfoc.flat_curve_gain", in.lfoc.flatCurveGain);
-        f("lfoc.light_ways", in.lfoc.lightWays);
-        f("lfoc.stream_ways", in.lfoc.streamWays);
-    }
     if (in.policy == NPolicy::Biased)
         f("biased_fg_ways", in.biasedFgWays);
     if (in.policy == NPolicy::Dynamic)
@@ -177,12 +171,6 @@ npartitionInputsFromEntry(const obs::JournalEntry &entry)
         }
     }
     if (in.policy == NPolicy::Lfoc) {
-        in.lfoc.lightMpki = entry.field("lfoc.light_mpki");
-        in.lfoc.flatCurveGain = entry.field("lfoc.flat_curve_gain");
-        in.lfoc.lightWays =
-            static_cast<unsigned>(entry.field("lfoc.light_ways"));
-        in.lfoc.streamWays =
-            static_cast<unsigned>(entry.field("lfoc.stream_ways"));
         in.lfocErrBefore.resize(n);
         for (std::size_t i = 0; i < n; ++i)
             in.lfocErrBefore[i] =

@@ -45,9 +45,10 @@ namespace capart
 
 /**
  * Everything an N-app decide() reads: the observation vector, the
- * machine width, the policy's configuration, and any state the policy
- * carries across windows. A journal record stores exactly these
- * fields, making the decision reproducible on a fresh policy object.
+ * machine width, the biased or dynamic starting split where the
+ * policy has one, and any state the policy carries across windows. A
+ * journal record stores exactly these fields, making the decision
+ * reproducible on a fresh policy object.
  */
 struct NPartitionInputs
 {
@@ -55,8 +56,6 @@ struct NPartitionInputs
     unsigned totalWays = 0;
     /** Per-app observations, including miss curves when profiled. */
     std::vector<AppObservation> apps;
-    /** LFOC tunables (read when policy == Lfoc). */
-    LfocConfig lfoc{};
     /**
      * LFOC's fractional-way bounce accumulators *before* this decide
      * (empty on the first decision). Restoring these onto a fresh

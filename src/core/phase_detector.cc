@@ -11,7 +11,7 @@ double
 PhaseDetector::relativeDelta(double current) const
 {
     const double denom =
-        avg_ > cfg_.minDenominator ? avg_ : cfg_.minDenominator;
+        avg_ > kMinMpkiDenominator ? avg_ : kMinMpkiDenominator;
     return std::abs(avg_ - current) / denom;
 }
 

@@ -25,6 +25,14 @@ enum class PhaseEvent : int
     NewPhase = 2     //!< a phase change just started
 };
 
+/**
+ * Floor of a relative-MPKI-change denominator (MPKI units), so a
+ * near-zero level does not turn noise into a huge relative change.
+ * The phase detector and Algorithm 6.2's shrink probe both divide by
+ * at least this.
+ */
+inline constexpr double kMinMpkiDenominator = 0.5;
+
 /** Tunables of Algorithm 6.1. The paper's values (§6.3). */
 struct PhaseDetectorConfig
 {
@@ -32,8 +40,6 @@ struct PhaseDetectorConfig
     double thr1 = 0.02;
     /** Relative MPKI deviation that ends a phase change (THR2). */
     double thr2 = 0.02;
-    /** Floor for the relative-deviation denominator (MPKI units). */
-    double minDenominator = 0.5;
 };
 
 /** Stateful implementation of Algorithm 6.1. */

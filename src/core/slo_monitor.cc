@@ -2,43 +2,11 @@
 
 #include <cmath>
 
-#include "common/logging.hh"
 #include "obs/metrics.hh"
 #include "obs/timeseries.hh"
 
 namespace capart
 {
-
-void
-SloMonitorConfig::validate() const
-{
-    if (slo <= 1.0) {
-        capart_panic("SloMonitorConfig: slo must exceed 1 (got "
-                     << slo << "); an SLO of 1.0 leaves no error budget");
-    }
-    if (shortWindows < 1 || longWindows < 1) {
-        capart_panic("SloMonitorConfig: window sizes must be >= 1 (got "
-                     << shortWindows << "/" << longWindows << ")");
-    }
-    if (shortWindows > longWindows) {
-        capart_panic("SloMonitorConfig: shortWindows ("
-                     << shortWindows << ") must not exceed longWindows ("
-                     << longWindows << ")");
-    }
-    if (burnThreshold <= 0.0) {
-        capart_panic("SloMonitorConfig: burnThreshold must be positive"
-                     " (got " << burnThreshold << ")");
-    }
-    if (confirmWindows < 1 || recoveryWindows < 1) {
-        capart_panic("SloMonitorConfig: confirmWindows and "
-                     "recoveryWindows must be >= 1");
-    }
-}
-
-SloMonitor::SloMonitor(const SloMonitorConfig &cfg) : cfg_(cfg)
-{
-    cfg_.validate();
-}
 
 void
 SloMonitor::setBaseline(double baseline_ips)
@@ -72,25 +40,25 @@ SloMonitor::onWindow(Seconds now, const PerfWindow &w)
     ++windows_;
 
     shortWin_.push_back(slowdown);
-    if (shortWin_.size() > cfg_.shortWindows)
+    if (shortWin_.size() > kShortWindows)
         shortWin_.pop_front();
     longWin_.push_back(slowdown);
-    if (longWin_.size() > cfg_.longWindows)
+    if (longWin_.size() > kLongWindows)
         longWin_.pop_front();
 
-    const double budget = cfg_.slo - 1.0;
+    const double budget = kObjective - 1.0;
     shortBurn_ = (windowMean(shortWin_) - 1.0) / budget;
     longBurn_ = (windowMean(longWin_) - 1.0) / budget;
 
     // "Burning" needs the window itself to violate the objective, not
     // just the sliding means: one extreme spike inflates both means for
-    // shortWindows evaluations, and counting its echo as consecutive
+    // kShortWindows evaluations, and counting its echo as consecutive
     // burn would turn a single bad window into a breach. Requiring the
     // violation to be live in every confirming window is what makes the
     // confirmation count mean "sustained".
-    const bool burning = slowdown > cfg_.slo &&
-                         shortBurn_ >= cfg_.burnThreshold &&
-                         longBurn_ >= cfg_.burnThreshold;
+    const bool burning = slowdown > kObjective &&
+                         shortBurn_ >= kBurnThreshold &&
+                         longBurn_ >= kBurnThreshold;
     if (burning) {
         ++burnStreak_;
         calmStreak_ = 0;
@@ -100,11 +68,11 @@ SloMonitor::onWindow(Seconds now, const PerfWindow &w)
     }
 
     SloTransition transition = SloTransition::None;
-    if (!inBreach_ && burnStreak_ >= cfg_.confirmWindows) {
+    if (!inBreach_ && burnStreak_ >= kConfirmWindows) {
         inBreach_ = true;
         ++breaches_;
         transition = SloTransition::Breach;
-    } else if (inBreach_ && calmStreak_ >= cfg_.recoveryWindows) {
+    } else if (inBreach_ && calmStreak_ >= kRecoveryWindows) {
         inBreach_ = false;
         transition = SloTransition::Recovered;
     }
@@ -130,7 +98,6 @@ SloMonitor::onWindow(Seconds now, const PerfWindow &w)
         e.fields.emplace_back("slowdown", slowdown);
         e.fields.emplace_back("burn_short", shortBurn_);
         e.fields.emplace_back("burn_long", longBurn_);
-        e.fields.emplace_back("slo", cfg_.slo);
         e.fields.emplace_back("in_breach", inBreach_ ? 1.0 : 0.0);
         obs::timeseries().journal(std::move(e));
     }

@@ -15,20 +15,22 @@
  * window. Each mean is converted to a *burn rate* against the SLO
  * budget:
  *
- *     burn = (mean_slowdown - 1) / (slo - 1)
+ *     burn = (mean_slowdown - 1) / (kObjective - 1)
  *
  * so burn 1.0 means "consuming the error budget exactly as fast as the
  * SLO allows" and burn 2.0 means "twice as fast". A breach is declared
  * only when the current window itself violates the SLO *and* BOTH
- * sliding windows burn past the threshold, for a configurable number
- * of consecutive evaluations — the standard multi-window burn-rate
+ * sliding windows burn past the threshold, for kConfirmWindows
+ * consecutive evaluations — the standard multi-window burn-rate
  * alerting shape: the short window makes detection fast, the long
  * window keeps one noisy sample from paging anyone, and the live
  * violation requirement plus the confirmation count remove
  * single-window flapping (one extreme spike echoes in the means for
- * shortWindows evaluations but is not a *sustained* violation).
- * Recovery is symmetric: `recoveryWindows` consecutive non-burning
- * evaluations end the breach.
+ * kShortWindows evaluations but is not a *sustained* violation).
+ * Recovery is symmetric: kRecoveryWindows consecutive non-burning
+ * evaluations end the breach. The objective and the window counts
+ * are constants: the monitor checks the paper's 1–2% claim, which is
+ * not a setting.
  *
  * The monitor is an observer, never an actuator: it reads windows,
  * updates counters and journals one `slo` record per evaluation (its
@@ -52,30 +54,6 @@
 namespace capart
 {
 
-/** Tunables of the multi-window burn-rate SLO alert. */
-struct SloMonitorConfig
-{
-    /**
-     * The responsiveness objective as a slowdown bound: 1.02 = the FG
-     * may run at most 2% slower than alone on its half (the paper's
-     * 1–2% band).
-     */
-    double slo = 1.02;
-    /** Perf windows in the fast-detection sliding window. */
-    unsigned shortWindows = 4;
-    /** Perf windows in the noise-suppressing sliding window. */
-    unsigned longWindows = 16;
-    /** Burn rate both windows must exceed to count as burning. */
-    double burnThreshold = 1.0;
-    /** Consecutive burning evaluations before a breach is declared. */
-    unsigned confirmWindows = 2;
-    /** Consecutive clean evaluations before recovery is declared. */
-    unsigned recoveryWindows = 4;
-
-    /** Panics with a precise message on an impossible configuration. */
-    void validate() const;
-};
-
 /** What one window's evaluation changed. */
 enum class SloTransition
 {
@@ -88,7 +66,22 @@ enum class SloTransition
 class SloMonitor
 {
   public:
-    explicit SloMonitor(const SloMonitorConfig &cfg = SloMonitorConfig{});
+    /**
+     * The responsiveness objective as a slowdown bound: 1.02 = the FG
+     * may run at most 2% slower than alone on its half (the paper's
+     * 1–2% band).
+     */
+    static constexpr double kObjective = 1.02;
+    /** Perf windows in the fast-detection sliding window. */
+    static constexpr unsigned kShortWindows = 4;
+    /** Perf windows in the noise-suppressing sliding window. */
+    static constexpr unsigned kLongWindows = 16;
+    /** Burn rate both windows must exceed to count as burning. */
+    static constexpr double kBurnThreshold = 1.0;
+    /** Consecutive burning evaluations before a breach is declared. */
+    static constexpr unsigned kConfirmWindows = 2;
+    /** Consecutive clean evaluations before recovery is declared. */
+    static constexpr unsigned kRecoveryWindows = 4;
 
     /**
      * Set the alone-at-half-machine foreground throughput the slowdown
@@ -118,12 +111,9 @@ class SloMonitor
     /** Newest single-window slowdown estimate. */
     double lastSlowdown() const { return lastSlowdown_; }
 
-    const SloMonitorConfig &config() const { return cfg_; }
-
   private:
     double windowMean(const std::deque<double> &win) const;
 
-    SloMonitorConfig cfg_;
     double baselineIps_ = 0.0;
     std::deque<double> shortWin_;
     std::deque<double> longWin_;

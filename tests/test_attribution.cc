@@ -405,8 +405,6 @@ TEST(DecisionJournal, EntryRoundTripsInputsAndOutputs)
     in.retryWays = 0;
     in.fgWays = 9;
     in.thr3 = 0.05;
-    in.minDenominator = 0.5;
-    in.minFgWays = 1;
     in.maxFgWays = 11; // the background always keeps at least one way
 
     const Decision out = decidePartition(in);

@@ -12,6 +12,7 @@
 
 #include "core/co_scheduler.hh"
 #include "core/dynamic_partitioner.hh"
+#include "core/napp.hh"
 #include "core/phase_detector.hh"
 #include "core/slo_monitor.hh"
 #include "core/static_policies.hh"
@@ -316,24 +317,11 @@ TEST(DynamicPartitionerConfig, RejectsImpossibleConfigurations)
         (void)ctrl;
     };
     DynamicPartitionerConfig cfg;
-    cfg.minFgWays = 0;
-    EXPECT_DEATH(make(cfg), "minFgWays must be >= 1");
-    cfg = {};
-    cfg.minFgWays = 8;
-    cfg.maxFgWays = 4;
-    EXPECT_DEATH(make(cfg), "must not exceed maxFgWays");
-    cfg = {};
     cfg.thr3 = 0.0;
     EXPECT_DEATH(make(cfg), "thr3 must be positive");
     cfg = {};
-    cfg.mpkiSmoothing = 1.5;
-    EXPECT_DEATH(make(cfg), "mpkiSmoothing");
-    cfg = {};
-    cfg.spikeRejectFactor = 1.0;
-    EXPECT_DEATH(make(cfg), "spikeRejectFactor");
-    cfg = {};
-    cfg.watchdogThreshold = 0;
-    EXPECT_DEATH(make(cfg), "watchdogThreshold");
+    cfg.detector.thr1 = -0.1;
+    EXPECT_DEATH(make(cfg), "thr1/thr2 must be positive");
 }
 
 namespace
@@ -358,6 +346,19 @@ struct BrokenRemasker : Remasker
     {
         ++attempts;
         return false;
+    }
+};
+
+/** The direct control plane, recording each foreground allocation. */
+struct RecordingRemasker : Remasker
+{
+    std::vector<unsigned> fgWays;
+    bool
+    apply(System &sys, AppId fg, const std::vector<AppId> &bgs,
+          const SplitMasks &masks) override
+    {
+        fgWays.push_back(masks.fg.count());
+        return DirectRemasker{}.apply(sys, fg, bgs, masks);
     }
 };
 
@@ -420,10 +421,7 @@ TEST(DynamicPartitioner, RecoversWhenTelemetryReturns)
     const AppId bg = sys.addAppOnCores(
         Catalog::byName("dedup").scaled(0.02), 2, 2);
 
-    DynamicPartitionerConfig cfg;
-    cfg.telemetryTimeoutWindows = 4;
-    cfg.recoveryWindows = 3;
-    DynamicPartitioner ctrl(fg, {bg}, cfg);
+    DynamicPartitioner ctrl(fg, {bg});
 
     // Healthy start: a couple of valid foreground windows.
     unsigned t = 0;
@@ -433,22 +431,50 @@ TEST(DynamicPartitioner, RecoversWhenTelemetryReturns)
 
     // Foreground telemetry goes silent; the background's windows keep
     // the silence clock ticking until the watchdog trips.
-    for (unsigned i = 0; i < cfg.telemetryTimeoutWindows; ++i)
+    for (unsigned i = 0; i < DynamicPartitioner::kTelemetryTimeoutWindows;
+         ++i) {
+        EXPECT_EQ(ctrl.mode(), ControlMode::Dynamic);
         ctrl.onWindow(sys, bg, fgWindow(t + i, 5.0));
+    }
     EXPECT_EQ(ctrl.mode(), ControlMode::Fallback);
     EXPECT_EQ(ctrl.fgWays(), 6u);
     EXPECT_EQ(sys.wayMask(fg).count(), 6u);
 
     // The signal returns and stays stable: dynamic control resumes and
     // re-probes from the top, as on a phase start.
-    t += cfg.telemetryTimeoutWindows;
-    for (unsigned i = 0; i < cfg.recoveryWindows; ++i)
+    t += DynamicPartitioner::kTelemetryTimeoutWindows;
+    for (unsigned i = 0; i < DynamicPartitioner::kRecoveryWindows; ++i)
         ctrl.onWindow(sys, fg, fgWindow(t++, 10.0));
     EXPECT_EQ(ctrl.mode(), ControlMode::Dynamic);
     EXPECT_EQ(ctrl.fgWays(), 11u) << "recovery re-probes from the top";
     EXPECT_EQ(countHealthEvents(ctrl.healthLog(),
                                 HealthEventKind::DynamicResumed),
               1u);
+}
+
+TEST(DynamicPartitioner, ProbeCeilingComesFromTheMachine)
+{
+    // The background keeps one way of any LLC, not of the paper's 12.
+    System sys(nAppSystem(4, 20));
+    const AppId fg = sys.addAppOnCores(
+        Catalog::byName("ferret").scaled(0.02), 0, 2);
+    const AppId bg = sys.addAppOnCores(
+        Catalog::byName("dedup").scaled(0.02), 2, 2);
+    RecordingRemasker rm;
+    DynamicPartitioner ctrl(fg, {bg}, DynamicPartitionerConfig{}, &rm);
+    ctrl.onWindow(sys, fg, fgWindow(0, 10.0));
+    // The first window installs the ceiling, then probes one way down.
+    EXPECT_EQ(rm.fgWays, (std::vector<unsigned>{19, 18}));
+    EXPECT_EQ(sys.wayMask(fg).count() + sys.wayMask(bg).count(), 20u);
+
+    // Three ways leave the probe no room below its ceiling.
+    EXPECT_DEATH(
+        {
+            System small(nAppSystem(4, 3));
+            DynamicPartitioner tiny(0, {1});
+            tiny.onWindow(small, 0, fgWindow(0, 10.0));
+        },
+        "at least 4 ways");
 }
 
 TEST(DynamicPartitioner, WatchdogFallsBackOnBrokenControlPlane)
@@ -690,40 +716,9 @@ sloWindow(double slowdown, double baseline_ips = 1e9)
     return w;
 }
 
-SloMonitorConfig
-tightSloConfig()
-{
-    SloMonitorConfig cfg;
-    cfg.slo = 1.02;
-    cfg.shortWindows = 2;
-    cfg.longWindows = 4;
-    cfg.confirmWindows = 2;
-    cfg.recoveryWindows = 3;
-    return cfg;
-}
-
-TEST(SloMonitorConfig, RejectsImpossibleConfigurations)
-{
-    const auto dies = [](auto mutate) {
-        SloMonitorConfig cfg;
-        mutate(cfg);
-        EXPECT_DEATH(cfg.validate(), "SloMonitorConfig");
-    };
-    dies([](SloMonitorConfig &c) { c.slo = 1.0; });
-    dies([](SloMonitorConfig &c) { c.shortWindows = 0; });
-    dies([](SloMonitorConfig &c) {
-        c.shortWindows = 8;
-        c.longWindows = 4;
-    });
-    dies([](SloMonitorConfig &c) { c.burnThreshold = 0.0; });
-    dies([](SloMonitorConfig &c) { c.confirmWindows = 0; });
-    SloMonitorConfig ok;
-    ok.validate(); // defaults must be valid
-}
-
 TEST(SloMonitor, IgnoresWindowsBeforeBaselineAndUnusableWindows)
 {
-    SloMonitor mon(tightSloConfig());
+    SloMonitor mon;
     EXPECT_EQ(mon.onWindow(0.0, sloWindow(2.0)), SloTransition::None);
     EXPECT_EQ(mon.windows(), 0u) << "no baseline yet";
 
@@ -735,20 +730,20 @@ TEST(SloMonitor, IgnoresWindowsBeforeBaselineAndUnusableWindows)
 
 TEST(SloMonitor, EstimatesSlowdownPerWindow)
 {
-    SloMonitor mon(tightSloConfig());
+    SloMonitor mon;
     mon.setBaseline(1e9);
     mon.onWindow(0.0, sloWindow(1.10));
     EXPECT_NEAR(mon.lastSlowdown(), 1.10, 1e-3);
-    // burn = (slowdown - 1) / (slo - 1) = 0.10 / 0.02 = 5.
+    // burn = (slowdown - 1) / (kObjective - 1) = 0.10 / 0.02 = 5.
     EXPECT_NEAR(mon.shortBurn(), 5.0, 0.1);
 }
 
 TEST(SloMonitor, SingleBadWindowDoesNotBreach)
 {
-    SloMonitor mon(tightSloConfig());
+    SloMonitor mon;
     mon.setBaseline(1e9);
     EXPECT_EQ(mon.onWindow(0.0, sloWindow(1.50)), SloTransition::None)
-        << "one burning window is below confirmWindows";
+        << "one burning window is below kConfirmWindows";
     EXPECT_EQ(mon.onWindow(1e-3, sloWindow(1.00)), SloTransition::None);
     EXPECT_EQ(mon.onWindow(2e-3, sloWindow(1.50)), SloTransition::None)
         << "a second lone spike must not flap into breach";
@@ -758,7 +753,7 @@ TEST(SloMonitor, SingleBadWindowDoesNotBreach)
 
 TEST(SloMonitor, SustainedBurnBreachesThenRecovers)
 {
-    SloMonitor mon(tightSloConfig());
+    SloMonitor mon;
     mon.setBaseline(1e9);
 
     // Sustained 10% slowdown against a 2% SLO: breach confirmed on the
@@ -774,11 +769,12 @@ TEST(SloMonitor, SustainedBurnBreachesThenRecovers)
         }
     }
     ASSERT_EQ(tr, SloTransition::Breach);
-    EXPECT_GE(breach_at, 1u) << "confirmWindows=2 forbids instant breach";
+    EXPECT_EQ(breach_at + 1, SloMonitor::kConfirmWindows)
+        << "a breach needs kConfirmWindows burning windows";
     EXPECT_TRUE(mon.inBreach());
     EXPECT_EQ(mon.breaches(), 1u);
 
-    // Healthy again: recovery only after recoveryWindows clean windows.
+    // Healthy again: recovery only after kRecoveryWindows clean windows.
     unsigned clean = 0;
     tr = SloTransition::None;
     for (unsigned i = 0; i < 16 && tr != SloTransition::Recovered; ++i) {
@@ -786,7 +782,8 @@ TEST(SloMonitor, SustainedBurnBreachesThenRecovers)
         ++clean;
     }
     ASSERT_EQ(tr, SloTransition::Recovered);
-    EXPECT_GE(clean, 3u) << "recoveryWindows=3 forbids instant recovery";
+    EXPECT_EQ(clean, SloMonitor::kRecoveryWindows)
+        << "recovery needs kRecoveryWindows clean windows";
     EXPECT_FALSE(mon.inBreach());
     EXPECT_EQ(mon.breaches(), 1u) << "recovery declares no new breach";
     EXPECT_GT(mon.breachWindows(), 0u);
@@ -797,7 +794,7 @@ TEST(SloMonitor, JournalRecordsEveryTransitionUpToTheLastWindow)
 {
     const ObsOn obs_on;
     obs::timeseries().clear();
-    SloMonitor mon(tightSloConfig());
+    SloMonitor mon;
     mon.setBaseline(1e9);
 
     // Burn into a breach, recover, then burn again until the last

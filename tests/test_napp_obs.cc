@@ -175,8 +175,7 @@ TEST(NPartitionReplay, LfocBounceStateRoundTrips)
     // take irrational-looking values, journaling each decision with
     // the *pre-decide* bounce state. Every record must replay.
     const unsigned ways = 20;
-    LfocConfig cfg;
-    LfocPartitioner lfoc(cfg);
+    LfocPartitioner lfoc;
     std::vector<obs::JournalEntry> journal;
     for (unsigned step = 0; step < 6; ++step) {
         std::vector<AppObservation> apps = syntheticObservations(5, ways);
@@ -187,7 +186,6 @@ TEST(NPartitionReplay, LfocBounceStateRoundTrips)
         in.policy = NPolicy::Lfoc;
         in.totalWays = ways;
         in.apps = apps;
-        in.lfoc = cfg;
         in.lfocErrBefore = lfoc.bounceError();
         const std::vector<WayMask> masks = lfoc.decide(apps, ways);
         NPartitionDecision out;

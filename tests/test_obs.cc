@@ -3,7 +3,7 @@
  * Tests for the observability layer (src/obs) and its two contracts:
  *
  *  1. What it records is right: metrics count exactly (including under
- *     concurrent increments), histograms bucket correctly, the tracer
+ *     concurrent increments), the tracer
  *     keeps the most recent window when a ring wraps, and the Chrome
  *     trace export is well-formed JSON of one host-time process with
  *     monotonic timestamps and properly nested wall-clock spans.
@@ -334,7 +334,7 @@ fgWindow(unsigned index, double mpki)
 
 // ------------------------------------------------------------ metrics --
 
-TEST(ObsMetrics, CounterHistogramBasics)
+TEST(ObsMetrics, CounterBasics)
 {
     obs::Counter c;
     EXPECT_EQ(c.value(), 0u);
@@ -343,20 +343,6 @@ TEST(ObsMetrics, CounterHistogramBasics)
     EXPECT_EQ(c.value(), 42u);
     c.reset();
     EXPECT_EQ(c.value(), 0u);
-
-    obs::Histogram h;
-    h.record(0); // bucket 0 (<= 0)
-    h.record(1); // bucket 1 (<= 1)
-    h.record(5); // bucket 3 (<= 7)
-    h.record(5);
-    EXPECT_EQ(h.count(), 4u);
-    EXPECT_EQ(h.sum(), 11u);
-    EXPECT_EQ(h.bucket(0), 1u);
-    EXPECT_EQ(h.bucket(1), 1u);
-    EXPECT_EQ(h.bucket(3), 2u);
-    EXPECT_EQ(obs::Histogram::bucketBound(0), 0u);
-    EXPECT_EQ(obs::Histogram::bucketBound(3), 7u);
-    EXPECT_EQ(obs::Histogram::bucketBound(64), ~0ULL);
 }
 
 TEST(ObsMetrics, RegistryReturnsStableReferences)
@@ -367,9 +353,6 @@ TEST(ObsMetrics, RegistryReturnsStableReferences)
     EXPECT_EQ(&a, &b) << "same name must be the same counter";
     a.inc(3);
     EXPECT_EQ(reg.counter("x").value(), 3u);
-    // Same name, different kind: a distinct metric, not a collision.
-    reg.histogram("x").record(1);
-    EXPECT_EQ(reg.counter("x").value(), 3u);
 }
 
 TEST(ObsMetrics, JsonExportParsesAndRoundTripsValues)
@@ -377,35 +360,21 @@ TEST(ObsMetrics, JsonExportParsesAndRoundTripsValues)
     obs::MetricsRegistry reg;
     reg.counter("sim.quanta").inc(1234);
     reg.counter("partitioner.remask_attempts").inc(7);
-    reg.histogram("remask.latency").record(100);
-    reg.histogram("remask.latency").record(3);
 
     std::ostringstream os;
     reg.writeJson(os);
     const Json root = parseJsonOrFail(os.str());
 
-    // Only values that add up across the runs of a sweep: no
-    // last-writer-wins levels.
+    // Only event counts, which add up across the runs of a sweep: no
+    // last-writer-wins levels, and no host time (the tracer's).
     std::vector<std::string> sections;
     for (const auto &[name, value] : root.obj)
         sections.push_back(name);
-    EXPECT_EQ(sections, (std::vector<std::string>{"counters", "histograms"}));
+    EXPECT_EQ(sections, (std::vector<std::string>{"counters"}));
 
     EXPECT_DOUBLE_EQ(root.at("counters").at("sim.quanta").num, 1234.0);
     EXPECT_DOUBLE_EQ(
         root.at("counters").at("partitioner.remask_attempts").num, 7.0);
-
-    const Json &h = root.at("histograms").at("remask.latency");
-    EXPECT_DOUBLE_EQ(h.at("count").num, 2.0);
-    EXPECT_DOUBLE_EQ(h.at("sum").num, 103.0);
-    ASSERT_EQ(h.at("buckets").kind, Json::Kind::Arr);
-    std::uint64_t bucket_total = 0;
-    for (const Json &b : h.at("buckets").arr) {
-        EXPECT_TRUE(b.has("le"));
-        EXPECT_TRUE(b.has("n"));
-        bucket_total += static_cast<std::uint64_t>(b.at("n").num);
-    }
-    EXPECT_EQ(bucket_total, 2u) << "bucket counts must sum to count";
 }
 
 TEST(ObsMetrics, ConcurrentIncrementsCountExactly)
@@ -421,89 +390,19 @@ TEST(ObsMetrics, ConcurrentIncrementsCountExactly)
             obs::Counter &c = reg.counter("contended");
             for (std::uint64_t i = 0; i < kPerThread; ++i)
                 c.inc();
-            reg.histogram("contended.h").record(1);
         });
     }
     for (auto &w : workers)
         w.join();
     EXPECT_EQ(reg.counter("contended").value(), kThreads * kPerThread);
-    EXPECT_EQ(reg.histogram("contended.h").count(), kThreads);
 }
 
 TEST(ObsMetrics, ResetZeroesValuesKeepsNames)
 {
     obs::MetricsRegistry reg;
     reg.counter("n").inc(9);
-    reg.histogram("h").record(4);
     reg.reset();
     EXPECT_EQ(reg.counter("n").value(), 0u);
-    EXPECT_EQ(reg.histogram("h").count(), 0u);
-}
-
-TEST(ObsMetrics, PercentileEdgeCases)
-{
-    obs::Histogram h;
-    // Empty histogram: every percentile is 0, not NaN or garbage.
-    EXPECT_DOUBLE_EQ(h.percentile(0.50), 0.0);
-    EXPECT_DOUBLE_EQ(h.percentile(0.99), 0.0);
-
-    // A single sample: all percentiles land in its bucket.
-    h.record(5); // bucket (3, 7]
-    const double p50 = h.percentile(0.50);
-    EXPECT_GT(p50, 3.0);
-    EXPECT_LE(p50, 7.0);
-    EXPECT_LE(h.percentile(0.01), h.percentile(0.99));
-}
-
-TEST(ObsMetrics, PercentilesAreOrderedAndBucketAccurate)
-{
-    obs::Histogram h;
-    // 90 fast samples and 10 slow ones: p50 must sit in the fast
-    // bucket, p99 in the slow one, and the three must be ordered.
-    for (int i = 0; i < 90; ++i)
-        h.record(3); // bucket (1, 3]
-    for (int i = 0; i < 10; ++i)
-        h.record(1000); // bucket (511, 1023]
-    const double p50 = h.percentile(0.50);
-    const double p90 = h.percentile(0.90);
-    const double p99 = h.percentile(0.99);
-    EXPECT_LE(p50, p90);
-    EXPECT_LE(p90, p99);
-    EXPECT_LE(p50, 3.0);
-    EXPECT_GT(p99, 511.0);
-    EXPECT_LE(p99, 1023.0);
-}
-
-TEST(ObsMetrics, PercentileHandlesZeroAndOverflowBuckets)
-{
-    obs::Histogram zeros;
-    for (int i = 0; i < 8; ++i)
-        zeros.record(0); // bucket 0 has upper bound 0
-    EXPECT_DOUBLE_EQ(zeros.percentile(0.99), 0.0);
-
-    obs::Histogram huge;
-    huge.record(~0ULL); // lands in the saturating last bucket
-    const double p = huge.percentile(0.50);
-    EXPECT_GT(p, 0.0);
-    EXPECT_FALSE(std::isnan(p));
-}
-
-TEST(ObsMetrics, ExportsIncludePercentiles)
-{
-    obs::MetricsRegistry reg;
-    for (int i = 0; i < 100; ++i)
-        reg.histogram("lat").record(i < 90 ? 4 : 400);
-
-    std::ostringstream json;
-    reg.writeJson(json);
-    const Json root = parseJsonOrFail(json.str());
-    const Json &h = root.at("histograms").at("lat");
-    ASSERT_TRUE(h.has("p50"));
-    ASSERT_TRUE(h.has("p90"));
-    ASSERT_TRUE(h.has("p99"));
-    EXPECT_LE(h.at("p50").num, h.at("p90").num);
-    EXPECT_LE(h.at("p90").num, h.at("p99").num);
-    EXPECT_GT(h.at("p99").num, 255.0) << "p99 must reflect the slow tail";
 }
 
 // ------------------------------------------------------------- tracer --

@@ -398,43 +398,30 @@ TEST(UcpPartitioner, KneeAppClaimsItsKneeViaLookahead)
 
 TEST(LfocClassify, CurveFloorDecidesLightness)
 {
-    LfocConfig cfg; // lightMpki = 10, flatCurveGain = 0.25
+    // kLfocLightMpki = 10, kLfocFlatCurveGain = 0.25.
     AppObservation light;
     light.mpki = 80.0; // squeezed right now...
     light.missCurve = {100, 60, 20, 4, 4, 4}; // ...but tiny when fed
-    EXPECT_EQ(lfocClassify(light, 5, cfg), AppClass::Light);
+    EXPECT_EQ(lfocClassify(light, 5), AppClass::Light);
 
     AppObservation stream;
     stream.missCurve = {40, 31, 30.5, 30.2, 30, 30};
-    EXPECT_EQ(lfocClassify(stream, 5, cfg), AppClass::Streaming);
+    EXPECT_EQ(lfocClassify(stream, 5), AppClass::Streaming);
 
     AppObservation sens;
     sens.missCurve = {100, 90, 70, 45, 25, 20};
-    EXPECT_EQ(lfocClassify(sens, 5, cfg), AppClass::Sensitive);
+    EXPECT_EQ(lfocClassify(sens, 5), AppClass::Sensitive);
 }
 
 TEST(LfocClassify, MissingCurveFallsBackToMpki)
 {
-    LfocConfig cfg;
     AppObservation o;
     o.mpki = 0.5;
-    EXPECT_EQ(lfocClassify(o, 20, cfg), AppClass::Light);
+    EXPECT_EQ(lfocClassify(o, 20), AppClass::Light);
     o.mpki = 50.0;
     // Sensitive is the safe guess: a misclassified streamer wastes
     // ways, a misclassified sensitive app breaches its SLO.
-    EXPECT_EQ(lfocClassify(o, 20, cfg), AppClass::Sensitive);
-}
-
-TEST(LfocClassify, ThresholdsAreConfigurable)
-{
-    AppObservation o;
-    o.missCurve = {40, 31, 30.5, 30.2, 30, 30};
-    LfocConfig strict;
-    strict.flatCurveGain = 0.01; // the ~3% gain now counts as sensitive
-    EXPECT_EQ(lfocClassify(o, 5, strict), AppClass::Sensitive);
-    LfocConfig generous;
-    generous.lightMpki = 35.0;
-    EXPECT_EQ(lfocClassify(o, 5, generous), AppClass::Light);
+    EXPECT_EQ(lfocClassify(o, 20), AppClass::Sensitive);
 }
 
 // ---------------------------------------------------------------------

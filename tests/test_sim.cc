@@ -384,16 +384,15 @@ TEST(NAppDifferential, DynamicMatchesLegacyPair)
     const SplitMasks m = policyMasks(Policy::Dynamic, 12);
     po.fgMask = m.fg;
     po.bgMask = m.bg;
-    DynamicPartitionerConfig dc;
-    DynamicPartitioner ctrl(AppId{0}, std::vector<AppId>{1}, dc);
+    DynamicPartitioner ctrl(AppId{0}, std::vector<AppId>{1});
     po.controller = &ctrl;
     const PairResult legacy = runPair(fg, bg, po);
 
     NAppOptions no;
     no.scale = kTestScale;
-    // runNApp scales maxFgWays to 12 - 1 = 11 on the stock machine —
-    // the same ceiling the legacy config hard-codes, so the two
-    // controllers walk identical trajectories.
+    // Both controllers take their probe ceiling, 12 - 1 = 11 ways, from
+    // the stock machine, and runNApp's static starting split is that
+    // ceiling too, so the two walk identical trajectories.
     const NAppRunResult napp =
         runNApp(pairAsMembers(fg, bg), NPolicy::Dynamic, no);
     expectBitIdentical(legacy, napp, "dynamic");
